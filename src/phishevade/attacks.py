@@ -7,11 +7,18 @@ below the threshold, differing in what they know about the classifier:
 * white: full model (rules and weights); each step greedily picks the
   feature deletion or rule addition with the largest exact score influence.
 * grey: rule feature sets but no weights; tentatively deletes features of
-  hit rules, then tentatively adds absent rules, keeping a change only when
-  the queried score drops.
+  hit rules, then tentatively adds absent rules.
 * black: nothing but the score oracle; modifies every modifiable node one at
-  a time keeping improvements, then randomly adds harvested invisible
-  elements with a rollback checkpoint every few additions.
+  a time, then randomly adds harvested invisible elements in batches.
+
+The three share one skeleton, ``_Run``: it holds the current tree with its
+feature map and queried score, and each attack only chooses candidate trees
+and offers them.  An offered candidate is scored once; the white attack
+keeps every candidate, grey and black keep one only when its score drops
+(a dropped black batch is the rollback).  Each kept candidate appends a
+trajectory step and adds to ``mutated_rules`` the counted rules whose gated
+value product changed; white and black count the classifier's non-zero
+weight rules, grey its known rules.
 
 Influence values are exact score differences, so accepted white-box steps
 are the one-step-lookahead optimum.
@@ -19,6 +26,7 @@ are the one-step-lookahead optimum.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -32,6 +40,7 @@ from .classifier import (
     prepare_map,
     rule_contribution,
     rule_hit,
+    unsatisfied,
 )
 from .dom import DomTree, serialize, walk_elements, walk_text_nodes
 from .features import FeatureValueMap, extract_all_features, term_spans
@@ -145,28 +154,6 @@ def influence_feature(classifier: Classifier, fmap: FeatureValueMap,
     return total
 
 
-def _post_addition_map(fmap: FeatureValueMap, rule_features,
-                       freq_detect_threshold: float) -> FeatureValueMap:
-    post = dict(fmap)
-    for feat in rule_features:
-        value = post.get(feat, 0.0)
-        if value == 0.0 or \
-                (F.is_frequency_feature(feat) and value < freq_detect_threshold):
-            post[feat] = 1.0
-    return post
-
-
-def _unsatisfied(rule_features, fmap: FeatureValueMap,
-                 freq_detect_threshold: float) -> set[str]:
-    out = set()
-    for feat in rule_features:
-        value = fmap.get(feat, 0.0)
-        if value == 0.0 or \
-                (F.is_frequency_feature(feat) and value < freq_detect_threshold):
-            out.add(feat)
-    return out
-
-
 def influence_rule(classifier: Classifier, fmap: FeatureValueMap,
                    rule: ClassificationRule) -> float:
     """Exact raw-score change from adding every feature of ``rule``.
@@ -176,56 +163,97 @@ def influence_rule(classifier: Classifier, fmap: FeatureValueMap,
     common case), with added features valued at 1.
     """
     t = classifier.freq_detect_threshold
-    if rule_hit(rule, fmap, t):
+    added = unsatisfied(rule.features, fmap, t)
+    if not added:
         raise RuleAlreadyHit(rule.id)
-    post = _post_addition_map(fmap, rule.features, t)
+    post = {**fmap, **dict.fromkeys(added, 1.0)}
     total = 0.0
     for other in classifier.rules:
-        if rule_hit(other, fmap, t):
-            continue
-        if _unsatisfied(other.features, fmap, t) <= set(rule.features):
+        missing = unsatisfied(other.features, fmap, t)
+        if missing and missing <= rule.features:
             total += rule_contribution(other, post)
     return total
 
 
-# -- shared helpers ------------------------------------------------------------
+# -- the shared attack skeleton ---------------------------------------------------
 
-def _rule_products(classifier: Classifier, fmap: FeatureValueMap) -> dict[str, float]:
-    """Gated value product per non-zero-weight rule: the product of its
-    feature values when hit, else 0.  A rule counts as mutated when this
-    changes, covering both hit flips and frequency-value drift."""
-    prepared = prepare_map(classifier, fmap)
-    t = classifier.freq_detect_threshold
-    out = {}
-    for r in classifier.rules:
-        if r.weight == 0.0:
-            continue
-        if rule_hit(r, prepared, t, classifier.hashed):
-            product = 1.0
-            for feat in r.features:
-                product *= prepared.get(feat, 0.0)
-            out[r.id] = product
-        else:
-            out[r.id] = 0.0
-    return out
+def _rule_products(rules, fmap: FeatureValueMap, freq_detect_threshold: float,
+                   hashed: bool = False) -> dict[str, float]:
+    """Gated value product per ``(id, features)`` rule: the product of its
+    feature values when every feature is satisfied, else 0.  A rule counts
+    as mutated when this changes, covering both hit flips and
+    frequency-value drift."""
+    return {rule_id: 0.0 if unsatisfied(feats, fmap, freq_detect_threshold, hashed)
+            else math.prod(fmap[feat] for feat in feats)
+            for rule_id, feats in rules}
 
 
-def _known_rule_products(rules, fmap: FeatureValueMap, t: float) -> dict[str, float]:
-    """Weight-free variant over grey knowledge (id, features) pairs."""
-    out = {}
-    for rule_id, feats in rules:
-        if _unsatisfied(feats, fmap, t):
-            out[rule_id] = 0.0
-        else:
-            product = 1.0
-            for feat in feats:
-                product *= fmap.get(feat, 0.0)
-            out[rule_id] = product
-    return out
+def _classifier_products(clf: Classifier):
+    """Rule products over the classifier's non-zero-weight rules."""
+    counted = [(r.id, r.features) for r in clf.rules if r.weight != 0.0]
+    return lambda fmap: _rule_products(counted, prepare_map(clf, fmap),
+                                       clf.freq_detect_threshold, clf.hashed)
 
 
-def _changed(before: dict[str, float], after: dict[str, float]) -> int:
-    return sum(1 for rule_id in before if before[rule_id] != after[rule_id])
+class _Run:
+    """One attack in progress: the current tree with its feature map and
+    queried score, the trajectory and the counters.
+
+    ``products`` maps a feature map to the gated rule products whose
+    changes count as mutated rules.  With ``keep_all`` every offered
+    candidate is kept; otherwise only one whose score drops.
+    """
+
+    def __init__(self, knowledge: Knowledge, page: DomTree, products,
+                 keep_all: bool = False):
+        self._oracle = knowledge.oracle
+        self._tau = knowledge.threshold
+        self._products_of = products
+        self._keep_all = keep_all
+        self._started = time.perf_counter()
+        self._queries_before = self._oracle.query_count
+        self.tree = page
+        self.fmap = extract_all_features(page)
+        self.score = self._oracle.score_map(self.fmap)
+        self._products = products(self.fmap)
+        self.trajectory = [TrajectoryStep(0, "initial", self.score)]
+        self.mutated_features = self.mutated_rules = 0
+
+    @property
+    def done(self) -> bool:
+        return self.score < self._tau
+
+    def offer(self, candidate: DomTree, label: str,
+              feature_step: bool = True) -> bool:
+        """Score ``candidate`` and make it the current tree if the keep rule
+        allows; ``feature_step`` counts it as a mutated feature."""
+        fmap = extract_all_features(candidate)
+        score = self._oracle.score_map(fmap)
+        if not (self._keep_all or score < self.score):
+            return False
+        products = self._products_of(fmap)
+        self.mutated_rules += sum(1 for rule_id, before in self._products.items()
+                                  if products[rule_id] != before)
+        self.mutated_features += feature_step
+        self.tree, self.fmap, self.score = candidate, fmap, score
+        self._products = products
+        self.trajectory.append(TrajectoryStep(len(self.trajectory), label, score))
+        return True
+
+    def result(self, failure: str, **extra) -> AttackResult:
+        """Success when the score ended below the threshold, else ``failure``."""
+        status = SUCCESS if self.done else failure
+        return AttackResult(
+            success=status == SUCCESS,
+            status=status,
+            final_page=self.tree,
+            trajectory=self.trajectory,
+            mutated_features=self.mutated_features,
+            mutated_rules=self.mutated_rules,
+            queries=self._oracle.query_count - self._queries_before,
+            elapsed=time.perf_counter() - self._started,
+            **extra,
+        )
 
 
 def _term_payloads(rules_features) -> set[str]:
@@ -247,35 +275,24 @@ def white_box(knowledge: Knowledge, page: DomTree,
     the negative rule with minimal (most negative) influence; stop when the
     score drops below the threshold or neither step applies."""
     clf = knowledge.model
-    oracle = knowledge.oracle
-    tau = knowledge.threshold
     t = clf.freq_detect_threshold
-    started = time.perf_counter()
-    queries_before = oracle.query_count
-
-    tree = page
-    score = oracle.score_page(tree)
-    trajectory = [TrajectoryStep(0, "initial", score)]
-    mutated_features = mutated_rules = 0
-    status = SUCCESS if score < tau else None
+    run = _Run(knowledge, page, _classifier_products(clf), keep_all=True)
 
     rules = [r for r in clf.rules
              if only_rules is None or r.id in only_rules]
     positive = [r for r in rules if r.weight > 0]
     negative = [r for r in rules if r.weight < 0]
+    positive_features = sorted({f for r in positive for f in r.features})
     avoid_terms = _term_payloads([r.features for r in positive])
     banned_deletions: set[str] = set()
     banned_additions: set[str] = set()
-    step = 0
     feature_universe = {f for r in rules for f in r.features}
     max_steps = max(50, 4 * (len(rules) + len(feature_universe)))
 
-    while status is None and step < max_steps:
-        fmap = extract_all_features(tree)
-        products_before = _rule_products(clf, fmap)
-
+    while not run.done and len(run.trajectory) <= max_steps:
+        fmap = run.fmap
         deletions: dict[str, float] = {}
-        for feat in sorted({f for r in positive for f in r.features}):
+        for feat in positive_features:
             if feat in banned_deletions or not deletable_feature(feat):
                 continue
             if fmap.get(feat, 0.0) == 0.0:
@@ -288,10 +305,8 @@ def white_box(knowledge: Knowledge, page: DomTree,
         for rule in negative:
             if rule.id in banned_additions:
                 continue
-            if rule_hit(rule, fmap, t):
-                continue
-            unsat = _unsatisfied(rule.features, fmap, t)
-            if not all(addable_feature(f) for f in unsat):
+            unsat = unsatisfied(rule.features, fmap, t)
+            if not unsat or not all(addable_feature(f) for f in unsat):
                 continue
             delta = influence_rule(clf, fmap, rule)
             if delta < 0:
@@ -308,7 +323,7 @@ def white_box(knowledge: Knowledge, page: DomTree,
                              or best_del[1] >= -best_add[1][0]):
                 feat = best_del[0]
                 try:
-                    plan = plan_delete_feature(tree, feat, t, avoid_terms)
+                    plan = plan_delete_feature(run.tree, feat, t, avoid_terms)
                     op_label = f"delete {feat}"
                 except _PLAN_FAILURES:
                     banned_deletions.add(feat)
@@ -316,7 +331,7 @@ def white_box(knowledge: Knowledge, page: DomTree,
             elif best_add:
                 rule = best_add[1][1]
                 try:
-                    plan = plan_add_rule(tree, rule.features, t)
+                    plan = plan_add_rule(run.tree, rule.features, t)
                     op_label = f"add rule {rule.id}"
                 except _PLAN_FAILURES:
                     banned_additions.add(rule.id)
@@ -324,31 +339,10 @@ def white_box(knowledge: Knowledge, page: DomTree,
             else:
                 break
         if plan is None:
-            status = EXHAUSTED
             break
+        run.offer(apply(run.tree, plan), op_label)
 
-        tree = apply(tree, plan)
-        score = oracle.score_page(tree)
-        step += 1
-        mutated_features += 1
-        products_after = _rule_products(clf, extract_all_features(tree))
-        mutated_rules += _changed(products_before, products_after)
-        trajectory.append(TrajectoryStep(step, op_label, score))
-        if score < tau:
-            status = SUCCESS
-
-    if status is None:
-        status = EXHAUSTED
-    return AttackResult(
-        success=status == SUCCESS,
-        status=status,
-        final_page=tree,
-        trajectory=trajectory,
-        mutated_features=mutated_features,
-        mutated_rules=mutated_rules,
-        queries=oracle.query_count - queries_before,
-        elapsed=time.perf_counter() - started,
-    )
+    return run.result(EXHAUSTED)
 
 
 # -- grey-box -------------------------------------------------------------------
@@ -357,88 +351,43 @@ def grey_box(knowledge: Knowledge, page: DomTree) -> AttackResult:
     """Phase 1 tentatively deletes each deletable feature of the known hit
     rules, keeping a deletion only when the queried score drops; phase 2
     does the same for additions of known rules the page does not hit."""
-    oracle = knowledge.oracle
-    tau = knowledge.threshold
     t = knowledge.freq_detect_threshold
     rules = knowledge.rules or []
-    started = time.perf_counter()
-    queries_before = oracle.query_count
-
-    tree = page
-    score = oracle.score_page(tree)
-    trajectory = [TrajectoryStep(0, "initial", score)]
-    mutated_features = mutated_rules = 0
-    step = 0
+    run = _Run(knowledge, page, lambda fmap: _rule_products(rules, fmap, t))
     avoid_terms = _term_payloads([feats for _, feats in rules])
 
-    fmap = extract_all_features(tree)
-    hit_ids = {rule_id for rule_id, product
-               in _known_rule_products(rules, fmap, t).items() if product}
     reliance: dict[str, int] = {}
     for _, feats in rules:
         for feat in feats:
             reliance[feat] = reliance.get(feat, 0) + 1
     candidates = sorted(
-        {f for rule_id, feats in rules if rule_id in hit_ids
+        {f for _, feats in rules if not unsatisfied(feats, run.fmap, t)
          for f in feats if deletable_feature(f)},
         key=lambda f: (-reliance[f], f))
 
     for feat in candidates:
-        if score < tau:
+        if run.done:
             break
-        fmap = extract_all_features(tree)
-        if fmap.get(feat, 0.0) == 0.0:
+        if run.fmap.get(feat, 0.0) == 0.0:
             continue
         try:
-            plan = plan_delete_feature(tree, feat, t, avoid_terms)
+            plan = plan_delete_feature(run.tree, feat, t, avoid_terms)
         except _PLAN_FAILURES:
             continue
-        candidate = apply(tree, plan)
-        new_score = oracle.score_page(candidate)
-        if new_score < score:
-            products_before = _known_rule_products(rules, fmap, t)
-            tree, score = candidate, new_score
-            products_after = _known_rule_products(
-                rules, extract_all_features(tree), t)
-            step += 1
-            mutated_features += 1
-            mutated_rules += _changed(products_before, products_after)
-            trajectory.append(TrajectoryStep(step, f"delete {feat}", score))
+        run.offer(apply(run.tree, plan), f"delete {feat}")
 
-    if score >= tau:
-        for rule_id, feats in sorted(rules):
-            if score < tau:
-                break
-            fmap = extract_all_features(tree)
-            if not _unsatisfied(feats, fmap, t):
-                continue
-            try:
-                plan = plan_add_rule(tree, feats, t)
-            except _PLAN_FAILURES:
-                continue
-            candidate = apply(tree, plan)
-            new_score = oracle.score_page(candidate)
-            if new_score < score:
-                products_before = _known_rule_products(rules, fmap, t)
-                tree, score = candidate, new_score
-                products_after = _known_rule_products(
-                    rules, extract_all_features(tree), t)
-                step += 1
-                mutated_features += 1
-                mutated_rules += _changed(products_before, products_after)
-                trajectory.append(TrajectoryStep(step, f"add rule {rule_id}", score))
+    for rule_id, feats in sorted(rules):
+        if run.done:
+            break
+        if not unsatisfied(feats, run.fmap, t):
+            continue
+        try:
+            plan = plan_add_rule(run.tree, feats, t)
+        except _PLAN_FAILURES:
+            continue
+        run.offer(apply(run.tree, plan), f"add rule {rule_id}")
 
-    status = SUCCESS if score < tau else EXHAUSTED
-    return AttackResult(
-        success=status == SUCCESS,
-        status=status,
-        final_page=tree,
-        trajectory=trajectory,
-        mutated_features=mutated_features,
-        mutated_rules=mutated_rules,
-        queries=oracle.query_count - queries_before,
-        elapsed=time.perf_counter() - started,
-    )
+    return run.result(EXHAUSTED)
 
 
 # -- black-box ------------------------------------------------------------------
@@ -461,6 +410,8 @@ def _modification_candidates(tree: DomTree) -> list[tuple[str, tuple[int, ...], 
     return candidates
 
 
+
+
 def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
               batch: int = 3, budget: int = 2000, rng_seed: int = 0,
               trace: list | None = None) -> AttackResult:
@@ -469,97 +420,51 @@ def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
     invisible elements drawn from the pool; every ``batch`` additions the
     score is checked and the batch is rolled back unless it improved.
     """
-    oracle = knowledge.oracle
-    clf = oracle.classifier     # reporting only: rule flips are not used to guide
-    tau = knowledge.threshold
+    # the classifier is used for reporting only: rule flips do not guide
+    run = _Run(knowledge, page, _classifier_products(knowledge.oracle.classifier))
     rng = random.Random(rng_seed)
-    started = time.perf_counter()
-    queries_before = oracle.query_count
 
-    tree = page
-    score = oracle.score_page(tree)
-    trajectory = [TrajectoryStep(0, "initial", score)]
-    mutated_features = mutated_rules = 0
-    step = 0
-
-    for kind, path, arg in _modification_candidates(tree):
-        if score < tau:
+    for kind, path, arg in _modification_candidates(page):
+        if run.done:
             break
         try:
             if kind == "attr":
-                op = modify_attribute(tree, path, arg)
+                op = modify_attribute(run.tree, path, arg)
                 label = f"modify {arg} at {list(path)}"
             else:
-                op = modify_text(tree, path, arg)
+                op = modify_text(run.tree, path, arg)
                 label = f"split term {arg!r}"
         except (UnsupportedMutation, TermNotFound, PathError):
             continue
-        candidate = apply_op(tree, op)
-        new_score = oracle.score_page(candidate)
-        if new_score < score:
-            products_before = _rule_products(clf, extract_all_features(tree))
-            tree, score = candidate, new_score
-            products_after = _rule_products(clf, extract_all_features(tree))
-            step += 1
-            mutated_features += 1
-            mutated_rules += _changed(products_before, products_after)
-            trajectory.append(TrajectoryStep(step, label, score))
+        run.offer(apply_op(run.tree, op), label)
 
-    score_after_modification = score
+    score_after_modification = run.score
     additions = 0
-    status = SUCCESS if score < tau else None
+    while pool and not run.done and additions < budget:
+        if trace is not None:
+            trace.append(("checkpoint", serialize(run.tree)))
+        work = run.tree.copy()
+        applied = 0
+        draws = 0
+        while applied < batch and additions < budget and draws < 10 * batch:
+            draws += 1
+            spec = pool[rng.randrange(len(pool))]
+            try:
+                op = add_invisible_element(work, spec)
+            except UnsupportedMutation:
+                continue
+            _apply_in_place(work, op)
+            additions += 1
+            applied += 1
+        if applied == 0:
+            break
+        kept = run.offer(work, f"add batch of {applied}", feature_step=False)
+        if trace is not None:
+            trace.append(("keep" if kept else "rollback", serialize(run.tree)))
 
-    if status is None and pool:
-        while score >= tau and additions < budget:
-            if trace is not None:
-                trace.append(("checkpoint", serialize(tree)))
-            work = tree.copy()
-            applied = 0
-            draws = 0
-            while applied < batch and additions < budget and draws < 10 * batch:
-                draws += 1
-                spec = pool[rng.randrange(len(pool))]
-                try:
-                    op = add_invisible_element(work, spec)
-                except UnsupportedMutation:
-                    continue
-                _apply_in_place(work, op)
-                additions += 1
-                applied += 1
-            if applied == 0:
-                break
-            new_score = oracle.score_page(work)
-            if new_score < score:
-                products_before = _rule_products(clf, extract_all_features(tree))
-                tree, score = work, new_score
-                products_after = _rule_products(clf, extract_all_features(tree))
-                step += 1
-                mutated_rules += _changed(products_before, products_after)
-                trajectory.append(
-                    TrajectoryStep(step, f"add batch of {applied}", score))
-                if trace is not None:
-                    trace.append(("keep", serialize(tree)))
-            else:
-                if trace is not None:
-                    trace.append(("rollback", serialize(tree)))
-        if score < tau:
-            status = SUCCESS
-
-    if status is None:
-        status = BUDGET_EXHAUSTED
-    return AttackResult(
-        success=status == SUCCESS,
-        status=status,
-        final_page=tree,
-        trajectory=trajectory,
-        mutated_features=mutated_features,
-        mutated_rules=mutated_rules,
-        queries=oracle.query_count - queries_before,
-        elapsed=time.perf_counter() - started,
-        additions=additions,
-        score_after_modification=score_after_modification,
-        rng_seed=rng_seed,
-    )
+    return run.result(BUDGET_EXHAUSTED, additions=additions,
+                      score_after_modification=score_after_modification,
+                      rng_seed=rng_seed)
 
 
 def run_attack(knowledge: Knowledge, page: DomTree,

@@ -92,18 +92,23 @@ def _freq_features(hashed: bool) -> frozenset[str]:
     return _FREQ_DIGESTS if hashed else F.FREQUENCY_KINDS
 
 
+def unsatisfied(features, fmap: FeatureValueMap, freq_detect_threshold: float,
+                hashed: bool = False) -> set[str]:
+    """The features that are not satisfied on ``fmap``: those valued zero
+    (or absent), and frequency features below the detection threshold."""
+    freq = _freq_features(hashed)
+    out = set()
+    for feat in features:
+        value = fmap.get(feat, 0.0)
+        if value == 0.0 or (feat in freq and value < freq_detect_threshold):
+            out.add(feat)
+    return out
+
+
 def rule_hit(rule: ClassificationRule, fmap: FeatureValueMap,
              freq_detect_threshold: float = 0.05, hashed: bool = False) -> bool:
-    """True when every rule feature is non-zero and every frequency feature
-    reaches the detection threshold."""
-    freq = _freq_features(hashed)
-    for feat in rule.features:
-        value = fmap.get(feat, 0.0)
-        if value == 0.0:
-            return False
-        if feat in freq and value < freq_detect_threshold:
-            return False
-    return True
+    """True when every feature of the rule is satisfied."""
+    return not unsatisfied(rule.features, fmap, freq_detect_threshold, hashed)
 
 
 def prepare_map(classifier: Classifier, fmap: FeatureValueMap) -> FeatureValueMap:
@@ -139,10 +144,6 @@ def raw_score(classifier: Classifier, fmap: FeatureValueMap) -> float:
 
 def score(classifier: Classifier, fmap: FeatureValueMap) -> float:
     return logistic(raw_score(classifier, fmap))
-
-
-def is_phishing(classifier: Classifier, fmap: FeatureValueMap) -> bool:
-    return score(classifier, fmap) >= classifier.threshold
 
 
 def partition_rules(classifier: Classifier) -> tuple[list[ClassificationRule],
@@ -207,10 +208,6 @@ class ScoreOracle:
         return self.score_map(extract_all_features(page))
 
 
-def oracle_score(oracle: ScoreOracle, page: DomTree) -> float:
-    return oracle.score_page(page)
-
-
 # -- model files -----------------------------------------------------------
 
 def _rule_to_dict(rule: ClassificationRule, strip_weights: bool) -> dict:
@@ -241,7 +238,9 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def load_model(path) -> Classifier:
+def _read_model_file(path) -> tuple[dict, list[tuple[dict, str, frozenset[str]]]]:
+    """The model document and its rules as ``(entry, id, features)``, with
+    the shape of the document and of every rule checked."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -249,32 +248,33 @@ def load_model(path) -> Classifier:
             raise SchemaError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("model file must hold a JSON object")
-    bias = _require(doc, "bias")
-    threshold = _require(doc, "threshold")
     raw_rules = _require(doc, "rules")
-    hashed = bool(doc.get("hashed", False))
-    freq_t = float(doc.get("freq_detect_threshold", 0.05))
+    if not isinstance(raw_rules, list):
+        raise SchemaError("model 'rules' must be a list")
     rules = []
     for entry in raw_rules:
-        rule_id = _require(entry, "id")
+        if not isinstance(entry, dict):
+            raise SchemaError(f"model rule {entry!r} is not a JSON object")
+        rule_id = str(_require(entry, "id"))
         feats = _require(entry, "features")
-        weight = _require(entry, "weight")
-        rules.append(ClassificationRule(str(rule_id), frozenset(feats),
-                                        float(weight)))
-    return Classifier(float(bias), tuple(rules), float(threshold),
-                      hashed, freq_t)
+        if not isinstance(feats, list) or not all(isinstance(f, str) for f in feats):
+            raise SchemaError(f"rule {rule_id!r}: 'features' must be a list of strings")
+        rules.append((entry, rule_id, frozenset(feats)))
+    return doc, rules
+
+
+def load_model(path) -> Classifier:
+    doc, entries = _read_model_file(path)
+    bias = _require(doc, "bias")
+    threshold = _require(doc, "threshold")
+    hashed = bool(doc.get("hashed", False))
+    freq_t = float(doc.get("freq_detect_threshold", 0.05))
+    rules = tuple(ClassificationRule(rule_id, feats, float(_require(entry, "weight")))
+                  for entry, rule_id, feats in entries)
+    return Classifier(float(bias), rules, float(threshold), hashed, freq_t)
 
 
 def load_rule_features(path) -> list[tuple[str, frozenset[str]]]:
     """Load just ``(id, features)`` pairs; accepts weight-stripped exports."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"model file is not valid JSON: {exc}") from exc
-    raw_rules = _require(doc, "rules")
-    out = []
-    for entry in raw_rules:
-        out.append((str(_require(entry, "id")),
-                    frozenset(_require(entry, "features"))))
-    return out
+    _, entries = _read_model_file(path)
+    return [(rule_id, feats) for _, rule_id, feats in entries]

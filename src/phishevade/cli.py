@@ -28,7 +28,6 @@ from .classifier import (
     find_single_rules,
     find_subset_rules,
     load_model,
-    load_rule_features,
     prune,
     save_model,
     score,
@@ -195,9 +194,9 @@ def cmd_attack(args) -> int:
     if args.level == attacks.WHITE:
         knowledge = attacks.white_knowledge(model, oracle)
     elif args.level == attacks.GREY:
-        rules = load_rule_features(args.model)
         knowledge = attacks.grey_knowledge(
-            rules, oracle, model.threshold, model.freq_detect_threshold)
+            [(r.id, r.features) for r in model.rules], oracle,
+            model.threshold, model.freq_detect_threshold)
     else:
         knowledge = attacks.black_knowledge(oracle, model.threshold)
 

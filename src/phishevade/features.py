@@ -103,10 +103,6 @@ def feature_kind(canonical: str) -> str | None:
     return feature.kind if feature else None
 
 
-def is_frequency_feature(canonical: str) -> bool:
-    return canonical in FREQUENCY_KINDS
-
-
 def terms_of(text: str) -> list[str]:
     return _TERM_SPLIT.findall(text)
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urljoin, urlsplit
 
 from . import features as F
+from .classifier import unsatisfied
 from .dom import (
     ELEMENT,
     TEXT,
@@ -106,18 +107,10 @@ class NodeOp:
     target: tuple[int, ...]         # content path from the root
     payload: dict
 
-    def describe(self) -> str:
-        if self.kind == "modify_attribute":
-            return f"modify_attribute {self.payload['attr']} at {list(self.target)}"
-        if self.kind == "modify_text":
-            return f"modify_text {self.payload['term']!r} at {list(self.target)}"
-        return f"add_invisible <{self.payload['tag']}>"
-
 
 @dataclass
 class MutationPlan:
     ops: list[NodeOp] = field(default_factory=list)
-    provenance: str = "blind"
 
 
 @dataclass(frozen=True)
@@ -352,15 +345,6 @@ def _boost_added(num: int, den: int, threshold: float) -> int:
     return n
 
 
-def _satisfied(fmap, canonical: str, freq_detect_threshold: float) -> bool:
-    value = fmap.get(canonical, 0.0)
-    if value == 0.0:
-        return False
-    if F.is_frequency_feature(canonical) and value < freq_detect_threshold:
-        return False
-    return True
-
-
 def plan_delete_feature(tree: DomTree, canonical: str,
                         freq_detect_threshold: float = 0.05,
                         avoid_terms: set[str] | None = None) -> MutationPlan:
@@ -377,7 +361,7 @@ def plan_delete_feature(tree: DomTree, canonical: str,
     if canonical not in fmap:
         raise FeatureAbsent(canonical)
 
-    plan = MutationPlan(provenance=f"delete {canonical}")
+    plan = MutationPlan()
     work = tree.copy()
 
     def push(op: NodeOp) -> None:
@@ -495,12 +479,12 @@ def plan_add_rule(tree: DomTree, rule_features,
         # URL features are kept: they only fail the plan when unsatisfied
         parsed.append((canonical, feature))
 
-    plan = MutationPlan(provenance=f"add rule over {sorted(rule_features)}")
+    plan = MutationPlan()
     work = tree.copy()
     for _ in range(10):
-        fmap = extract_all_features(work)
-        missing = [(c, f) for c, f in parsed
-                   if not _satisfied(fmap, c, freq_detect_threshold)]
+        unsat = unsatisfied(rule_features, extract_all_features(work),
+                            freq_detect_threshold)
+        missing = [(c, f) for c, f in parsed if c in unsat]
         if not missing:
             return plan
         for canonical, feature in missing:

@@ -115,6 +115,32 @@ def suite_model() -> Classifier:
     ], bias=-0.5)
 
 
+def single_rule_model() -> Classifier:
+    """Criterion-10 model: five deletable and three addable rules whose
+    features appear in no other rule, plus two rules sharing features."""
+    return make_classifier([
+        rule("d1", {"PageTerm=sd1"}, 1.5), rule("d2", {"PageTerm=sd2"}, 1.5),
+        rule("d3", {"PageTerm=sd3"}, 1.5), rule("d4", {"PageTerm=sd4"}, 1.5),
+        rule("d5", {"PageTerm=sd5"}, 1.5),
+        rule("a1", {"PageTerm=sa1"}, -1.2), rule("a2", {"PageTerm=sa2"}, -1.2),
+        rule("a3", {"PageTerm=sa3"}, -1.2),
+        rule("shared1", {"PageTerm=sh", "PageHasForms"}, 0.3),
+        rule("shared2", {"PageHasForms"}, 0.2),
+    ], bias=-0.4)
+
+
+def single_rule_seeds() -> list[DomTree]:
+    """Six criterion-10 seed pages hitting two to five deletable rules."""
+    seeds = []
+    for i in range(6):
+        hit = [f"sd{j + 1}" for j in range(2 + (i % 4))]
+        seeds.append(build_page(url=f"http://solo{i}.test/p",
+                                host=f"solo{i}.test",
+                                terms=hit + (["sh"] if i % 2 else []),
+                                bare_form=bool(i % 2)))
+    return seeds
+
+
 # content presets hitting known rule subsets; raw scores computed against
 # suite_model with bias -0.5
 SEED_PRESETS = {

@@ -43,6 +43,8 @@ from conftest import (
     fixture_path,
     make_classifier,
     rule,
+    single_rule_model,
+    single_rule_seeds,
     suite_model,
     suite_pool,
     suite_seed_pages,
@@ -427,23 +429,10 @@ def test_c09_pruning_accuracy_neutrality():
 
 # -- criterion 10 --------------------------------------------------------------
 
-def _single_rule_model():
-    rules = [
-        rule("d1", {"PageTerm=sd1"}, 1.5), rule("d2", {"PageTerm=sd2"}, 1.5),
-        rule("d3", {"PageTerm=sd3"}, 1.5), rule("d4", {"PageTerm=sd4"}, 1.5),
-        rule("d5", {"PageTerm=sd5"}, 1.5),
-        rule("a1", {"PageTerm=sa1"}, -1.2), rule("a2", {"PageTerm=sa2"}, -1.2),
-        rule("a3", {"PageTerm=sa3"}, -1.2),
-        rule("shared1", {"PageTerm=sh", "PageHasForms"}, 0.3),
-        rule("shared2", {"PageHasForms"}, 0.2),
-    ]
-    return make_classifier(rules, bias=-0.4)
-
-
 @criterion(10, "white-box restricted to single rules succeeds on all seeds "
                "in < 10ms each")
 def test_c10_single_rule_attack():
-    clf = _single_rule_model()
+    clf = single_rule_model()
     from phishevade.classifier import find_single_rules
     singles = find_single_rules(clf)
     assert singles == {"d1", "d2", "d3", "d4", "d5", "a1", "a2", "a3"}
@@ -454,13 +443,7 @@ def test_c10_single_rule_attack():
     assert deletable_weight == pytest.approx(7.5)
     assert addable_weight == pytest.approx(-3.6)
 
-    seeds = []
-    for i in range(6):
-        hit = [f"sd{j + 1}" for j in range(2 + (i % 4))]
-        seeds.append(build_page(url=f"http://solo{i}.test/p",
-                                host=f"solo{i}.test",
-                                terms=hit + (["sh"] if i % 2 else []),
-                                bare_form=bool(i % 2)))
+    seeds = single_rule_seeds()
     # warm-up outside the timed region
     white_box(white_knowledge(clf, ScoreOracle(clf)), seeds[0],
               only_rules=singles)

@@ -1,7 +1,10 @@
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phishevade.classifier import (
     ClassificationRule,
@@ -13,6 +16,7 @@ from phishevade.classifier import (
     find_subset_rules,
     hit_rules,
     load_model,
+    load_rule_features,
     logistic,
     partition_rules,
     prune,
@@ -20,6 +24,7 @@ from phishevade.classifier import (
     rule_hit,
     save_model,
     score,
+    unsatisfied,
 )
 from phishevade.features import extract_all_features, hash_feature
 
@@ -47,6 +52,42 @@ def test_rule_hit_frequency_threshold():
     assert not rule_hit(r, {"PageExternalLinksFreq": 0.01}, 0.05)
     assert rule_hit(r, {"PageExternalLinksFreq": 0.05}, 0.05)
     assert rule_hit(r, {"PageExternalLinksFreq": 0.2}, 0.05)
+
+
+FREQUENCY_NAMES = {"PageExternalLinksFreq", "PageSecureLinksFreq",
+                   "PageActionOtherDomainFreq", "PageImgOtherDomainFreq"}
+PREDICATE_NAMES = sorted(FREQUENCY_NAMES | {
+    "PageHasForms", "PageTerm=login", "PageNumScriptTags>1", "UrlPathToken=page"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), hashed=st.booleans(),
+       t=st.floats(0.01, 0.9, allow_nan=False))
+def test_unsatisfied_and_rule_hit_match_the_definition(data, hashed, t):
+    """A feature is satisfied when its value is non-zero and, for a
+    frequency feature, at least the detection threshold; a rule is hit
+    when all of its features are satisfied.  Checked on plain and hashed
+    names, with values absent, zero, below, at and above the threshold."""
+    key = hash_feature if hashed else str
+    fmap = {}
+    for name in PREDICATE_NAMES:
+        value = data.draw(st.one_of(
+            st.none(), st.just(0.0), st.just(t),
+            st.floats(0.0, t, exclude_min=True, exclude_max=True),
+            st.floats(t, 5.0, exclude_min=True)))
+        if value is not None:
+            fmap[key(name)] = value
+    names = data.draw(st.lists(st.sampled_from(PREDICATE_NAMES), min_size=1,
+                               unique=True))
+
+    def satisfied(name):
+        value = fmap.get(key(name), 0.0)
+        return value != 0.0 and (name not in FREQUENCY_NAMES or value >= t)
+
+    feats = frozenset(key(n) for n in names)
+    expected = {key(n) for n in names if not satisfied(n)}
+    assert unsatisfied(feats, fmap, t, hashed) == expected
+    assert rule_hit(rule("r", feats, 1.0), fmap, t, hashed) == (not expected)
 
 
 def test_raw_score_empty_and_single_rule():
@@ -265,9 +306,17 @@ def test_model_round_trip(tmp_path):
     assert again == clf
 
 
-def test_model_missing_threshold_is_schema_error(tmp_path):
+@pytest.mark.parametrize("doc", [
+    {"bias": 0.0, "rules": []},
+    {"bias": 0.0, "threshold": 0.5, "rules": 5},
+    {"bias": 0.0, "threshold": 0.5, "rules": [1]},
+    {"bias": 0.0, "threshold": 0.5,
+     "rules": [{"id": "r", "features": "PageHasForms", "weight": 1.0}]},
+], ids=["missing-threshold", "rules-not-a-list", "rule-not-an-object",
+        "features-a-string"])
+def test_malformed_model_is_schema_error(tmp_path, doc):
     path = tmp_path / "broken.json"
-    path.write_text('{"bias": 0.0, "rules": []}')
+    path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_model(path)
 
@@ -298,7 +347,6 @@ def test_strip_weights_export(tmp_path):
     assert "weight" not in doc["rules"][0]
     with pytest.raises(SchemaError):
         load_model(path)  # full load requires weights
-    from phishevade.classifier import load_rule_features
     assert load_rule_features(path) == [("a", frozenset({"PageHasForms"}))]
 
 

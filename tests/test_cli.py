@@ -89,6 +89,22 @@ def test_score_missing_file_exits_2(tmp_path, capsys):
                 "--model", str(model_path)]) == 2
 
 
+@pytest.mark.parametrize("rules", [
+    5,
+    [1],
+    [{"id": "r", "features": "PageHasForms", "weight": 1.0}],
+], ids=["rules-not-a-list", "rule-not-an-object", "features-a-string"])
+def test_score_malformed_model_exits_2(tmp_path, capsys, rules):
+    model_path = tmp_path / "broken.json"
+    model_path.write_text(json.dumps({"bias": 0.0, "threshold": 0.5, "rules": rules}))
+    page_path = tmp_path / "page.html"
+    page_path.write_text("<html><body><form></form></body></html>")
+    assert run(["score", str(page_path), "--model", str(model_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_score_hashed_twin_matches_plaintext(workdir, capsys):
     plain = load_model(workdir["model"])
     hashed_rules = [ClassificationRule(
