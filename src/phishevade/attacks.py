@@ -398,9 +398,9 @@ def _modification_candidates(tree: DomTree) -> list[tuple[str, tuple[int, ...], 
         entry = MODIFIABLE_ATTRS.get(el.tag)
         if not entry:
             continue
-        for attr_node in el.attr_nodes:
-            if attr_node.attr_name in entry[0]:
-                candidates.append(("attr", path, attr_node.attr_name))
+        for name in el.attrs:
+            if name in entry[0]:
+                candidates.append(("attr", path, name))
     for path, node in walk_text_nodes(tree):
         seen: set[str] = set()
         for term, _, _ in term_spans(node.value):

@@ -39,11 +39,9 @@ from .features import Feature, PAGE_TERM, UrlError, extract_all_features
 from .mutation import (
     FeatureAbsent,
     UnsupportedMutation,
-    _apply_in_place,
-    _spec_for_feature,
-    add_invisible_element,
     apply,
     load_pool,
+    plan_add_rule,
     plan_delete_feature,
 )
 
@@ -70,8 +68,6 @@ class Unreachable(RuntimeError):
 
 @dataclass
 class Config:
-    model: str | None = None
-    corpus: str | None = None
     pool: str | None = None
     tau: float | None = None
     freq_detect_threshold: float | None = None
@@ -98,8 +94,6 @@ class Config:
 
 
 _CONFIG_KEYS = {
-    "model": ("model", str),
-    "corpus": ("corpus", str),
     "pool": ("pool", str),
     "tau": ("tau", float),
     "freq_detect_threshold": ("freq_detect_threshold", float),
@@ -333,12 +327,7 @@ def generate_fixture_pages(corpus: Corpus, model: Classifier, lo: float,
         chosen = None
         for size in range(0, len(candidates) + 1):
             for combo in combinations(candidates, size):
-                candidate_tree = tree.copy()
-                for feat in combo:
-                    feature = Feature.parse(feat)
-                    for spec in _spec_for_feature(candidate_tree, feature, t):
-                        op = add_invisible_element(candidate_tree, spec)
-                        _apply_in_place(candidate_tree, op)
+                candidate_tree = apply(tree, plan_add_rule(tree, combo, t))
                 value = score(model, extract_all_features(candidate_tree))
                 if lo <= value < hi:
                     chosen = (candidate_tree, value)

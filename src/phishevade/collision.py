@@ -13,7 +13,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .classifier import HEX64, Classifier, HashFormatError
+from .classifier import HEX64, Classifier, HashFormatError, SchemaError
 from .dom import DomTree, load_page
 from .features import extract_page_features, extract_url_features, hash_feature
 
@@ -55,7 +55,9 @@ def load_corpus(manifest_path) -> Corpus:
 
     Each record is ``{"url": ..., "path": ..., "label": "phish"|"legit"}``;
     records without a ``path`` contribute a bare URL only.  Paths are
-    resolved relative to the manifest file.
+    resolved relative to the manifest file.  A record that is not an object
+    with a string ``url`` (and a string ``path``, when given) raises
+    :class:`SchemaError`.
     """
     import os
 
@@ -67,6 +69,10 @@ def load_corpus(manifest_path) -> Corpus:
             if not line:
                 continue
             record = json.loads(line)
+            if not isinstance(record, dict) or not isinstance(record.get("url"), str) \
+                    or not isinstance(record.get("path", ""), str):
+                raise SchemaError(
+                    f"corpus record {line!r} needs a string 'url' and no non-string 'path'")
             url = record["url"]
             path = record.get("path")
             if path:

@@ -1,9 +1,9 @@
 """DOM trees for static webpage analysis and mutation.
 
-A page is a tree of :class:`DomNode` values.  Following the node model used
-by rule-based page classifiers, attribute nodes are children of their owning
-element, alongside text, comment and element children.  Trees are treated as
-immutable once built; mutation code works on copies (see ``mutation.apply``).
+A page is a tree of :class:`DomNode` values: elements, each with an
+insertion-ordered attribute dict and a list of content children (text,
+comment and element nodes).  Trees are treated as immutable once built;
+mutation code works on copies (see ``mutation.apply``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from html import escape
 from html.parser import HTMLParser
 
 ELEMENT = "element"
-ATTRIBUTE = "attribute"
 TEXT = "text"
 COMMENT = "comment"
 
@@ -47,19 +46,20 @@ class ParseError(ValueError):
 class DomNode:
     """One node of a parsed document.
 
-    ``children`` is only populated on element nodes and holds the element's
-    attribute nodes (in source order, before any content) followed by its
-    content nodes (text, comment and element children, in document order).
+    ``attrs`` and ``children`` are only populated on element nodes.
+    ``attrs`` maps lowercase attribute names to values in source order (a
+    name added later goes last); ``children`` holds the content nodes (text,
+    comment and element children, in document order).
     """
 
-    __slots__ = ("node_type", "tag", "children", "value", "attr_name")
+    __slots__ = ("node_type", "tag", "children", "value", "attrs")
 
     def __init__(self, node_type: str, tag: str = "", value: str = "",
-                 attr_name: str = "", children: list[DomNode] | None = None):
+                 children: list[DomNode] | None = None):
         self.node_type = node_type
         self.tag = tag
         self.value = value
-        self.attr_name = attr_name
+        self.attrs: dict[str, str] = {}
         self.children: list[DomNode] = children if children is not None else []
 
     @classmethod
@@ -68,13 +68,8 @@ class DomNode:
         node = cls(ELEMENT, tag=tag.lower())
         for name, value in (attrs or {}).items():
             node.set_attr(name, value)
-        for child in children or []:
-            node.children.append(child)
+        node.children.extend(children or [])
         return node
-
-    @classmethod
-    def attribute(cls, name: str, value: str) -> DomNode:
-        return cls(ATTRIBUTE, attr_name=name.lower(), value=value)
 
     @classmethod
     def text(cls, value: str) -> DomNode:
@@ -87,54 +82,28 @@ class DomNode:
     def __repr__(self) -> str:
         if self.node_type == ELEMENT:
             return f"<{self.tag}>"
-        if self.node_type == ATTRIBUTE:
-            return f"{self.attr_name}={self.value!r}"
         return f"{self.node_type}:{self.value!r}"
 
     # -- element accessors ------------------------------------------------
 
     @property
-    def attr_nodes(self) -> list[DomNode]:
-        return [c for c in self.children if c.node_type == ATTRIBUTE]
-
-    @property
-    def content_children(self) -> list[DomNode]:
-        return [c for c in self.children if c.node_type != ATTRIBUTE]
-
-    @property
     def element_children(self) -> list[DomNode]:
         return [c for c in self.children if c.node_type == ELEMENT]
 
-    @property
-    def attrs(self) -> dict[str, str]:
-        return {c.attr_name: c.value for c in self.children
-                if c.node_type == ATTRIBUTE}
-
     def get_attr(self, name: str) -> str | None:
-        for c in self.children:
-            if c.node_type == ATTRIBUTE and c.attr_name == name:
-                return c.value
-        return None
+        return self.attrs.get(name)
 
     def set_attr(self, name: str, value: str) -> None:
-        """Set or replace an attribute, keeping attribute nodes first."""
-        name = name.lower()
-        for c in self.children:
-            if c.node_type == ATTRIBUTE and c.attr_name == name:
-                c.value = value
-                return
-        node = DomNode.attribute(name, value)
-        insert_at = len(self.attr_nodes)
-        self.children.insert(insert_at, node)
+        """Set an attribute: a replaced one keeps its position, a new one
+        goes last."""
+        self.attrs[name.lower()] = value
 
     def remove_attr(self, name: str) -> None:
-        self.children = [c for c in self.children
-                         if not (c.node_type == ATTRIBUTE and c.attr_name == name)]
+        self.attrs.pop(name, None)
 
     def direct_text(self) -> str:
         """Concatenated values of this element's direct text children."""
-        return "".join(c.value for c in self.content_children
-                       if c.node_type == TEXT)
+        return "".join(c.value for c in self.children if c.node_type == TEXT)
 
 
 @dataclass
@@ -166,12 +135,9 @@ class _TreeBuilder(HTMLParser):
 
     def _make_element(self, tag: str, attrs) -> DomNode:
         node = DomNode(ELEMENT, tag=tag)
-        seen = set()
         for name, value in attrs:
-            if name in seen:  # first occurrence wins, names unique per element
-                continue
-            seen.add(name)
-            node.children.append(DomNode.attribute(name, value or ""))
+            # first occurrence wins, names unique per element
+            node.attrs.setdefault(name, value or "")
         return node
 
     def handle_starttag(self, tag, attrs):
@@ -250,13 +216,12 @@ def _serialize_node(node: DomNode, out: list[str], raw_text: bool = False) -> No
         out.append(f"<!--{node.value}-->")
         return
     parts = [node.tag]
-    for attr in node.attr_nodes:
-        parts.append(f'{attr.attr_name}="{_escape_attr(attr.value)}"')
+    for name, value in node.attrs.items():
+        parts.append(f'{name}="{_escape_attr(value)}"')
     out.append("<" + " ".join(parts) + ">")
-    content = node.content_children
-    if node.tag in VOID_TAGS and not content:
+    if node.tag in VOID_TAGS and not node.children:
         return
-    for child in content:
+    for child in node.children:
         _serialize_node(child, out, node.tag in RAWTEXT_TAGS)
     out.append(f"</{node.tag}>")
 
@@ -401,8 +366,8 @@ def visible_projection(tree: DomTree) -> list[ProjectionEntry]:
         if node.tag in NONVISUAL_TAGS or is_hidden(node):
             return
         text = " ".join(strip_zero_width(node.direct_text()).split())
-        attrs = {a.attr_name: a.value for a in node.attr_nodes
-                 if a.attr_name in APPEARANCE_ATTRS and a.attr_name != "style"}
+        attrs = {name: value for name, value in node.attrs.items()
+                 if name in APPEARANCE_ATTRS and name != "style"}
         style = effective_style(node, sheet)
         if style is not None:
             attrs["style"] = style
@@ -415,14 +380,13 @@ def visible_projection(tree: DomTree) -> list[ProjectionEntry]:
 
 
 def node_at(tree: DomTree, path: tuple[int, ...]) -> DomNode:
-    """Resolve a content path: indices over non-attribute children, rooted at
-    the document root (the empty path)."""
+    """Resolve a path of child indices, rooted at the document root (the
+    empty path)."""
     node = tree.root
     for index in path:
-        content = node.content_children
-        if index >= len(content):
+        if index >= len(node.children):
             raise IndexError(f"path {path} does not resolve")
-        node = content[index]
+        node = node.children[index]
     return node
 
 
@@ -432,7 +396,7 @@ def walk_elements(tree: DomTree):
     def walk(node: DomNode, path: tuple[int, ...]):
         if node.node_type == ELEMENT:
             yield path, node
-            for i, child in enumerate(node.content_children):
+            for i, child in enumerate(node.children):
                 yield from walk(child, path + (i,))
 
     yield from walk(tree.root, ())
@@ -443,7 +407,7 @@ def walk_text_nodes(tree: DomTree, skip_tags: frozenset[str] = frozenset({"scrip
     ``skip_tags`` elements."""
 
     def walk(node: DomNode, path: tuple[int, ...]):
-        for i, child in enumerate(node.content_children):
+        for i, child in enumerate(node.children):
             if child.node_type == TEXT:
                 yield path + (i,), child
             elif child.node_type == ELEMENT and child.tag not in skip_tags:
@@ -454,14 +418,16 @@ def walk_text_nodes(tree: DomTree, skip_tags: frozenset[str] = frozenset({"scrip
 
 
 def isomorphic(a: DomNode, b: DomNode) -> bool:
-    """Structural equality: same type, tag/name/value, and children."""
+    """Structural equality: same type, tag, attributes in the same order,
+    value, and children."""
     if a.node_type != b.node_type:
         return False
     if a.node_type == ELEMENT:
-        if a.tag != b.tag or len(a.children) != len(b.children):
+        if a.tag != b.tag or len(a.children) != len(b.children) \
+                or list(a.attrs.items()) != list(b.attrs.items()):
             return False
         return all(isomorphic(x, y) for x, y in zip(a.children, b.children))
-    return a.value == b.value and a.attr_name == b.attr_name
+    return a.value == b.value
 
 
 def element_count(tree: DomTree) -> int:

@@ -119,136 +119,145 @@ def hash_feature(canonical: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _host_of(url: str) -> str | None:
-    try:
-        return urlsplit(url).hostname
-    except ValueError:
-        return None
-
-
 def registrable_domain(url: str) -> str | None:
-    host = _host_of(url)
-    if not host:
-        return None
-    return split_host(host)[1]
-
-
-def is_external(href: str, base_url: str) -> bool:
-    """True when the resolved link's registrable domain differs from the
-    page's.  Links without a host (mailto:, javascript:, ...) are internal."""
-    base_domain = registrable_domain(base_url)
-    target = registrable_domain(urljoin(base_url, href))
-    if target is None or base_domain is None:
-        return False
-    return target != base_domain
-
-
-def _is_secure(href: str, base_url: str) -> bool:
     try:
-        return urlsplit(urljoin(base_url, href)).scheme == "https"
+        host = urlsplit(url).hostname
     except ValueError:
-        return False
+        return None
+    return split_host(host)[1] if host else None
 
 
-def link_counts(tree: DomTree) -> tuple[int, int, int]:
-    """(total, external, secure) over ``href`` attributes of ``a`` elements."""
-    total = external = secure = 0
+def resolve_reference(ref: str, base_url: str,
+                      base_domain: str | None) -> tuple[str | None, bool]:
+    """Resolve an href, action or src against the page URL, once.
+
+    Returns ``(domain, secure)``: ``domain`` is the reference's registrable
+    domain when it differs from the page's ``base_domain`` (an external
+    reference), else None; ``secure`` says the scheme is https.  References
+    without a host (mailto:, javascript:, ...), references on a page with no
+    domain, and references that do not parse are internal; the last are
+    also not secure.
+    """
+    try:
+        parts = urlsplit(urljoin(base_url, ref))
+    except ValueError:
+        return None, False
+    host = parts.hostname
+    domain = split_host(host)[1] if host else None
+    if base_domain is None or domain == base_domain:
+        domain = None
+    return domain, parts.scheme == "https"
+
+
+# Frequency kind -> its PageCounts numerator and denominator, in the order
+# extraction emits them.
+FREQUENCY_TALLIES = {
+    PAGE_EXTERNAL_LINKS_FREQ: ("external_links", "links"),
+    PAGE_SECURE_LINKS_FREQ: ("secure_links", "links"),
+    PAGE_ACTION_OTHER_DOMAIN_FREQ: ("other_actions", "actions"),
+    PAGE_IMG_OTHER_DOMAIN_FREQ: ("other_imgs", "imgs"),
+}
+
+
+@dataclass(slots=True)
+class PageCounts:
+    """One page's element tally: the numerators and denominators of the
+    frequency features, and the script count."""
+
+    links: int = 0
+    external_links: int = 0
+    secure_links: int = 0
+    actions: int = 0
+    other_actions: int = 0
+    imgs: int = 0
+    other_imgs: int = 0
+    scripts: int = 0
+
+    def fraction(self, kind: str) -> tuple[int, int]:
+        """``(numerator, denominator)`` of a frequency feature kind."""
+        num, den = FREQUENCY_TALLIES[kind]
+        return getattr(self, num), getattr(self, den)
+
+
+_INPUT_FEATURES = {
+    "text": PAGE_HAS_TEXT_INPUTS,
+    "password": PAGE_HAS_PSWD_INPUTS,
+    "radio": PAGE_HAS_RADIO_INPUTS,
+    "checkbox": PAGE_HAS_CHECK_INPUTS,
+}
+
+
+def _element_walk(tree: DomTree) -> tuple[FeatureValueMap, PageCounts]:
+    """The element features and the element tally, in one walk.
+
+    ``<a href>`` counts as a link, ``<form action>`` as an action, every
+    ``<img>`` as an image; external references are counted in their
+    numerators, an external link also yields ``PageLinkDomain``.
+    """
+    fmap: FeatureValueMap = {}
+    counts = PageCounts()
+    base_url = tree.source_url
+    base_domain = registrable_domain(base_url)
     for _, el in walk_elements(tree):
-        if el.tag != "a":
-            continue
-        href = el.get_attr("href")
-        if href is None:
-            continue
-        total += 1
-        if is_external(href, tree.source_url):
-            external += 1
-        if _is_secure(href, tree.source_url):
-            secure += 1
-    return total, external, secure
+        tag = el.tag
+        if tag == "a":
+            href = el.attrs.get("href")
+            if href is None:
+                continue
+            domain, secure = resolve_reference(href, base_url, base_domain)
+            counts.links += 1
+            counts.secure_links += secure
+            if domain is not None:
+                counts.external_links += 1
+                if domain:
+                    fmap[f"{PAGE_LINK_DOMAIN}={domain}"] = 1.0
+        elif tag == "form":
+            fmap[PAGE_HAS_FORMS] = 1.0
+            action = el.attrs.get("action")
+            if action is None:
+                continue
+            if action:
+                fmap[f"{PAGE_ACTION_URL}={action}"] = 1.0
+            counts.actions += 1
+            if resolve_reference(action, base_url, base_domain)[0] is not None:
+                counts.other_actions += 1
+        elif tag == "img":
+            counts.imgs += 1
+            src = el.attrs.get("src")
+            if src is not None and \
+                    resolve_reference(src, base_url, base_domain)[0] is not None:
+                counts.other_imgs += 1
+        elif tag == "input":
+            feature = _INPUT_FEATURES.get((el.attrs.get("type") or "").lower())
+            if feature:
+                fmap[feature] = 1.0
+        elif tag == "script":
+            counts.scripts += 1
+    return fmap, counts
 
 
-def action_counts(tree: DomTree) -> tuple[int, int]:
-    """(total, other_domain) over ``action`` attributes of ``form`` elements."""
-    total = other = 0
-    for _, el in walk_elements(tree):
-        if el.tag != "form":
-            continue
-        action = el.get_attr("action")
-        if action is None:
-            continue
-        total += 1
-        if is_external(action, tree.source_url):
-            other += 1
-    return total, other
-
-
-def img_counts(tree: DomTree) -> tuple[int, int]:
-    """(total img elements, imgs whose src domain is external)."""
-    total = other = 0
-    for _, el in walk_elements(tree):
-        if el.tag != "img":
-            continue
-        total += 1
-        src = el.get_attr("src")
-        if src is not None and is_external(src, tree.source_url):
-            other += 1
-    return total, other
+def page_counts(tree: DomTree) -> PageCounts:
+    """The element tally of a page (see :class:`PageCounts`)."""
+    return _element_walk(tree)[1]
 
 
 def extract_page_features(tree: DomTree) -> FeatureValueMap:
     """Extract the page-level feature map.
 
     Boolean features appear with value 1 only when true; frequency features
-    appear only when their denominator is non-zero; wildcard features appear
+    appear only when their numerator is non-zero; wildcard features appear
     with value 1 per distinct payload.  Term extraction sees the raw text,
     zero-width characters are token delimiters, not stripped.
     """
-    fmap: FeatureValueMap = {}
-    script_count = 0
-    for _, el in walk_elements(tree):
-        tag = el.tag
-        if tag == "form":
-            fmap[PAGE_HAS_FORMS] = 1.0
-            action = el.get_attr("action")
-            if action:
-                fmap[f"{PAGE_ACTION_URL}={action}"] = 1.0
-        elif tag == "input":
-            kind = (el.get_attr("type") or "").lower()
-            if kind == "text":
-                fmap[PAGE_HAS_TEXT_INPUTS] = 1.0
-            elif kind == "password":
-                fmap[PAGE_HAS_PSWD_INPUTS] = 1.0
-            elif kind == "radio":
-                fmap[PAGE_HAS_RADIO_INPUTS] = 1.0
-            elif kind == "checkbox":
-                fmap[PAGE_HAS_CHECK_INPUTS] = 1.0
-        elif tag == "a":
-            href = el.get_attr("href")
-            if href and is_external(href, tree.source_url):
-                domain = registrable_domain(urljoin(tree.source_url, href))
-                if domain:
-                    fmap[f"{PAGE_LINK_DOMAIN}={domain}"] = 1.0
-        elif tag == "script":
-            script_count += 1
-
-    if script_count > 1:
+    fmap, counts = _element_walk(tree)
+    if counts.scripts > 1:
         fmap[PAGE_NUM_SCRIPTS_GT1] = 1.0
-    if script_count > 6:
+    if counts.scripts > 6:
         fmap[PAGE_NUM_SCRIPTS_GT6] = 1.0
-
-    total_links, external_links, secure_links = link_counts(tree)
-    if total_links:
-        if external_links:
-            fmap[PAGE_EXTERNAL_LINKS_FREQ] = external_links / total_links
-        if secure_links:
-            fmap[PAGE_SECURE_LINKS_FREQ] = secure_links / total_links
-    total_actions, other_actions = action_counts(tree)
-    if total_actions and other_actions:
-        fmap[PAGE_ACTION_OTHER_DOMAIN_FREQ] = other_actions / total_actions
-    total_imgs, other_imgs = img_counts(tree)
-    if total_imgs and other_imgs:
-        fmap[PAGE_IMG_OTHER_DOMAIN_FREQ] = other_imgs / total_imgs
-
+    for kind in FREQUENCY_TALLIES:
+        num, den = counts.fraction(kind)
+        if num:
+            fmap[kind] = num / den
     for _, node in walk_text_nodes(tree):
         for term in terms_of(node.value):
             fmap[f"{PAGE_TERM}={term}"] = 1.0

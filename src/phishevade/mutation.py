@@ -11,8 +11,8 @@ Three node operations cover every feature-level edit:
   carrying feature-bearing attributes or text.
 
 On top of these, ``plan_delete_feature`` and ``plan_add_rule`` build the
-feature-level mutation plans used by the attacks.  Node paths index content
-children only (attribute nodes are addressed by element path plus name), so
+feature-level mutation plans used by the attacks.  Node paths index
+children (an attribute is addressed by its element's path plus its name), so
 paths stay valid across attribute rewrites and appended additions.
 """
 
@@ -21,10 +21,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urlsplit
 
 from . import features as F
-from .classifier import unsatisfied
+from .classifier import SchemaError, unsatisfied
 from .dom import (
     ELEMENT,
     TEXT,
@@ -40,8 +40,9 @@ from .features import (
     Feature,
     extract_all_features,
     extract_page_features,
-    is_external,
+    page_counts,
     registrable_domain,
+    resolve_reference,
     term_spans,
 )
 
@@ -78,6 +79,14 @@ DELETABLE_KINDS = frozenset({
     F.PAGE_ACTION_URL, F.PAGE_LINK_DOMAIN, F.PAGE_TERM,
 })
 
+# Frequency kind -> (tag, attribute) of the element whose reference it counts.
+_FREQUENCY_CARRIERS = {
+    F.PAGE_EXTERNAL_LINKS_FREQ: ("a", "href"),
+    F.PAGE_SECURE_LINKS_FREQ: ("a", "href"),
+    F.PAGE_ACTION_OTHER_DOMAIN_FREQ: ("form", "action"),
+    F.PAGE_IMG_OTHER_DOMAIN_FREQ: ("img", "src"),
+}
+
 _HANDLER_ASSIGNMENT = re.compile(r"this\.([\w-]+)='((?:\\.|[^'\\])*)';")
 
 
@@ -104,7 +113,7 @@ class UrlFeatureUnaddable(ValueError):
 @dataclass(frozen=True)
 class NodeOp:
     kind: str                       # modify_attribute | modify_text | add_invisible_element
-    target: tuple[int, ...]         # content path from the root
+    target: tuple[int, ...]         # child-index path from the root
     payload: dict
 
 
@@ -280,10 +289,10 @@ def _apply_in_place(tree: DomTree, op: NodeOp) -> None:
             if name == "style":
                 style = value
                 continue
-            el.children.append(DomNode.attribute(name, value))
+            el.set_attr(name, value)
         if style and not style.rstrip().endswith(";"):
             style = style.rstrip() + ";"
-        el.children.append(DomNode.attribute("style", (style or "") + "display:none"))
+        el.set_attr("style", (style or "") + "display:none")
         text = op.payload["text"]
         if text:
             el.children.append(DomNode.text(text))
@@ -392,31 +401,18 @@ def plan_delete_feature(tree: DomTree, canonical: str,
             if el.tag == "form" and el.get_attr("action") == payload:
                 push(modify_attribute(work, path, "action"))
     elif kind == F.PAGE_LINK_DOMAIN:
+        base_domain = registrable_domain(work.source_url)
         for path, el in list(walk_elements(work)):
-            if el.tag != "a":
-                continue
-            href = el.get_attr("href")
-            if href and is_external(href, work.source_url) and \
-                    registrable_domain(urljoin(work.source_url, href)) == payload:
+            href = el.get_attr("href") if el.tag == "a" else None
+            if href is not None and resolve_reference(
+                    href, work.source_url, base_domain)[0] == payload:
                 push(modify_attribute(work, path, "href"))
-    elif kind in (F.PAGE_EXTERNAL_LINKS_FREQ, F.PAGE_SECURE_LINKS_FREQ):
-        total, external, secure = F.link_counts(work)
-        num = external if kind == F.PAGE_EXTERNAL_LINKS_FREQ else secure
-        added = _dilution_added(num, total, freq_detect_threshold)
-        spec = ElementSpec("a", (("href", _internal_url(work)),))
-        for _ in range(added):
-            push(add_invisible_element(work, spec))
-    elif kind == F.PAGE_ACTION_OTHER_DOMAIN_FREQ:
-        total, other = F.action_counts(work)
-        added = _dilution_added(other, total, freq_detect_threshold)
-        spec = ElementSpec("form", (("action", _internal_url(work)),))
-        for _ in range(added):
-            push(add_invisible_element(work, spec))
-    elif kind == F.PAGE_IMG_OTHER_DOMAIN_FREQ:
-        total, other = F.img_counts(work)
-        added = _dilution_added(other, total, freq_detect_threshold)
-        spec = ElementSpec("img", (("src", _internal_url(work)),))
-        for _ in range(added):
+    elif kind in F.FREQUENCY_KINDS:
+        # dilute with internal, insecure references
+        tag, attr = _FREQUENCY_CARRIERS[kind]
+        num, den = page_counts(work).fraction(kind)
+        spec = ElementSpec(tag, ((attr, _internal_url(work)),))
+        for _ in range(_dilution_added(num, den, freq_detect_threshold)):
             push(add_invisible_element(work, spec))
     return plan
 
@@ -438,32 +434,24 @@ def _spec_for_feature(work: DomTree, feature: Feature,
         return [ElementSpec("input", (("type", "checkbox"),))]
     if kind in (F.PAGE_NUM_SCRIPTS_GT1, F.PAGE_NUM_SCRIPTS_GT6):
         wanted = 2 if kind == F.PAGE_NUM_SCRIPTS_GT1 else 7
-        current = sum(1 for _, el in walk_elements(work) if el.tag == "script")
-        return [ElementSpec("script")] * max(0, wanted - current)
+        return [ElementSpec("script")] * max(0, wanted - page_counts(work).scripts)
     if kind == F.PAGE_ACTION_URL:
         return [ElementSpec("form", (("action", payload),))]
     if kind == F.PAGE_LINK_DOMAIN:
         href = f"http://{payload}/"
-        if not is_external(href, work.source_url):
+        if resolve_reference(href, work.source_url,
+                             registrable_domain(work.source_url))[0] is None:
             raise UnsupportedMutation(
                 f"{payload!r} is the page's own domain, the link would not be external")
         return [ElementSpec("a", (("href", href),))]
-    if kind == F.PAGE_EXTERNAL_LINKS_FREQ:
-        total, external, _ = F.link_counts(work)
-        n = _boost_added(external, total, freq_detect_threshold)
-        return [ElementSpec("a", (("href", _EXTERNAL_PAD_URL),))] * n
-    if kind == F.PAGE_SECURE_LINKS_FREQ:
-        total, _, secure = F.link_counts(work)
-        n = _boost_added(secure, total, freq_detect_threshold)
-        return [ElementSpec("a", (("href", _internal_url(work, "https")),))] * n
-    if kind == F.PAGE_ACTION_OTHER_DOMAIN_FREQ:
-        total, other = F.action_counts(work)
-        n = _boost_added(other, total, freq_detect_threshold)
-        return [ElementSpec("form", (("action", _EXTERNAL_PAD_URL),))] * n
-    if kind == F.PAGE_IMG_OTHER_DOMAIN_FREQ:
-        total, other = F.img_counts(work)
-        n = _boost_added(other, total, freq_detect_threshold)
-        return [ElementSpec("img", (("src", _EXTERNAL_PAD_URL),))] * n
+    if kind in F.FREQUENCY_KINDS:
+        # boost with secure internal links or external references
+        tag, attr = _FREQUENCY_CARRIERS[kind]
+        url = _internal_url(work, "https") if kind == F.PAGE_SECURE_LINKS_FREQ \
+            else _EXTERNAL_PAD_URL
+        num, den = page_counts(work).fraction(kind)
+        n = _boost_added(num, den, freq_detect_threshold)
+        return [ElementSpec(tag, ((attr, url),))] * n
     raise UnsupportedMutation(f"{kind} cannot be added")
 
 
@@ -536,11 +524,9 @@ def _check_functional(before: DomNode, after: DomNode, path: str,
             problems.append(
                 f"{path}: removed {name!r} has no event handler restoring "
                 f"{name}={value!r}")
-    before_content = before.content_children
-    after_content = after.content_children
-    if len(after_content) < len(before_content):
+    if len(after.children) < len(before.children):
         problems.append(f"{path}: content children removed under <{before.tag}>")
-    for i, (b, a) in enumerate(zip(before_content, after_content)):
+    for i, (b, a) in enumerate(zip(before.children, after.children)):
         _check_functional(b, a, f"{path}/{i}", problems)
 
 
@@ -573,8 +559,8 @@ def harvest_addition_pool(trees) -> list[ElementSpec]:
         for _, el in walk_elements(tree):
             if el.tag not in HARVEST_TAGS:
                 continue
-            attrs = tuple(sorted((a.attr_name, a.value) for a in el.attr_nodes
-                                 if not a.attr_name.startswith("on")))
+            attrs = tuple(sorted((name, value) for name, value in el.attrs.items()
+                                 if not name.startswith("on")))
             text = el.direct_text().strip() or None
             spec = ElementSpec(el.tag, attrs, text)
             if spec in seen:
@@ -591,10 +577,24 @@ def save_pool(pool, path) -> None:
 
 
 def load_pool(path) -> list[ElementSpec]:
+    """Read a JSON-lines pool; a line that is not an element spec (a string
+    ``tag``, string attribute values, a string or null ``text``) raises
+    :class:`SchemaError`."""
     pool = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if line:
-                pool.append(ElementSpec.from_dict(json.loads(line)))
+            if not line:
+                continue
+            try:
+                spec = ElementSpec.from_dict(json.loads(line))
+            except (AttributeError, KeyError, TypeError) as exc:
+                raise SchemaError(f"pool line {line!r} is not an element spec: "
+                                  f"{type(exc).__name__}: {exc}") from exc
+            strings = [spec.tag, *(value for _, value in spec.attrs)]
+            if not all(isinstance(s, str) for s in strings) \
+                    or not isinstance(spec.text, (str, type(None))):
+                raise SchemaError(f"pool line {line!r} is not an element spec: "
+                                  "tag, attribute values and text must be strings")
+            pool.append(spec)
     return pool

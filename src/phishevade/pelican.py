@@ -1,7 +1,7 @@
 """Layered DOM-tree similarity and the evasion-detection pipeline.
 
 Both similarity measures compare trees layer by layer (breadth-first).  An
-element is summarized by its tag plus hash sets of its attribute nodes
+element is summarized by its tag plus hash sets of its attributes
 (``name=value``) and text children; same-tag elements of a layer are matched
 by maximum-weight assignment.
 
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .classifier import ScoreOracle
-from .dom import ATTRIBUTE, TEXT, DomTree, bfs_layers
+from .classifier import SchemaError, ScoreOracle
+from .dom import TEXT, DomTree, bfs_layers
 
 WHITELISTED = "whitelisted"
 BLACKLISTED = "blacklisted"
@@ -50,8 +50,8 @@ class ElementSignature:
 
     @classmethod
     def of(cls, element) -> "ElementSignature":
-        attrs = frozenset(_h(f"{c.attr_name}={c.value}") for c in element.children
-                          if c.node_type == ATTRIBUTE)
+        attrs = frozenset(_h(f"{name}={value}")
+                          for name, value in element.attrs.items())
         texts = frozenset(_h(c.value) for c in element.children
                           if c.node_type == TEXT)
         return cls(element.tag, attrs, texts)
@@ -245,12 +245,17 @@ def save_store(store: PhishStore, path) -> None:
 
 
 def load_store(path, k: int = 50, h_hours: float = 24.0) -> PhishStore:
+    """Read a store file; a document of the wrong shape raises
+    :class:`SchemaError`."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     store = PhishStore(k=k, h_hours=h_hours)
-    for entry in doc.get("entries", []):
-        store.entries.append(StoreEntry(
-            _signature_from_json(entry["signature"]), float(entry["timestamp"])))
+    try:
+        for entry in doc.get("entries", []):
+            store.entries.append(StoreEntry(
+                _signature_from_json(entry["signature"]), float(entry["timestamp"])))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed store file: {type(exc).__name__}: {exc}") from exc
     return store
 
 

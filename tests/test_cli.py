@@ -56,9 +56,12 @@ def test_config_file_round_trip(tmp_path):
     assert config.pelican_detect_threshold == 0.8
 
 
-def test_config_rejects_unknown_key(tmp_path):
+@pytest.mark.parametrize("line", ["mystery=1", "model=x", "corpus=x"],
+                         ids=["mystery", "model", "corpus"])
+def test_config_rejects_unknown_key(tmp_path, line):
+    # the model and the corpus are only given as --model and --corpus
     path = tmp_path / "bad.conf"
-    path.write_text("mystery=1\n")
+    path.write_text(line + "\n")
     with pytest.raises(ValueError):
         load_config(path)
 
@@ -103,6 +106,16 @@ def test_score_malformed_model_exits_2(tmp_path, capsys, rules):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_score_page_with_malformed_references_exits_0(workdir, capsys):
+    page_path = workdir["dir"] / "malformed.html"
+    page_path.write_text('<html><body><a href="http://[x">a</a>'
+                         '<form action="http://[x"></form>'
+                         '<img src="http://[x"></body></html>')
+    code = run(["score", str(page_path), "--model", workdir["model"]])
+    assert code == 0
+    assert capsys.readouterr().out.split()[1] in ("PHISH", "BENIGN")
 
 
 def test_score_hashed_twin_matches_plaintext(workdir, capsys):
@@ -272,6 +285,34 @@ def test_infer_malformed_hex_exits_2(tmp_path):
     manifest_path.write_text("NOT-HEX\n")
     assert run(["infer", "--corpus", str(corpus_path),
                 "--manifest", str(manifest_path)]) == 2
+
+
+# -- malformed loader input --------------------------------------------------------
+
+@pytest.mark.parametrize("loader, content", [
+    ("corpus", {"path": "seed.html", "label": "legit"}),
+    ("corpus", {"url": "https://dailyledger.test/", "path": 5}),
+    ("store", {"entries": [{"timestamp": 1.0}]}),
+    ("store", {"entries": 5}),
+    ("pool", {"attrs": {}, "text": "x"}),
+    ("pool", {"tag": "a", "attrs": {"href": 5}, "text": None}),
+], ids=["corpus-record-without-url", "corpus-path-not-a-string",
+        "store-entry-without-signature", "store-entries-not-a-list",
+        "pool-line-without-tag", "pool-attribute-value-not-a-string"])
+def test_malformed_loader_input_exits_2(workdir, capsys, loader, content):
+    path = workdir["dir"] / f"bad-{loader}.json"
+    path.write_text(json.dumps(content) + "\n")
+    manifest = workdir["dir"] / "digests.txt"
+    manifest.write_text("")
+    page = [workdir["seed"], "--model", workdir["model"], "--url", workdir["seed_url"]]
+    argv = {
+        "corpus": ["infer", "--corpus", str(path), "--manifest", str(manifest)],
+        "store": ["defend", *page, "--store", str(path)],
+        "pool": ["attack", *page, "--level", "black", "--pool", str(path),
+                 "--out", str(workdir["dir"] / "out")],
+    }[loader]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # -- prune --------------------------------------------------------------------------

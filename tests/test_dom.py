@@ -26,7 +26,7 @@ def test_parse_simple_structure():
     p = body.element_children[0]
     assert tree.root.tag == "html"
     assert p.tag == "p"
-    texts = [c for c in p.content_children if c.node_type == "text"]
+    texts = [c for c in p.children if c.node_type == "text"]
     assert len(texts) == 1 and texts[0].value == "hi"
 
 
@@ -54,7 +54,26 @@ def test_duplicate_attributes_keep_first():
     tree = parse_html('<p class="a" class="b">x</p>')
     p = tree.root.element_children[0]
     assert p.get_attr("class") == "a"
-    assert len(p.attr_nodes) == 1
+    assert p.attrs == {"class": "a"}
+
+
+def test_isomorphic_tells_attribute_orders_apart():
+    a = parse_html('<p class="c" id="i">x</p>')
+    b = parse_html('<p id="i" class="c">x</p>')
+    assert a.root.element_children[0].attrs == b.root.element_children[0].attrs
+    assert serialize(a) != serialize(b)
+    assert not isomorphic(a.root, b.root)
+    assert isomorphic(a.root, parse_html(serialize(a)).root)
+
+
+def test_set_attr_replaces_in_place_and_appends_new_last():
+    tree = parse_html('<p class="c" id="i" title="t">x</p>')
+    p = tree.root.element_children[0]
+    p.set_attr("id", "j")
+    p.set_attr("Style", "color:red")
+    assert list(p.attrs.items()) == [("class", "c"), ("id", "j"),
+                                     ("title", "t"), ("style", "color:red")]
+    assert '<p class="c" id="j" title="t" style="color:red">x</p>' in serialize(tree)
 
 
 class _DepthCounter(HTMLParser):
@@ -169,7 +188,7 @@ def test_adjacent_data_chunks_coalesce():
     # a dropped stray end tag splits the surrounding data into two chunks
     tree = parse_html('<html><b>"</a>x</b></html>')
     b = tree.root.element_children[0]
-    texts = [c for c in b.content_children if c.node_type == "text"]
+    texts = [c for c in b.children if c.node_type == "text"]
     assert len(texts) == 1 and texts[0].value == '"x'
 
 

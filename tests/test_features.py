@@ -1,17 +1,22 @@
 import random
 import struct
+from urllib.parse import urljoin, urlsplit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phishevade.dom import parse_html
+from phishevade.dom import parse_html, walk_elements, walk_text_nodes
 from phishevade.features import (
     Feature,
     UrlError,
     extract_page_features,
     extract_url_features,
     hash_feature,
+    page_counts,
     terms_of,
 )
+from phishevade.suffixes import split_host
 
 from conftest import build_page
 
@@ -198,6 +203,171 @@ def test_adding_internal_link_decreases_external_freq():
         a = extract_page_features(fewer)["PageExternalLinksFreq"]
         b = extract_page_features(more)["PageExternalLinksFreq"]
         assert b < a
+
+
+MALFORMED_REF = "http://[x"
+
+
+@pytest.mark.parametrize("markup, counted, expected", [
+    (f'<a href="{MALFORMED_REF}">', {"links": 1, "external_links": 0,
+                                     "secure_links": 0}, {}),
+    (f'<form action="{MALFORMED_REF}"></form>',
+     {"actions": 1, "other_actions": 0},
+     {"PageHasForms": 1.0, f"PageActionURL={MALFORMED_REF}": 1.0}),
+    (f'<img src="{MALFORMED_REF}">', {"imgs": 1, "other_imgs": 0}, {}),
+], ids=["a-href", "form-action", "img-src"])
+def test_malformed_reference_counts_as_hostless(markup, counted, expected):
+    """A reference that does not parse is internal and, even on an https
+    page, not secure; the raw action URL is still a feature."""
+    page = parse_html(f"<html><body>{markup}</body></html>", "https://seed.test/")
+    counts = page_counts(page)
+    assert {name: getattr(counts, name) for name in counted} == counted
+    assert extract_page_features(page) == expected
+
+
+# -- one-walk extraction against the four-walk reference -------------------------
+
+def _ref_domain(url):
+    try:
+        host = urlsplit(url).hostname
+    except ValueError:
+        return None
+    return split_host(host)[1] if host else None
+
+
+def _ref_join(base_url, ref):
+    try:
+        return urljoin(base_url, ref)
+    except ValueError:
+        return None
+
+
+def _ref_is_external(ref, base_url):
+    joined = _ref_join(base_url, ref)
+    target = _ref_domain(joined) if joined is not None else None
+    base_domain = _ref_domain(base_url)
+    if target is None or base_domain is None:
+        return False
+    return target != base_domain
+
+
+def _ref_is_secure(ref, base_url):
+    try:
+        return urlsplit(urljoin(base_url, ref)).scheme == "https"
+    except ValueError:
+        return False
+
+
+def _ref_link_counts(tree):
+    total = external = secure = 0
+    for _, el in walk_elements(tree):
+        href = el.get_attr("href") if el.tag == "a" else None
+        if href is None:
+            continue
+        total += 1
+        external += _ref_is_external(href, tree.source_url)
+        secure += _ref_is_secure(href, tree.source_url)
+    return total, external, secure
+
+
+def _ref_action_counts(tree):
+    total = other = 0
+    for _, el in walk_elements(tree):
+        action = el.get_attr("action") if el.tag == "form" else None
+        if action is None:
+            continue
+        total += 1
+        other += _ref_is_external(action, tree.source_url)
+    return total, other
+
+
+def _ref_img_counts(tree):
+    total = other = 0
+    for _, el in walk_elements(tree):
+        if el.tag != "img":
+            continue
+        total += 1
+        src = el.get_attr("src")
+        other += src is not None and _ref_is_external(src, tree.source_url)
+    return total, other
+
+
+def _ref_page_features(tree):
+    """The page feature definitions as separate walks per tally, with
+    unparseable references treated as hostless."""
+    fmap = {}
+    scripts = 0
+    inputs = {"text": "PageHasTextInputs", "password": "PageHasPswdInputs",
+              "radio": "PageHasRadioInputs", "checkbox": "PageHasCheckInputs"}
+    for _, el in walk_elements(tree):
+        if el.tag == "form":
+            fmap["PageHasForms"] = 1.0
+            if el.get_attr("action"):
+                fmap[f"PageActionURL={el.get_attr('action')}"] = 1.0
+        elif el.tag == "input":
+            kind = inputs.get((el.get_attr("type") or "").lower())
+            if kind:
+                fmap[kind] = 1.0
+        elif el.tag == "a":
+            href = el.get_attr("href")
+            if href and _ref_is_external(href, tree.source_url):
+                domain = _ref_domain(_ref_join(tree.source_url, href))
+                if domain:
+                    fmap[f"PageLinkDomain={domain}"] = 1.0
+        elif el.tag == "script":
+            scripts += 1
+    if scripts > 1:
+        fmap["PageNumScriptTags>1"] = 1.0
+    if scripts > 6:
+        fmap["PageNumScriptTags>6"] = 1.0
+    links, external, secure = _ref_link_counts(tree)
+    actions, other_actions = _ref_action_counts(tree)
+    imgs, other_imgs = _ref_img_counts(tree)
+    for kind, num, den in (("PageExternalLinksFreq", external, links),
+                           ("PageSecureLinksFreq", secure, links),
+                           ("PageActionOtherDomainFreq", other_actions, actions),
+                           ("PageImgOtherDomainFreq", other_imgs, imgs)):
+        if den and num:
+            fmap[kind] = num / den
+    for _, node in walk_text_nodes(tree):
+        for term in terms_of(node.value):
+            fmap[f"PageTerm={term}"] = 1.0
+    return fmap, (links, external, secure, actions, other_actions, imgs,
+                  other_imgs, scripts)
+
+
+REFERENCES = st.sampled_from([
+    "http://[x", "https://[::1", "//[bad/", "http://a.example.com/",
+    "https://b.example.org/p", "https://seed.test/in", "http://www.seed.test/",
+    "/local", "rel/path", "mailto:x@y.test", "javascript:void(0)", "",
+    "http://./", "https://cdn.shop.co.uk/i.png", "//proto.example.net/",
+])
+SOUP = st.lists(st.one_of(
+    st.builds('<a href="{}">'.format, REFERENCES),
+    st.builds('<form action="{}">'.format, REFERENCES),
+    st.builds('<img src="{}">'.format, REFERENCES),
+    st.sampled_from([
+        "<a>", "</a>", "<form>", "</form>", "<img>", "<input>",
+        '<input type="text">', '<input type="PASSWORD">', "<input type=radio>",
+        '<input type="checkbox">', "<script>a<b</script>", "<script>",
+        "</script>", "<style>p{}</style>", "<div>", "</div>", "<p>",
+        "login now", "verify\u200baccount", "</body>",
+    ]),
+), max_size=25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pieces=SOUP, url=st.sampled_from(
+    ["", "http://seed.test/page", "https://seed.test/login",
+     "https://shop.co.uk/cart"]))
+def test_one_walk_matches_the_four_walk_reference(pieces, url):
+    tree = parse_html("<html><body>" + "".join(pieces), url)
+    expected_fmap, expected_counts = _ref_page_features(tree)
+    assert extract_page_features(tree) == expected_fmap
+    counts = page_counts(tree)
+    assert (counts.links, counts.external_links, counts.secure_links,
+            counts.actions, counts.other_actions, counts.imgs,
+            counts.other_imgs, counts.scripts) == expected_counts
 
 
 # -- URL features ---------------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from phishevade.classifier import raw_score, rule_hit
 from phishevade.dom import parse_html, serialize, walk_elements, walk_text_nodes
-from phishevade.features import extract_all_features, extract_page_features, link_counts
+from phishevade.features import extract_all_features, extract_page_features, page_counts
 from phishevade.mutation import (
     ElementSpec,
     FeatureAbsent,
@@ -166,12 +166,12 @@ def test_split_abandoned_when_every_cut_collides():
 
 def test_invisible_link_bumps_secure_counts():
     tree = build_page(secure_links=1)
-    before = link_counts(tree)
+    before = page_counts(tree)
     out = apply_op(tree, add_invisible_element(
         tree, ElementSpec("a", (("href", "https://ext.example.net/"),))))
-    after = link_counts(out)
-    assert after[0] == before[0] + 1       # total
-    assert after[2] == before[2] + 1       # secure
+    after = page_counts(out)
+    assert after.links == before.links + 1
+    assert after.secure_links == before.secure_links + 1
 
 
 def test_invisible_empty_div_changes_nothing():
@@ -221,8 +221,8 @@ def test_delete_external_links_freq_dilution_arithmetic():
     out = apply(tree, plan)
     fmap = extract_page_features(out)
     assert fmap["PageExternalLinksFreq"] < 0.05
-    total, external, _ = link_counts(out)
-    assert (total, external) == (41, 2)
+    counts = page_counts(out)
+    assert (counts.links, counts.external_links) == (41, 2)
 
 
 def test_delete_term_breaks_every_occurrence():
