@@ -13,12 +13,14 @@ below the threshold, differing in what they know about the classifier:
 
 The three share one skeleton, ``_Run``: it holds the current tree with its
 feature map and queried score, and each attack only chooses candidate trees
-and offers them.  An offered candidate is scored once; the white attack
-keeps every candidate, grey and black keep one only when its score drops
-(a dropped black batch is the rollback).  Each kept candidate appends a
-trajectory step and adds to ``mutated_rules`` the counted rules whose gated
-value product changed; white and black count the classifier's non-zero
-weight rules, grey its known rules.
+and offers them.  A candidate is the ``tree`` of a ``MutationPlan`` built on
+the current tree (the planners return their plan), never a replay.  An
+offered candidate is scored once; the white attack keeps every candidate,
+grey and black keep one only when its score drops (a dropped black batch is
+the rollback).  Each kept candidate appends a trajectory step and adds to
+``mutated_rules`` the counted rules whose gated value product changed; white
+and black count the classifier's non-zero weight rules, grey its known
+rules.
 
 Influence values are exact score differences, so accepted white-box steps
 are the one-step-lookahead optimum.
@@ -53,11 +55,8 @@ from .mutation import (
     TermNotFound,
     UnsupportedMutation,
     UrlFeatureUnaddable,
-    _apply_in_place,
     add_invisible_element,
     addable_feature,
-    apply,
-    apply_op,
     deletable_feature,
     modify_attribute,
     modify_text,
@@ -177,13 +176,13 @@ def influence_rule(classifier: Classifier, fmap: FeatureValueMap,
 
 # -- the shared attack skeleton ---------------------------------------------------
 
-def _rule_products(rules, fmap: FeatureValueMap, freq_detect_threshold: float,
-                   hashed: bool = False) -> dict[str, float]:
+def _rule_products(rules, fmap: FeatureValueMap,
+                   freq_detect_threshold: float) -> dict[str, float]:
     """Gated value product per ``(id, features)`` rule: the product of its
     feature values when every feature is satisfied, else 0.  A rule counts
     as mutated when this changes, covering both hit flips and
     frequency-value drift."""
-    return {rule_id: 0.0 if unsatisfied(feats, fmap, freq_detect_threshold, hashed)
+    return {rule_id: 0.0 if unsatisfied(feats, fmap, freq_detect_threshold)
             else math.prod(fmap[feat] for feat in feats)
             for rule_id, feats in rules}
 
@@ -192,7 +191,7 @@ def _classifier_products(clf: Classifier):
     """Rule products over the classifier's non-zero-weight rules."""
     counted = [(r.id, r.features) for r in clf.rules if r.weight != 0.0]
     return lambda fmap: _rule_products(counted, prepare_map(clf, fmap),
-                                       clf.freq_detect_threshold, clf.hashed)
+                                       clf.freq_detect_threshold)
 
 
 class _Run:
@@ -340,7 +339,7 @@ def white_box(knowledge: Knowledge, page: DomTree,
                 break
         if plan is None:
             break
-        run.offer(apply(run.tree, plan), op_label)
+        run.offer(plan.tree, op_label)
 
     return run.result(EXHAUSTED)
 
@@ -374,7 +373,7 @@ def grey_box(knowledge: Knowledge, page: DomTree) -> AttackResult:
             plan = plan_delete_feature(run.tree, feat, t, avoid_terms)
         except _PLAN_FAILURES:
             continue
-        run.offer(apply(run.tree, plan), f"delete {feat}")
+        run.offer(plan.tree, f"delete {feat}")
 
     for rule_id, feats in sorted(rules):
         if run.done:
@@ -385,7 +384,7 @@ def grey_box(knowledge: Knowledge, page: DomTree) -> AttackResult:
             plan = plan_add_rule(run.tree, feats, t)
         except _PLAN_FAILURES:
             continue
-        run.offer(apply(run.tree, plan), f"add rule {rule_id}")
+        run.offer(plan.tree, f"add rule {rule_id}")
 
     return run.result(EXHAUSTED)
 
@@ -436,29 +435,30 @@ def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
                 label = f"split term {arg!r}"
         except (UnsupportedMutation, TermNotFound, PathError):
             continue
-        run.offer(apply_op(run.tree, op), label)
+        plan = MutationPlan.on(run.tree)
+        plan.push(op)
+        run.offer(plan.tree, label)
 
     score_after_modification = run.score
     additions = 0
     while pool and not run.done and additions < budget:
         if trace is not None:
             trace.append(("checkpoint", serialize(run.tree)))
-        work = run.tree.copy()
-        applied = 0
+        plan = MutationPlan.on(run.tree)
         draws = 0
-        while applied < batch and additions < budget and draws < 10 * batch:
+        while len(plan.ops) < batch and additions < budget and draws < 10 * batch:
             draws += 1
             spec = pool[rng.randrange(len(pool))]
             try:
-                op = add_invisible_element(work, spec)
+                op = add_invisible_element(plan.tree, spec)
             except UnsupportedMutation:
                 continue
-            _apply_in_place(work, op)
+            plan.push(op)
             additions += 1
-            applied += 1
-        if applied == 0:
+        if not plan.ops:
             break
-        kept = run.offer(work, f"add batch of {applied}", feature_step=False)
+        kept = run.offer(plan.tree, f"add batch of {len(plan.ops)}",
+                         feature_step=False)
         if trace is not None:
             trace.append(("keep" if kept else "rollback", serialize(run.tree)))
 

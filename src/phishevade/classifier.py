@@ -25,8 +25,9 @@ from .features import FeatureValueMap, extract_all_features, hash_feature
 
 HEX64 = re.compile(r"^[0-9a-f]{64}$")
 
-# Digests of the frequency feature names, for hashed-mode hit testing.
-_FREQ_DIGESTS = frozenset(hash_feature(k) for k in F.FREQUENCY_KINDS)
+# Frequency feature names, plain and hashed.  A plain name is never 64-hex
+# and a hashed model holds only 64-hex digests, so one set serves both.
+_FREQ_FEATURES = F.FREQUENCY_KINDS | {hash_feature(k) for k in F.FREQUENCY_KINDS}
 
 
 class SchemaError(ValueError):
@@ -88,27 +89,23 @@ def logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _freq_features(hashed: bool) -> frozenset[str]:
-    return _FREQ_DIGESTS if hashed else F.FREQUENCY_KINDS
-
-
-def unsatisfied(features, fmap: FeatureValueMap, freq_detect_threshold: float,
-                hashed: bool = False) -> set[str]:
+def unsatisfied(features, fmap: FeatureValueMap,
+                freq_detect_threshold: float) -> set[str]:
     """The features that are not satisfied on ``fmap``: those valued zero
-    (or absent), and frequency features below the detection threshold."""
-    freq = _freq_features(hashed)
+    (or absent), and frequency features (plain or hashed) below the
+    detection threshold."""
     out = set()
     for feat in features:
         value = fmap.get(feat, 0.0)
-        if value == 0.0 or (feat in freq and value < freq_detect_threshold):
+        if value == 0.0 or (feat in _FREQ_FEATURES and value < freq_detect_threshold):
             out.add(feat)
     return out
 
 
 def rule_hit(rule: ClassificationRule, fmap: FeatureValueMap,
-             freq_detect_threshold: float = 0.05, hashed: bool = False) -> bool:
+             freq_detect_threshold: float = 0.05) -> bool:
     """True when every feature of the rule is satisfied."""
-    return not unsatisfied(rule.features, fmap, freq_detect_threshold, hashed)
+    return not unsatisfied(rule.features, fmap, freq_detect_threshold)
 
 
 def prepare_map(classifier: Classifier, fmap: FeatureValueMap) -> FeatureValueMap:
@@ -125,20 +122,19 @@ def rule_contribution(rule: ClassificationRule, fmap: FeatureValueMap) -> float:
     return product
 
 
-def hit_rules(classifier: Classifier, fmap: FeatureValueMap,
-              prepared: bool = False) -> list[ClassificationRule]:
-    if not prepared:
-        fmap = prepare_map(classifier, fmap)
+def hit_rules(classifier: Classifier, fmap: FeatureValueMap) -> list[ClassificationRule]:
+    fmap = prepare_map(classifier, fmap)
     t = classifier.freq_detect_threshold
-    return [r for r in classifier.rules
-            if rule_hit(r, fmap, t, classifier.hashed)]
+    return [r for r in classifier.rules if rule_hit(r, fmap, t)]
 
 
 def raw_score(classifier: Classifier, fmap: FeatureValueMap) -> float:
     fmap = prepare_map(classifier, fmap)
+    t = classifier.freq_detect_threshold
     x = classifier.bias
-    for rule in hit_rules(classifier, fmap, prepared=True):
-        x += rule_contribution(rule, fmap)
+    for rule in classifier.rules:
+        if rule_hit(rule, fmap, t):
+            x += rule_contribution(rule, fmap)
     return x
 
 

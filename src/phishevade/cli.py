@@ -37,9 +37,9 @@ from .dom import DomTree, ParseError, load_page, serialize, walk_elements
 from . import features as F
 from .features import Feature, PAGE_TERM, UrlError, extract_all_features
 from .mutation import (
+    DELETABLE_KINDS,
     FeatureAbsent,
     UnsupportedMutation,
-    apply,
     load_pool,
     plan_add_rule,
     plan_delete_feature,
@@ -267,10 +267,8 @@ def cmd_prune(args) -> int:
     return EXIT_OK
 
 
-UNDELETABLE_ADDABLE_KINDS = frozenset({
-    F.PAGE_HAS_FORMS, F.PAGE_HAS_RADIO_INPUTS, F.PAGE_HAS_CHECK_INPUTS,
-    F.PAGE_NUM_SCRIPTS_GT1, F.PAGE_NUM_SCRIPTS_GT6,
-})
+# Page feature kinds no planner deletes; fixtures add them to reach a bucket.
+UNDELETABLE_ADDABLE_KINDS = F.ALL_KINDS - F.URL_KINDS - DELETABLE_KINDS
 
 
 def generate_fixture_pages(corpus: Corpus, model: Classifier, lo: float,
@@ -314,7 +312,7 @@ def generate_fixture_pages(corpus: Corpus, model: Classifier, lo: float,
                 except (UnsupportedMutation, FeatureAbsent):
                     continue
                 if plan.ops:
-                    tree = apply(tree, plan)
+                    tree = plan.tree
                     deleted = True
             if not deleted:
                 break
@@ -327,7 +325,7 @@ def generate_fixture_pages(corpus: Corpus, model: Classifier, lo: float,
         chosen = None
         for size in range(0, len(candidates) + 1):
             for combo in combinations(candidates, size):
-                candidate_tree = apply(tree, plan_add_rule(tree, combo, t))
+                candidate_tree = plan_add_rule(tree, combo, t).tree
                 value = score(model, extract_all_features(candidate_tree))
                 if lo <= value < hi:
                     chosen = (candidate_tree, value)

@@ -45,10 +45,6 @@ class InversionReport:
     candidates_tried: int
     elapsed: float
 
-    def recovery_rate(self) -> float:
-        total = len(self.recovered) + len(self.unrecovered)
-        return len(self.recovered) / total if total else 0.0
-
 
 def load_corpus(manifest_path) -> Corpus:
     """Read a JSON-lines corpus manifest.

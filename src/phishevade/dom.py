@@ -3,7 +3,7 @@
 A page is a tree of :class:`DomNode` values: elements, each with an
 insertion-ordered attribute dict and a list of content children (text,
 comment and element nodes).  Trees are treated as immutable once built;
-mutation code works on copies (see ``mutation.apply``).
+mutation code works on the copy each ``mutation.MutationPlan`` owns.
 """
 
 from __future__ import annotations
@@ -402,18 +402,18 @@ def walk_elements(tree: DomTree):
     yield from walk(tree.root, ())
 
 
-def walk_text_nodes(tree: DomTree, skip_tags: frozenset[str] = frozenset({"script", "style"})):
-    """Yield ``(path, text_node)`` in document order, skipping text inside
-    ``skip_tags`` elements."""
+def walk_text_nodes(tree: DomTree):
+    """Yield ``(path, text_node)`` in document order, skipping the code
+    inside script and style (``RAWTEXT_TAGS``) elements."""
 
     def walk(node: DomNode, path: tuple[int, ...]):
         for i, child in enumerate(node.children):
             if child.node_type == TEXT:
                 yield path + (i,), child
-            elif child.node_type == ELEMENT and child.tag not in skip_tags:
+            elif child.node_type == ELEMENT and child.tag not in RAWTEXT_TAGS:
                 yield from walk(child, path + (i,))
 
-    if tree.root.tag not in skip_tags:
+    if tree.root.tag not in RAWTEXT_TAGS:
         yield from walk(tree.root, ())
 
 

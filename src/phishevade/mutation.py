@@ -10,8 +10,10 @@ Three node operations cover every feature-level edit:
 * ``add_invisible_element`` appends a ``display:none`` element under body,
   carrying feature-bearing attributes or text.
 
-On top of these, ``plan_delete_feature`` and ``plan_add_rule`` build the
-feature-level mutation plans used by the attacks.  Node paths index
+``plan_delete_feature`` and ``plan_add_rule`` build the feature-level plans
+used by the attacks.  A plan owns one copy of the page and applies each op
+as it is pushed, so ``plan.tree`` is the candidate page; ``apply`` replays
+a plan onto a fresh copy, the reference for tests.  Node paths index
 children (an attribute is addressed by its element's path plus its name), so
 paths stay valid across attribute rewrites and appended additions.
 """
@@ -119,7 +121,20 @@ class NodeOp:
 
 @dataclass
 class MutationPlan:
+    """NodeOps in application order; a plan made with :meth:`on` also holds
+    ``tree``, its copy of the page with every pushed op applied."""
     ops: list[NodeOp] = field(default_factory=list)
+    tree: DomTree | None = None
+
+    @classmethod
+    def on(cls, tree: DomTree) -> MutationPlan:
+        """An empty plan over a copy of ``tree``; the input is untouched."""
+        return cls(tree=tree.copy())
+
+    def push(self, op: NodeOp) -> None:
+        """Apply ``op`` to the plan's tree and record it."""
+        _apply_in_place(self.tree, op)
+        self.ops.append(op)
 
 
 @dataclass(frozen=True)
@@ -301,18 +316,17 @@ def _apply_in_place(tree: DomTree, op: NodeOp) -> None:
         raise ValueError(f"unknown op kind {op.kind!r}")
 
 
-def apply_op(tree: DomTree, op: NodeOp) -> DomTree:
-    out = tree.copy()
-    _apply_in_place(out, op)
-    return out
-
-
 def apply(tree: DomTree, plan: MutationPlan) -> DomTree:
-    """Apply a plan, producing a new tree; the input is untouched."""
-    out = tree.copy()
+    """Replay ``plan``'s ops onto a new copy of ``tree`` (the input is
+    untouched); a plan built on ``tree`` holds this result as its ``tree``."""
+    replay = MutationPlan.on(tree)
     for op in plan.ops:
-        _apply_in_place(out, op)
-    return out
+        replay.push(op)
+    return replay.tree
+
+
+def apply_op(tree: DomTree, op: NodeOp) -> DomTree:
+    return apply(tree, MutationPlan([op]))
 
 
 # -- feature-level planners ---------------------------------------------------
@@ -358,7 +372,8 @@ def plan_delete_feature(tree: DomTree, canonical: str,
                         freq_detect_threshold: float = 0.05,
                         avoid_terms: set[str] | None = None) -> MutationPlan:
     """Build a plan that zeroes ``canonical`` (or, for frequency features,
-    drives it below the detection threshold) on the page."""
+    drives it below the detection threshold) on the page; ``plan.tree`` is
+    the mutated page."""
     feature = Feature.parse(canonical)
     if feature is None:
         raise UnsupportedMutation(f"unknown feature {canonical!r}")
@@ -370,27 +385,15 @@ def plan_delete_feature(tree: DomTree, canonical: str,
     if canonical not in fmap:
         raise FeatureAbsent(canonical)
 
-    plan = MutationPlan()
-    work = tree.copy()
-
-    def push(op: NodeOp) -> None:
-        plan.ops.append(op)
-        _apply_in_place(work, op)
-
+    plan = MutationPlan.on(tree)
+    work, push = plan.tree, plan.push
     kind, payload = feature.kind, feature.payload
     if kind == F.PAGE_TERM:
-        # break every token occurrence of the term across all text nodes
-        guard = 0
-        while f"{F.PAGE_TERM}={payload}" in extract_page_features(work):
-            guard += 1
-            if guard > 10_000:
-                raise UnsupportedMutation(f"term {payload!r} keeps reappearing")
-            for path, node in walk_text_nodes(work):
-                if any(t == payload for t, _, _ in term_spans(node.value)):
-                    push(modify_text(work, path, payload, avoid_terms))
-                    break
-            else:
-                break
+        # break every token occurrence of the term, node by node; a split
+        # leaves two shorter fragments, so it never recreates the term
+        for path, node in walk_text_nodes(work):
+            while any(t == payload for t, _, _ in term_spans(node.value)):
+                push(modify_text(work, path, payload, avoid_terms))
     elif kind in (F.PAGE_HAS_TEXT_INPUTS, F.PAGE_HAS_PSWD_INPUTS):
         wanted = "text" if kind == F.PAGE_HAS_TEXT_INPUTS else "password"
         for path, el in list(walk_elements(work)):
@@ -449,6 +452,11 @@ def _spec_for_feature(work: DomTree, feature: Feature,
         tag, attr = _FREQUENCY_CARRIERS[kind]
         url = _internal_url(work, "https") if kind == F.PAGE_SECURE_LINKS_FREQ \
             else _EXTERNAL_PAD_URL
+        domain, secure = resolve_reference(url, work.source_url,
+                                           registrable_domain(work.source_url))
+        if not (secure if kind == F.PAGE_SECURE_LINKS_FREQ else domain is not None):
+            # padding that only grows the denominator can never reach t
+            raise UnsupportedMutation(f"{url!r} does not count toward {kind} here")
         num, den = page_counts(work).fraction(kind)
         n = _boost_added(num, den, freq_detect_threshold)
         return [ElementSpec(tag, ((attr, url),))] * n
@@ -458,7 +466,7 @@ def _spec_for_feature(work: DomTree, feature: Feature,
 def plan_add_rule(tree: DomTree, rule_features,
                   freq_detect_threshold: float = 0.05) -> MutationPlan:
     """Build a plan that makes every feature of a rule satisfied, so the
-    rule hits after application."""
+    rule hits on ``plan.tree``."""
     parsed = []
     for canonical in sorted(rule_features):
         feature = Feature.parse(canonical)
@@ -467,8 +475,8 @@ def plan_add_rule(tree: DomTree, rule_features,
         # URL features are kept: they only fail the plan when unsatisfied
         parsed.append((canonical, feature))
 
-    plan = MutationPlan()
-    work = tree.copy()
+    plan = MutationPlan.on(tree)
+    work = plan.tree
     for _ in range(10):
         unsat = unsatisfied(rule_features, extract_all_features(work),
                             freq_detect_threshold)
@@ -479,9 +487,7 @@ def plan_add_rule(tree: DomTree, rule_features,
             if feature.kind in F.URL_KINDS:
                 raise UrlFeatureUnaddable(canonical)
             for spec in _spec_for_feature(work, feature, freq_detect_threshold):
-                op = add_invisible_element(work, spec)
-                plan.ops.append(op)
-                _apply_in_place(work, op)
+                plan.push(add_invisible_element(work, spec))
     raise UnsupportedMutation(
         "rule features keep interfering; could not satisfy all of "
         + ", ".join(sorted(rule_features)))

@@ -229,11 +229,22 @@ def _signature_to_json(sig: TreeSignature) -> list:
             for layer in sig.layers]
 
 
+def _hashes_from_json(value, key: str) -> frozenset[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SchemaError(f"store element {key!r} must be a list of strings")
+    return frozenset(value)
+
+
+def _element_from_json(e: dict) -> ElementSignature:
+    if not isinstance(e["tag"], str):
+        raise SchemaError("store element 'tag' must be a string")
+    return ElementSignature(e["tag"], _hashes_from_json(e["attrs"], "attrs"),
+                            _hashes_from_json(e["texts"], "texts"))
+
+
 def _signature_from_json(layers: list) -> TreeSignature:
-    return TreeSignature(tuple(
-        tuple(ElementSignature(e["tag"], frozenset(e["attrs"]),
-                               frozenset(e["texts"])) for e in layer)
-        for layer in layers))
+    return TreeSignature(tuple(tuple(_element_from_json(e) for e in layer)
+                               for layer in layers))
 
 
 def save_store(store: PhishStore, path) -> None:

@@ -36,6 +36,20 @@ def legit_pages() -> list[DomTree]:
             for name, url in sorted(LEGIT_URLS.items())]
 
 
+@pytest.fixture
+def copied_trees(monkeypatch) -> list[DomTree]:
+    """The trees ``DomTree.copy`` is called on, in call order."""
+    calls = []
+    copy = DomTree.copy
+
+    def counting(self):
+        calls.append(self)
+        return copy(self)
+
+    monkeypatch.setattr(DomTree, "copy", counting)
+    return calls
+
+
 def build_page_html(terms=(), secure_links=0, insecure_external_links=0,
                     internal_links=0, actions=(), input_types=(), imgs=(),
                     scripts=0, bare_form=False, filler=0, host="seed.test",

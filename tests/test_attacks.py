@@ -220,6 +220,16 @@ def test_white_suite_matches_lookahead_oracle():
         assert serialize(tree) == serialize(result.final_page)
 
 
+def test_white_copies_the_page_once_per_candidate(copied_trees):
+    """Each offered candidate is its plan's own tree: one copy, no replay."""
+    clf = suite_model()
+    for _, page in suite_seed_pages(per_bucket=1):
+        copied_trees.clear()
+        result = white_box(white_knowledge(clf, ScoreOracle(clf)), page)
+        assert result.success
+        assert len(copied_trees) == len(result.trajectory) - 1 >= 1
+
+
 def test_white_rules_vs_features_accounting():
     clf = suite_model()
     for bucket, page in suite_seed_pages(per_bucket=1):

@@ -86,8 +86,8 @@ def test_unsatisfied_and_rule_hit_match_the_definition(data, hashed, t):
 
     feats = frozenset(key(n) for n in names)
     expected = {key(n) for n in names if not satisfied(n)}
-    assert unsatisfied(feats, fmap, t, hashed) == expected
-    assert rule_hit(rule("r", feats, 1.0), fmap, t, hashed) == (not expected)
+    assert unsatisfied(feats, fmap, t) == expected
+    assert rule_hit(rule("r", feats, 1.0), fmap, t) == (not expected)
 
 
 def test_raw_score_empty_and_single_rule():

@@ -294,10 +294,15 @@ def test_infer_malformed_hex_exits_2(tmp_path):
     ("corpus", {"url": "https://dailyledger.test/", "path": 5}),
     ("store", {"entries": [{"timestamp": 1.0}]}),
     ("store", {"entries": 5}),
+    ("store", {"entries": [{"signature": [[
+        {"tag": "html", "attrs": "abc", "texts": []}]], "timestamp": 1}]}),
+    ("store", {"entries": [{"signature": [[
+        {"tag": "html", "attrs": [1, 2], "texts": []}]], "timestamp": 1}]}),
     ("pool", {"attrs": {}, "text": "x"}),
     ("pool", {"tag": "a", "attrs": {"href": 5}, "text": None}),
 ], ids=["corpus-record-without-url", "corpus-path-not-a-string",
         "store-entry-without-signature", "store-entries-not-a-list",
+        "store-attrs-a-string", "store-hash-not-a-string",
         "pool-line-without-tag", "pool-attribute-value-not-a-string"])
 def test_malformed_loader_input_exits_2(workdir, capsys, loader, content):
     path = workdir["dir"] / f"bad-{loader}.json"

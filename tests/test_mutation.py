@@ -1,8 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phishevade.classifier import raw_score, rule_hit
-from phishevade.dom import parse_html, serialize, walk_elements, walk_text_nodes
-from phishevade.features import extract_all_features, extract_page_features, page_counts
+from phishevade.dom import (
+    isomorphic,
+    parse_html,
+    serialize,
+    walk_elements,
+    walk_text_nodes,
+)
+from phishevade.features import (
+    extract_all_features,
+    extract_page_features,
+    page_counts,
+    term_spans,
+)
 from phishevade.mutation import (
     ElementSpec,
     FeatureAbsent,
@@ -14,6 +27,7 @@ from phishevade.mutation import (
     add_invisible_element,
     apply,
     apply_op,
+    deletable_feature,
     harvest_addition_pool,
     load_pool,
     modify_attribute,
@@ -25,7 +39,8 @@ from phishevade.mutation import (
     save_pool,
 )
 
-from conftest import build_page, make_classifier, rule
+from conftest import build_page, build_page_html, make_classifier, rule
+from test_features import SOUP
 
 
 def path_of(tree, predicate):
@@ -300,6 +315,17 @@ def test_add_frequency_feature_reaches_detection_threshold():
     assert extract_page_features(out)["PageImgOtherDomainFreq"] >= 0.5
 
 
+@pytest.mark.parametrize("feature", [
+    "PageExternalLinksFreq", "PageSecureLinksFreq", "PageActionOtherDomainFreq",
+    "PageImgOtherDomainFreq"])
+def test_add_frequency_feature_fails_at_once_when_padding_cannot_count(feature):
+    # on a page without a URL no reference is external or secure, so padding
+    # would only grow the denominator, by a factor of ten per round at t=0.9
+    tree = parse_html(build_page_html(terms=["hello"], internal_links=2), "")
+    with pytest.raises(UnsupportedMutation, match="does not count"):
+        plan_add_rule(tree, {feature}, freq_detect_threshold=0.9)
+
+
 # -- apply ---------------------------------------------------------------------------
 
 def test_apply_leaves_original_untouched():
@@ -325,6 +351,97 @@ def test_no_url_drift_across_plans():
     for plan in [plan_delete_feature(tree, "PageTerm=hello"),
                  plan_add_rule(tree, {"PageTerm=x"})]:
         assert apply(tree, plan).source_url == tree.source_url
+
+
+# -- plan trees -------------------------------------------------------------------------
+
+_PLAN_FAILURES = (UnsupportedMutation, FeatureAbsent, UrlFeatureUnaddable,
+                  TermNotFound, PathError)
+RULE_FEATURES = [
+    "PageTerm=login", "PageTerm=bank", "PageHasForms", "PageHasTextInputs",
+    "PageHasPswdInputs", "PageHasRadioInputs", "PageHasCheckInputs",
+    "PageNumScriptTags>1", "PageNumScriptTags>6",
+    "PageActionURL=http://collector.evil.example/post",
+    "PageLinkDomain=example.org", "PageExternalLinksFreq",
+    "PageSecureLinksFreq", "PageActionOtherDomainFreq",
+    "PageImgOtherDomainFreq", "UrlPathToken=page",
+]
+
+
+# Thresholds stay at or below 0.6: at 0.9 a rule needing both link
+# frequencies makes plan_add_rule grow the page ninefold per round.
+@settings(max_examples=100, deadline=None)
+@given(pieces=SOUP, data=st.data(),
+       url=st.sampled_from(["", "http://seed.test/page", "https://seed.test/login"]),
+       t=st.sampled_from([0.05, 0.3, 0.6]))
+def test_plan_tree_is_the_replay_of_its_ops(pieces, data, url, t):
+    """A planner's ``plan.tree`` equals replaying its ops onto the input with
+    ``apply``, and planning leaves the input as it was."""
+    tree = parse_html("<html><body>" + "".join(pieces), url)
+    before = serialize(tree)
+    avoid = data.draw(st.sets(st.sampled_from(["lo", "gin", "ver", "ify"])))
+    plans = []
+    for feat in sorted(f for f in extract_all_features(tree) if deletable_feature(f)):
+        try:
+            plans.append(plan_delete_feature(tree, feat, t, avoid))
+        except _PLAN_FAILURES:
+            pass
+    for feats in data.draw(st.lists(st.sets(st.sampled_from(RULE_FEATURES),
+                                            min_size=1, max_size=3), max_size=4)):
+        try:
+            plans.append(plan_add_rule(tree, feats, t))
+        except _PLAN_FAILURES:
+            pass
+    for plan in plans:
+        replay = apply(tree, plan)
+        assert serialize(plan.tree) == serialize(replay)
+        assert isomorphic(plan.tree.root, replay.root)
+    assert serialize(tree) == before
+
+
+def test_each_planner_copies_the_page_once(copied_trees):
+    tree = build_page(terms=["pay", "pay"], input_types=["password"],
+                      insecure_external_links=2, internal_links=2)
+    for make in [lambda: plan_delete_feature(tree, "PageTerm=pay"),
+                 lambda: plan_delete_feature(tree, "PageHasPswdInputs"),
+                 lambda: plan_delete_feature(tree, "PageExternalLinksFreq"),
+                 lambda: plan_add_rule(tree, {"PageTerm=new", "PageHasRadioInputs"})]:
+        copied_trees.clear()
+        plan = make()
+        assert plan.ops and copied_trees == [tree]
+
+
+def _reextract_term_ops(tree, term, avoid_terms):
+    """The old PageTerm deletion: split the first text node still holding
+    the term, then extract the whole page again, until the term is gone."""
+    work, ops = tree.copy(), []
+    while f"PageTerm={term}" in extract_page_features(work):
+        for path, node in walk_text_nodes(work):
+            if any(t == term for t, _, _ in term_spans(node.value)):
+                ops.append(modify_text(work, path, term, avoid_terms))
+                work = apply_op(work, ops[-1])
+                break
+        else:
+            break
+    return ops
+
+
+@pytest.mark.parametrize("avoid", [None, {"pa"}, {"pa", "y"}, {"p", "pa", "ay", "y"}])
+def test_term_deletion_splits_node_by_node_like_the_reextract_loop(avoid):
+    tree = parse_html(
+        "<html><body><p>pay pay\u200bpal pay</p><script>pay</script>"
+        "<div>paypay pay <b>pay</b> again pay</div><p>no match</p></body></html>",
+        "http://seed.test/")
+    try:
+        expected = _reextract_term_ops(tree, "pay", avoid)
+    except UnsupportedMutation:
+        with pytest.raises(UnsupportedMutation):
+            plan_delete_feature(tree, "PageTerm=pay", avoid_terms=avoid)
+        return
+    plan = plan_delete_feature(tree, "PageTerm=pay", avoid_terms=avoid)
+    assert len(expected) == 6
+    assert plan.ops == expected
+    assert "PageTerm=pay" not in extract_page_features(plan.tree)
 
 
 # -- preservation check ----------------------------------------------------------------
