@@ -265,6 +265,8 @@ def load_model(path) -> Classifier:
     threshold = _require(doc, "threshold")
     hashed = bool(doc.get("hashed", False))
     freq_t = float(doc.get("freq_detect_threshold", 0.05))
+    if not 0.0 < freq_t < 1.0:
+        raise SchemaError("model 'freq_detect_threshold' must be in (0, 1)")
     rules = tuple(ClassificationRule(rule_id, feats, float(_require(entry, "weight")))
                   for entry, rule_id, feats in entries)
     return Classifier(float(bias), rules, float(threshold), hashed, freq_t)

@@ -475,6 +475,13 @@ def plan_add_rule(tree: DomTree, rule_features,
         # URL features are kept: they only fail the plan when unsatisfied
         parsed.append((canonical, feature))
 
+    # With e external and s secure links out of L, both link ratios need
+    # e + s >= 2tL.  No link the planner adds is both external and secure,
+    # so each one lowers e + s - 2tL by at least 2t - 1: above t = 1/2 a
+    # shortfall only grows, and padding round after round cannot close it.
+    link_ratios = {F.PAGE_EXTERNAL_LINKS_FREQ, F.PAGE_SECURE_LINKS_FREQ}
+    both_link_ratios = freq_detect_threshold > 0.5 \
+        and link_ratios <= {feature.kind for _, feature in parsed}
     plan = MutationPlan.on(tree)
     work = plan.tree
     for _ in range(10):
@@ -483,6 +490,13 @@ def plan_add_rule(tree: DomTree, rule_features,
         missing = [(c, f) for c, f in parsed if c in unsat]
         if not missing:
             return plan
+        if both_link_ratios and any(f.kind in link_ratios for _, f in missing):
+            counts = page_counts(work)
+            if counts.external_links + counts.secure_links \
+                    < 2 * freq_detect_threshold * counts.links:
+                raise UnsupportedMutation(
+                    "external and secure link ratios cannot both reach "
+                    f"{freq_detect_threshold} on this page")
         for canonical, feature in missing:
             if feature.kind in F.URL_KINDS:
                 raise UrlFeatureUnaddable(canonical)

@@ -13,6 +13,19 @@ by maximum-weight assignment.
   unknown page cannot lower it.  A bounded layer-skip absorbs inserted
   wrapper layers, falling back to same-index pairing.
 
+Both measures fill a layer pair's similarity blocks from one kernel.  The
+unknown tree's hashes get integer ids (its vocabulary, built once per
+signature, so a store scan builds it once); a stored hash outside it cannot
+intersect and drops out.  Joining the two layers' (element, id) incidences
+gives every intersection size ``|a & b|`` as an exact integer, and the
+block values are array divisions of those integers by ``|a|`` (personalized)
+or by ``|a| + |b| - |a & b|`` (baseline).  These are the same IEEE divisions
+of the same integers as ``len(a & b) / len(a)`` on the sets, so every block,
+and every assignment over it, is bit-identical to comparing the element
+pairs one by one.  Each signature keeps its layers in tag order, so a
+same-tag block is a slice; the assignment still runs per block in sorted
+tag order, except that a one-row or one-column block takes its maximum.
+
 The pipeline checks whitelist and blacklist, then the similarity store, and
 only then the classifier; detected phishing pages enter the recency-bounded
 store.
@@ -24,6 +37,8 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -57,9 +72,53 @@ class ElementSignature:
         return cls(element.tag, attrs, texts)
 
 
+class _Layer:
+    """One signature layer in tag order, built once per signature.
+
+    The same-tag elements are the contiguous rows ``spans[tag]``, in page
+    order within the tag, so every same-tag block is a slice.  ``attrs``
+    and ``texts`` list each element's hashes in row order; for each hash,
+    attributes first, ``elements`` gives its element and ``rows`` its row in
+    the stacked (attributes, texts) count matrix of :meth:`_Comparison.counts`.
+    """
+
+    __slots__ = ("size", "spans", "sizes", "divisors", "empty", "attrs",
+                 "texts", "elements", "rows")
+
+    def __init__(self, elements):
+        ordered = sorted(elements, key=attrgetter("tag"))   # stable
+        size = self.size = len(ordered)
+        self.spans = {}
+        for row, e in enumerate(ordered):
+            self.spans.setdefault(e.tag, [row, row])[1] = row + 1
+        attr_sizes = [len(e.attr_hashes) for e in ordered]
+        text_sizes = [len(e.text_hashes) for e in ordered]
+        # set sizes stacked like the count rows: attributes, then texts
+        self.sizes = np.array(attr_sizes + text_sizes, dtype=float)
+        self.divisors = np.maximum(self.sizes, 1.0)[:, None]
+        self.empty = (self.sizes == 0.0)[:, None]
+        self.attrs = [h for e in ordered for h in e.attr_hashes]
+        self.texts = [h for e in ordered for h in e.text_hashes]
+        index = np.arange(size)
+        self.elements = np.concatenate((np.repeat(index, attr_sizes),
+                                        np.repeat(index, text_sizes)))
+        self.rows = self.elements.copy()
+        self.rows[len(self.attrs):] += size
+
+
 @dataclass(frozen=True)
 class TreeSignature:
     layers: tuple[tuple[ElementSignature, ...], ...]
+
+    # Instance caches: built on first use, excluded from ==, hash and repr,
+    # and gone with the signature.
+    @cached_property
+    def _layers(self) -> tuple[_Layer, ...]:
+        return tuple(_Layer(layer) for layer in self.layers)
+
+    @cached_property
+    def _vocabulary(self) -> "_Vocabulary":
+        return _Vocabulary(self._layers)
 
 
 def signature_of(tree: DomTree) -> TreeSignature:
@@ -74,66 +133,140 @@ def _coerce(tree_or_sig) -> TreeSignature:
     return signature_of(tree_or_sig)
 
 
-def _ratio_union(a: frozenset, b: frozenset) -> float:
-    union = len(a | b)
-    return len(a & b) / union if union else 1.0
+class _Vocabulary:
+    """Integer ids for the hashes of the unknown tree of a comparison.
+
+    Attribute and text hashes get disjoint ids.  ``layers[j]`` is layer j's
+    (hash id, element) incidence sorted by id.
+    """
+
+    __slots__ = ("attr_ids", "text_ids", "layers")
+
+    def __init__(self, layers: tuple[_Layer, ...]):
+        self.attr_ids, self.text_ids = {}, {}
+        for layer in layers:
+            for h in layer.attrs:
+                self.attr_ids.setdefault(h, len(self.attr_ids))
+        for layer in layers:
+            for h in layer.texts:
+                self.text_ids.setdefault(h, len(self.attr_ids) + len(self.text_ids))
+        self.layers = []
+        for layer in layers:
+            ids = self.ids_of(layer)
+            order = ids.argsort()
+            self.layers.append((ids[order], layer.elements[order]))
+
+    def ids_of(self, layer: _Layer) -> np.ndarray:
+        """Each hash's id, or -1 for a hash the tree does not have."""
+        attr_get, text_get = self.attr_ids.get, self.text_ids.get
+        return np.array([attr_get(h, -1) for h in layer.attrs]
+                        + [text_get(h, -1) for h in layer.texts], dtype=np.intp)
 
 
-def _ratio_left(a: frozenset, b: frozenset) -> float:
-    return len(a & b) / len(a) if a else 1.0
+class _Comparison:
+    """A stored tree against an unknown tree, in the unknown's vocabulary."""
+
+    def __init__(self, stored: TreeSignature, unknown: TreeSignature):
+        self.stored = stored._layers
+        self.unknown = unknown._layers
+        self.vocabulary = unknown._vocabulary
+        self._shared = {}
+
+    def _shared_hashes(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(row, id) of every hash of stored layer i that the unknown tree
+        has; a hash it lacks cannot intersect."""
+        if i not in self._shared:
+            layer = self.stored[i]
+            ids = self.vocabulary.ids_of(layer)
+            known = ids >= 0
+            self._shared[i] = (layer.rows[known], ids[known])
+        return self._shared[i]
+
+    def counts(self, i: int, j: int) -> np.ndarray:
+        """The exact intersection sizes of every (stored element of layer
+        i, unknown element of layer j): ``|A_s & A_u|`` in the first n rows,
+        ``|T_s & T_u|`` in the next n, columns in the unknown's tag order.
+
+        The product of the two layers' hash incidences, as a join: each
+        shared hash of a stored element meets every unknown element in
+        layer j holding it, and the meetings are tallied per cell.
+        """
+        rows, ids = self._shared_hashes(i)
+        n, width = self.stored[i].size, self.unknown[j].size
+        sorted_ids, elements = self.vocabulary.layers[j]
+        lo = sorted_ids.searchsorted(ids, "left")
+        reps = sorted_ids.searchsorted(ids, "right") - lo
+        picks = (lo - reps.cumsum() + reps).repeat(reps)
+        picks += np.arange(picks.size)
+        cells = (rows * width).repeat(reps) + elements[picks]
+        return np.bincount(cells, minlength=2 * n * width).reshape(2 * n, width)
 
 
-def element_similarity_baseline(e1: ElementSignature, e2: ElementSignature) -> float:
-    """Symmetric element similarity in [0, 1]; different tags compare as 0,
-    empty-against-empty sets count as agreement."""
-    if e1.tag != e2.tag:
-        return 0.0
-    return (_ratio_union(e1.attr_hashes, e2.attr_hashes)
-            + _ratio_union(e1.text_hashes, e2.text_hashes)) / 2.0
+def _match(values: np.ndarray, left: _Layer, right: _Layer,
+           tags) -> tuple[float, int]:
+    """Maximum-weight same-tag matching of one layer pair.
 
-
-def element_similarity_pelican(stored: ElementSignature,
-                               unknown: ElementSignature) -> float:
-    """Asymmetric element similarity normalized by the stored phishing
-    element's own attribute and text sets."""
-    if stored.tag != unknown.tag:
-        return 0.0
-    return (_ratio_left(stored.attr_hashes, unknown.attr_hashes)
-            + _ratio_left(stored.text_hashes, unknown.text_hashes)) / 2.0
-
-
-def _layer_match(layer_a, layer_b, sim_fn) -> tuple[float, int]:
-    """Maximum-weight same-tag matching between two layers.
-
-    Returns (sum of matched similarities, number of matched pairs); pairs
-    with zero similarity are not counted as matched.
+    ``values`` holds the element similarities, rows in ``left``'s tag
+    order, columns in ``right``'s.  Returns (sum of matched similarities,
+    number of matched pairs); pairs with zero similarity are not counted
+    as matched.  A one-row or one-column block takes its maximum, which is
+    what the assignment would pick.
     """
     comm = 0.0
     matched = 0
-    tags = {e.tag for e in layer_a} & {e.tag for e in layer_b}
-    for tag in sorted(tags):
-        group_a = [e for e in layer_a if e.tag == tag]
-        group_b = [e for e in layer_b if e.tag == tag]
-        matrix = np.array([[sim_fn(a, b) for b in group_b] for a in group_a])
-        rows, cols = linear_sum_assignment(matrix, maximize=True)
-        for i, j in zip(rows, cols):
-            if matrix[i, j] > 0.0:
-                comm += float(matrix[i, j])
+    for tag in tags:
+        r0, r1 = left.spans[tag]
+        c0, c1 = right.spans[tag]
+        block = values[r0:r1, c0:c1]
+        if r1 - r0 == 1 or c1 - c0 == 1:
+            picked = (block.max().item(),)
+        else:
+            rows, cols = linear_sum_assignment(block, maximize=True)
+            picked = block[rows, cols].tolist()
+        for value in picked:
+            if value > 0.0:
+                comm += value
                 matched += 1
     return comm, matched
 
 
-def _baseline_layer(layer_a, layer_b) -> float:
-    comm, matched = _layer_match(layer_a, layer_b, element_similarity_baseline)
-    union = len(layer_a) + len(layer_b) - matched
+def _common_tags(left: _Layer, right: _Layer) -> list[str]:
+    return sorted(left.spans.keys() & right.spans.keys())
+
+
+def _jaccard(shared: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``|a & b| / |a | b|``, and 1 where both sets are empty."""
+    union = left[:, None] + right[None, :] - shared
+    return shared / np.maximum(union, 1.0) + (union == 0.0)
+
+
+def _baseline_layer(pair: _Comparison, i: int) -> float:
+    left, right = pair.stored[i], pair.unknown[i]
+    tags = _common_tags(left, right)
+    comm, matched = 0.0, 0
+    if tags:
+        n, m = left.size, right.size
+        shared = pair.counts(i, i)
+        values = (_jaccard(shared[:n], left.sizes[:n], right.sizes[:m])
+                  + _jaccard(shared[n:], left.sizes[n:], right.sizes[m:])) / 2.0
+        comm, matched = _match(values, left, right, tags)
+    union = left.size + right.size - matched
     return comm / union if union else 1.0
 
 
-def _pelican_layer(stored_layer, unknown_layer) -> float:
-    if not stored_layer:
+def _pelican_layer(pair: _Comparison, i: int, j: int) -> float:
+    stored, unknown = pair.stored[i], pair.unknown[j]
+    n = stored.size
+    if not n:
         return 1.0
-    comm, _ = _layer_match(stored_layer, unknown_layer, element_similarity_pelican)
-    return comm / len(stored_layer)
+    tags = _common_tags(stored, unknown)
+    if not tags:
+        return 0.0
+    # |a & b| / |a|, and 1 where a is empty
+    ratios = pair.counts(i, j) / stored.divisors + stored.empty
+    values = (ratios[:n] + ratios[n:]) / 2.0
+    comm, _ = _match(values, stored, unknown, tags)
+    return comm / n
 
 
 def tree_similarity_baseline(a, b) -> float:
@@ -143,10 +276,10 @@ def tree_similarity_baseline(a, b) -> float:
     m = max(len(sig_a.layers), len(sig_b.layers))
     if m == 0:
         return 1.0
+    pair = _Comparison(sig_a, sig_b)
     total = 0.0
-    for i in range(m):
-        if i < len(sig_a.layers) and i < len(sig_b.layers):
-            total += _baseline_layer(sig_a.layers[i], sig_b.layers[i])
+    for i in range(min(len(sig_a.layers), len(sig_b.layers))):
+        total += _baseline_layer(pair, i)
     return total / m
 
 
@@ -163,12 +296,13 @@ def tree_similarity_pelican(stored, unknown, layer_accept: float = 0.5,
     m = len(sig_p.layers)
     if m == 0:
         return 1.0
+    pair = _Comparison(sig_p, sig_u)
     total = 0.0
     cursor = 0
-    for i, layer in enumerate(sig_p.layers):
+    for i in range(m):
         hit = None
         for j in range(cursor, min(cursor + lookahead, len(sig_u.layers))):
-            value = _pelican_layer(layer, sig_u.layers[j])
+            value = _pelican_layer(pair, i, j)
             if value >= layer_accept:
                 hit = (j, value)
                 break
@@ -177,7 +311,7 @@ def tree_similarity_pelican(stored, unknown, layer_accept: float = 0.5,
             cursor = hit[0] + 1
         else:
             if i < len(sig_u.layers):
-                total += _pelican_layer(layer, sig_u.layers[i])
+                total += _pelican_layer(pair, i, i)
             cursor = max(cursor, i + 1)
     return total / m
 

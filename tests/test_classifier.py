@@ -312,8 +312,9 @@ def test_model_round_trip(tmp_path):
     {"bias": 0.0, "threshold": 0.5, "rules": [1]},
     {"bias": 0.0, "threshold": 0.5,
      "rules": [{"id": "r", "features": "PageHasForms", "weight": 1.0}]},
+    {"bias": 0.0, "threshold": 0.5, "freq_detect_threshold": 0, "rules": []},
 ], ids=["missing-threshold", "rules-not-a-list", "rule-not-an-object",
-        "features-a-string"])
+        "features-a-string", "freq-threshold-zero"])
 def test_malformed_model_is_schema_error(tmp_path, doc):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))

@@ -152,6 +152,25 @@ def test_attack_white_succeeds_and_writes_outputs(workdir, capsys):
     assert "<html" in final
 
 
+@pytest.mark.parametrize("value", ["0", "1.5"])
+def test_attack_frequency_threshold_out_of_range_exits_2(workdir, capsys, value):
+    # 0 divided by zero while diluting, 1.5 padded a ratio forever
+    assert run(["attack", workdir["seed"], "--model", workdir["model"],
+                "--level", "white", "--freq-threshold", value,
+                "--out", str(workdir["dir"] / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: freq_detect_threshold")
+
+
+def test_attack_model_with_zero_frequency_threshold_exits_2(workdir, capsys):
+    doc = json.loads(open(workdir["model"]).read())
+    doc["freq_detect_threshold"] = 0
+    model_path = workdir["dir"] / "zero-freq.json"
+    model_path.write_text(json.dumps(doc))
+    assert run(["attack", workdir["seed"], "--model", str(model_path),
+                "--level", "white", "--out", str(workdir["dir"] / "out")]) == 2
+    assert "freq_detect_threshold" in capsys.readouterr().err
+
+
 def test_attack_on_benign_page_exits_3(workdir, tmp_path):
     benign = tmp_path / "benign.html"
     benign.write_text("<html><body><p>garden news</p></body></html>")

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -326,6 +328,27 @@ def test_add_frequency_feature_fails_at_once_when_padding_cannot_count(feature):
         plan_add_rule(tree, {feature}, freq_detect_threshold=0.9)
 
 
+LINK_RATIOS = {"PageExternalLinksFreq", "PageSecureLinksFreq"}
+TWO_INTERNAL_LINKS = ('<html><body><a href="/x">a</a><a href="/y">b</a>'
+                      '</body></html>')
+
+
+def test_add_both_link_ratios_above_one_half_fails_at_once():
+    # each round's external padding dilutes the secure ratio and the secure
+    # padding the external one: the page grew ninefold per round at t=0.9
+    tree = parse_html(TWO_INTERNAL_LINKS, "http://seed.test/page")
+    started = time.perf_counter()
+    with pytest.raises(UnsupportedMutation, match="cannot both reach"):
+        plan_add_rule(tree, LINK_RATIOS, freq_detect_threshold=0.9)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_add_both_link_ratios_at_or_below_one_half_still_plans():
+    tree = parse_html(TWO_INTERNAL_LINKS, "http://seed.test/page")
+    counts = page_counts(plan_add_rule(tree, LINK_RATIOS, 0.3).tree)
+    assert (counts.links, counts.external_links, counts.secure_links) == (6, 2, 2)
+
+
 # -- apply ---------------------------------------------------------------------------
 
 def test_apply_leaves_original_untouched():
@@ -368,12 +391,10 @@ RULE_FEATURES = [
 ]
 
 
-# Thresholds stay at or below 0.6: at 0.9 a rule needing both link
-# frequencies makes plan_add_rule grow the page ninefold per round.
 @settings(max_examples=100, deadline=None)
 @given(pieces=SOUP, data=st.data(),
        url=st.sampled_from(["", "http://seed.test/page", "https://seed.test/login"]),
-       t=st.sampled_from([0.05, 0.3, 0.6]))
+       t=st.sampled_from([0.05, 0.3, 0.6, 0.9]))
 def test_plan_tree_is_the_replay_of_its_ops(pieces, data, url, t):
     """A planner's ``plan.tree`` equals replaying its ops onto the input with
     ``apply``, and planning leaves the input as it was."""

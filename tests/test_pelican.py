@@ -1,7 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pelican_oracle as oracle
+from phishevade import pelican
 from phishevade.attacks import black_box, black_knowledge, grey_box, grey_knowledge, white_box, white_knowledge
 from phishevade.classifier import ScoreOracle
 from phishevade.dom import DomNode, parse_html
@@ -13,8 +17,8 @@ from phishevade.pelican import (
     WHITELISTED,
     ElementSignature,
     PhishStore,
-    element_similarity_baseline,
-    element_similarity_pelican,
+    StoreEntry,
+    TreeSignature,
     load_store,
     pipeline,
     save_store,
@@ -24,6 +28,7 @@ from phishevade.pelican import (
 )
 
 from conftest import build_page, make_classifier, rule, suite_model, suite_pool, suite_seed_pages
+from test_features import SOUP
 
 
 def sig(html, url="http://page.test/"):
@@ -37,37 +42,194 @@ def el(tag, attrs=(), texts=()):
     return ElementSignature.of(node)
 
 
+def one(element):
+    """A tree of one element."""
+    return TreeSignature(((element,),))
+
+
 # -- element similarity ----------------------------------------------------------
+# The per-pair definitions live in the test oracle; each case also goes
+# through the public measures as a tree of one element, whose similarity
+# is the element similarity.
 
 def test_element_baseline_identity():
     e = el("div", [("class", "x")], ["hello"])
-    assert element_similarity_baseline(e, e) == 1.0
+    assert oracle.element_similarity_baseline(e, e) == 1.0
+
+
+def test_element_baseline_identity_as_one_element_tree():
+    e = el("div", [("class", "x")], ["hello"])
+    assert tree_similarity_baseline(one(e), one(e)) == 1.0
 
 
 def test_element_baseline_disjoint_attrs_no_text():
     a = el("div", [("class", "x")])
     b = el("div", [("id", "y")])
-    assert element_similarity_baseline(a, b) == 0.5   # (0 + 1) / 2
+    assert oracle.element_similarity_baseline(a, b) == 0.5   # (0 + 1) / 2
+
+
+def test_element_baseline_disjoint_attrs_no_text_as_one_element_tree():
+    a = el("div", [("class", "x")])
+    b = el("div", [("id", "y")])
+    assert tree_similarity_baseline(one(a), one(b)) == 0.5
 
 
 def test_element_baseline_different_tags():
-    assert element_similarity_baseline(el("div"), el("span")) == 0.0
+    assert oracle.element_similarity_baseline(el("div"), el("span")) == 0.0
+
+
+def test_element_baseline_different_tags_as_one_element_tree():
+    assert tree_similarity_baseline(one(el("div")), one(el("span"))) == 0.0
 
 
 def test_element_pelican_superset_is_one():
     stored = el("div", [("class", "x")], ["t"])
     unknown = el("div", [("class", "x"), ("id", "y")], ["t", "u"])
-    assert element_similarity_pelican(stored, unknown) == 1.0
+    assert oracle.element_similarity_pelican(stored, unknown) == 1.0
+
+
+def test_element_pelican_superset_is_one_as_one_element_tree():
+    stored = el("div", [("class", "x")], ["t"])
+    unknown = el("div", [("class", "x"), ("id", "y")], ["t", "u"])
+    assert tree_similarity_pelican(one(stored), one(unknown)) == 1.0
 
 
 def test_element_pelican_half_attrs():
     stored = el("div", [("a", "1"), ("b", "2")], ["t"])
     unknown = el("div", [("a", "1")], ["t"])
-    assert element_similarity_pelican(stored, unknown) == pytest.approx(0.75)
+    assert oracle.element_similarity_pelican(stored, unknown) == pytest.approx(0.75)
+
+
+def test_element_pelican_half_attrs_as_one_element_tree():
+    stored = el("div", [("a", "1"), ("b", "2")], ["t"])
+    unknown = el("div", [("a", "1")], ["t"])
+    assert tree_similarity_pelican(one(stored), one(unknown)) == 0.75
 
 
 def test_element_pelican_different_tags():
-    assert element_similarity_pelican(el("a"), el("b")) == 0.0
+    assert oracle.element_similarity_pelican(el("a"), el("b")) == 0.0
+
+
+def test_element_pelican_different_tags_as_one_element_tree():
+    assert tree_similarity_pelican(one(el("a")), one(el("b"))) == 0.0
+
+
+# -- the count kernel against the per-pair oracle --------------------------------
+# Few tags and a small hash alphabet, so that sets overlap and ties occur.
+
+HASHES = st.frozensets(st.sampled_from(["h0", "h1", "h2", "h3", "h4"]), max_size=4)
+ELEMENTS = st.builds(ElementSignature, st.sampled_from(["a", "div", "p"]),
+                     HASHES, HASHES)
+SIGNATURES = st.lists(st.lists(ELEMENTS, max_size=6).map(tuple),
+                      max_size=7).map(lambda layers: TreeSignature(tuple(layers)))
+PAGES = st.builds(lambda pieces: signature_of(
+    parse_html("<html><body>" + "".join(pieces), "http://soup.test/")), SOUP)
+LAYER_ACCEPT = st.sampled_from([0.05, 0.25, 0.5, 0.75, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(SIGNATURES, PAGES), b=st.one_of(SIGNATURES, PAGES),
+       layer_accept=LAYER_ACCEPT, lookahead=st.integers(1, 4))
+def test_both_measures_equal_the_per_pair_oracle(a, b, layer_accept, lookahead):
+    assert tree_similarity_pelican(a, b, layer_accept, lookahead) == \
+        oracle.tree_similarity_pelican(a, b, layer_accept, lookahead)
+    assert tree_similarity_pelican(b, a, layer_accept, lookahead) == \
+        oracle.tree_similarity_pelican(b, a, layer_accept, lookahead)
+    assert tree_similarity_pelican(a, a, layer_accept, lookahead) == \
+        oracle.tree_similarity_pelican(a, a, layer_accept, lookahead)
+    assert tree_similarity_baseline(a, b) == oracle.tree_similarity_baseline(a, b)
+    assert tree_similarity_baseline(b, a) == oracle.tree_similarity_baseline(b, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stored=st.lists(st.one_of(SIGNATURES, PAGES), max_size=6),
+       unknown=st.one_of(SIGNATURES, PAGES), layer_accept=LAYER_ACCEPT,
+       lookahead=st.integers(1, 4))
+def test_store_scan_equals_the_per_pair_oracle(stored, unknown, layer_accept,
+                                                lookahead):
+    store = PhishStore(k=10, entries=[StoreEntry(s, 0.0) for s in stored])
+    assert store.max_similarity(unknown, layer_accept, lookahead) == \
+        oracle.max_similarity(stored, unknown, layer_accept, lookahead)
+
+
+def test_kernel_matches_oracle_on_a_page_and_its_attacked_twin(paypal_page):
+    clf = suite_model()
+    seed = suite_seed_pages(per_bucket=1)[0][1]
+    crafted = white_box(white_knowledge(clf, ScoreOracle(clf)), seed).final_page
+    for a, b in [(seed, crafted), (crafted, seed), (paypal_page, crafted)]:
+        sig_a, sig_b = signature_of(a), signature_of(b)
+        assert tree_similarity_pelican(sig_a, sig_b) == \
+            oracle.tree_similarity_pelican(sig_a, sig_b)
+        assert tree_similarity_baseline(sig_a, sig_b) == \
+            oracle.tree_similarity_baseline(sig_a, sig_b)
+
+
+# -- the per-signature caches are invisible ---------------------------------------
+
+def _store_bytes(store, path) -> bytes:
+    save_store(store, path)
+    return path.read_bytes()
+
+
+def test_comparing_leaves_equality_hash_and_store_bytes_unchanged(tmp_path, paypal_page,
+                                                                  bank_page):
+    a, b = signature_of(paypal_page), signature_of(bank_page)
+    twin_a, twin_b = signature_of(paypal_page), signature_of(bank_page)
+    store = PhishStore(entries=[StoreEntry(a, 1.0), StoreEntry(b, 2.0)])
+    hashes = (hash(a), hash(b))
+    before = _store_bytes(store, tmp_path / "before.json")
+    tree_similarity_pelican(a, b)
+    tree_similarity_baseline(b, a)
+    store.max_similarity(twin_a)
+    assert (hash(a), hash(b)) == hashes == (hash(twin_a), hash(twin_b))
+    assert a == twin_a and b == twin_b and a != b
+    assert repr(a) == repr(twin_a)
+    assert _store_bytes(store, tmp_path / "after.json") == before
+
+
+def test_reloaded_store_gives_the_same_similarities(tmp_path, paypal_page, bank_page):
+    pages = [paypal_page, bank_page] + [build_page(terms=[f"w{i}"], secure_links=i)
+                                        for i in range(3)]
+    store = PhishStore(k=10)
+    for i, page in enumerate(pages):
+        store.insert(page, now=float(i))
+    probes = [signature_of(page) for page in pages]
+    scanned = [store.max_similarity(p) for p in probes]
+    path = tmp_path / "store.json"
+    save_store(store, path)
+    again = load_store(path, k=10)
+    assert [again.max_similarity(p) for p in probes] == scanned
+    for stored, reloaded in zip(store.entries, again.entries):
+        for p in probes:
+            assert tree_similarity_pelican(reloaded.signature, p) == \
+                tree_similarity_pelican(stored.signature, p)
+            assert tree_similarity_baseline(reloaded.signature, p) == \
+                tree_similarity_baseline(stored.signature, p)
+
+
+@pytest.fixture
+def built_vocabularies(monkeypatch) -> list:
+    """The layers each unknown-page vocabulary is built from, in build order."""
+    calls = []
+    vocabulary = pelican._Vocabulary
+
+    def counting(layers):
+        calls.append(layers)
+        return vocabulary(layers)
+
+    monkeypatch.setattr(pelican, "_Vocabulary", counting)
+    return calls
+
+
+def test_scan_builds_the_unknown_vocabulary_once(built_vocabularies, paypal_page):
+    store = PhishStore(k=10)
+    for i in range(5):
+        store.insert(build_page(terms=[f"w{i}"], secure_links=i), now=float(i))
+    unknown = signature_of(paypal_page)
+    store.max_similarity(unknown)
+    assert built_vocabularies == [unknown._layers]
+    store.max_similarity(signature_of(paypal_page))
+    assert len(built_vocabularies) == 2
 
 
 # -- tree similarity ---------------------------------------------------------------
