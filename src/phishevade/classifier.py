@@ -64,6 +64,7 @@ class Classifier:
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
+        check_freq_detect_threshold(self.freq_detect_threshold)
         ids = [r.id for r in self.rules]
         if len(ids) != len(set(ids)):
             raise ValueError("rule ids must be unique")
@@ -79,6 +80,14 @@ class Classifier:
             if r.id == rule_id:
                 return r
         raise UnknownRuleError(rule_id)
+
+
+def check_freq_detect_threshold(t: float) -> None:
+    """Raise ``ValueError`` unless the frequency detection threshold is in
+    (0, 1): at t = 0 the dilution arithmetic divides by zero, and from
+    t = 1 on no padding can raise a ratio to t."""
+    if not 0.0 < t < 1.0:
+        raise ValueError("freq_detect_threshold must be in (0, 1)")
 
 
 def logistic(x: float) -> float:

@@ -25,6 +25,7 @@ from .classifier import (
     SchemaError,
     ScoreOracle,
     UnknownRuleError,
+    check_freq_detect_threshold,
     find_single_rules,
     find_subset_rules,
     load_model,
@@ -83,9 +84,8 @@ class Config:
     def validate(self) -> None:
         if self.tau is not None and not 0.0 < self.tau < 1.0:
             raise ValueError("tau must be in (0, 1)")
-        if self.freq_detect_threshold is not None \
-                and not 0.0 < self.freq_detect_threshold < 1.0:
-            raise ValueError("freq_detect_threshold must be in (0, 1)")
+        if self.freq_detect_threshold is not None:
+            check_freq_detect_threshold(self.freq_detect_threshold)
         if not 0.0 < self.pelican_detect_threshold <= 1.0:
             raise ValueError("pelican.detect_threshold must be in (0, 1]")
         if not 0.0 < self.pelican_layer_accept <= 1.0:

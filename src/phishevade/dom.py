@@ -4,11 +4,13 @@ A page is a tree of :class:`DomNode` values: elements, each with an
 insertion-ordered attribute dict and a list of content children (text,
 comment and element nodes).  Trees are treated as immutable once built;
 mutation code works on the copy each ``mutation.MutationPlan`` owns.
+:meth:`DomTree.copy` is the one way to copy a page: it clones the nodes
+with an explicit stack, so pages of any depth copy, and a copy shares
+nothing mutable with its source (only the immutable strings).
 """
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass
 from html import escape
@@ -112,7 +114,27 @@ class DomTree:
     source_url: str = ""
 
     def copy(self) -> DomTree:
-        return DomTree(copy.deepcopy(self.root), self.source_url)
+        """A structural clone: every node is new and has its own ``attrs``
+        dict and ``children`` list; only the strings (tag, value, attribute
+        names and values) are shared.  Uses an explicit stack, not
+        recursion, so it copies a page of any depth."""
+        new = DomNode.__new__
+        root = new(DomNode)
+        stack = [(self.root, root)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            src, dst = pop()
+            dst.node_type = src.node_type
+            dst.tag = src.tag
+            dst.value = src.value
+            dst.attrs = dict(src.attrs)
+            children = []
+            for child in src.children:
+                clone = new(DomNode)
+                children.append(clone)
+                push((child, clone))
+            dst.children = children
+        return DomTree(root, self.source_url)
 
 
 class _TreeBuilder(HTMLParser):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from . import features as F
-from .classifier import SchemaError, unsatisfied
+from .classifier import SchemaError, check_freq_detect_threshold, unsatisfied
 from .dom import (
     ELEMENT,
     TEXT,
@@ -374,6 +374,7 @@ def plan_delete_feature(tree: DomTree, canonical: str,
     """Build a plan that zeroes ``canonical`` (or, for frequency features,
     drives it below the detection threshold) on the page; ``plan.tree`` is
     the mutated page."""
+    check_freq_detect_threshold(freq_detect_threshold)
     feature = Feature.parse(canonical)
     if feature is None:
         raise UnsupportedMutation(f"unknown feature {canonical!r}")
@@ -467,6 +468,7 @@ def plan_add_rule(tree: DomTree, rule_features,
                   freq_detect_threshold: float = 0.05) -> MutationPlan:
     """Build a plan that makes every feature of a rule satisfied, so the
     rule hits on ``plan.tree``."""
+    check_freq_detect_threshold(freq_detect_threshold)
     parsed = []
     for canonical in sorted(rule_features):
         feature = Feature.parse(canonical)

@@ -322,6 +322,13 @@ def test_malformed_model_is_schema_error(tmp_path, doc):
         load_model(path)
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0, 1.5])
+def test_classifier_rejects_frequency_threshold_outside_unit_interval(t):
+    with pytest.raises(ValueError, match="freq_detect_threshold"):
+        make_classifier([rule("a", {"PageHasForms"}, 1.0)],
+                        freq_detect_threshold=t)
+
+
 def test_hashed_model_round_trip_and_scoring(tmp_path):
     digest = hash_feature("PageTerm=login")
     clf = make_classifier([rule("h1", {digest}, 2.0)], bias=-1.0, hashed=True)

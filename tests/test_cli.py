@@ -171,6 +171,21 @@ def test_attack_model_with_zero_frequency_threshold_exits_2(workdir, capsys):
     assert "freq_detect_threshold" in capsys.readouterr().err
 
 
+def test_attack_on_a_deeply_nested_page_exits_0(workdir):
+    # the form and the links sit 300 <div>s down; copying the page with
+    # copy.deepcopy ran out of Python stack at about 150 levels
+    depth = 300
+    html = open(workdir["seed"]).read()
+    deep = workdir["dir"] / "deep.html"
+    deep.write_text(html.replace("<body>", "<body>" + "<div>" * depth, 1)
+                    .replace("</body>", "</div>" * depth + "</body>", 1))
+    out = workdir["dir"] / "out"
+    assert run(["attack", str(deep), "--model", workdir["model"],
+                "--level", "white", "--url", workdir["seed_url"],
+                "--out", str(out)]) == 0
+    assert json.loads((out / "deep.white.report.json").read_text())["success"]
+
+
 def test_attack_on_benign_page_exits_3(workdir, tmp_path):
     benign = tmp_path / "benign.html"
     benign.write_text("<html><body><p>garden news</p></body></html>")

@@ -2,9 +2,12 @@ import random
 from html.parser import HTMLParser
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phishevade.dom import (
     ELEMENT,
+    TEXT,
     DomNode,
     DomTree,
     ParseError,
@@ -18,6 +21,7 @@ from phishevade.dom import (
 )
 
 from conftest import PAYPAL_URL, fixture_path
+from test_features import SOUP
 
 
 def test_parse_simple_structure():
@@ -290,3 +294,66 @@ def test_projection_sound_under_hidden_mutations(paypal_page):
                              [DomNode.text("invisible bonus")])
     body.children.append(hidden)
     assert visible_projection(mutated) == before
+
+
+# -- copy -------------------------------------------------------------------------
+
+def _node_pairs(a: DomNode, b: DomNode) -> list[tuple[DomNode, DomNode]]:
+    """Corresponding nodes of two trees of the same shape, found without
+    recursion (``isomorphic`` and ``serialize`` recurse)."""
+    pairs, stack = [], [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        assert len(x.children) == len(y.children)
+        pairs.append((x, y))
+        stack.extend(zip(x.children, y.children))
+    return pairs
+
+
+def _assert_unshared_clone(pairs) -> None:
+    for src, dst in pairs:
+        assert (dst.node_type, dst.tag, dst.value) \
+            == (src.node_type, src.tag, src.value)
+        assert list(dst.attrs.items()) == list(src.attrs.items())
+    source = {id(obj) for src, _ in pairs for obj in (src, src.attrs, src.children)}
+    clone = {id(obj) for _, dst in pairs for obj in (dst, dst.attrs, dst.children)}
+    assert not source & clone
+
+
+def test_copy_of_a_very_deep_page_returns():
+    depth = 5000
+    tree = parse_html('<div class="d">' * depth + "leaf", "http://seed.test/")
+    clone = tree.copy()
+    assert clone.source_url == tree.source_url
+    pairs = _node_pairs(tree.root, clone.root)
+    assert len(pairs) == depth + 2          # the html root and the text leaf
+    _assert_unshared_clone(pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pieces=SOUP, data=st.data())
+def test_copy_is_an_unshared_structural_clone(pieces, data):
+    tree = parse_html("<html><body>" + "".join(pieces), "http://seed.test/page")
+    before = serialize(tree)
+    clone = tree.copy()
+    assert serialize(clone) == before
+    assert isomorphic(clone.root, tree.root)
+    assert clone.source_url == tree.source_url
+    pairs = _node_pairs(tree.root, clone.root)
+    _assert_unshared_clone(pairs)
+
+    elements = [dst for _, dst in pairs if dst.node_type == ELEMENT]
+    texts = [dst for _, dst in pairs if dst.node_type == TEXT]
+    pick = st.lists(st.sampled_from(elements), max_size=4)
+    for el in data.draw(pick, label="set_attr"):
+        el.set_attr(data.draw(st.sampled_from(["href", "class", "data-x"])), "v")
+    for el in data.draw(pick, label="remove_attr"):
+        for name in list(el.attrs):
+            el.remove_attr(name)
+    for el in data.draw(pick, label="append"):
+        el.children.append(DomNode.element("span", children=[DomNode.text("new")]))
+    if texts:
+        for node in data.draw(st.lists(st.sampled_from(texts), max_size=4),
+                              label="edit text"):
+            node.value += "\u200bedited"
+    assert serialize(tree) == before

@@ -328,6 +328,19 @@ def test_add_frequency_feature_fails_at_once_when_padding_cannot_count(feature):
         plan_add_rule(tree, {feature}, freq_detect_threshold=0.9)
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0, 1.5])
+@pytest.mark.parametrize("planner", [
+    lambda tree, t: plan_delete_feature(tree, "PageExternalLinksFreq", t),
+    lambda tree, t: plan_add_rule(tree, {"PageExternalLinksFreq"}, t),
+], ids=["delete", "add"])
+def test_planners_reject_frequency_threshold_outside_unit_interval(planner, t):
+    # t = 0 divided by zero while diluting the external-link ratio
+    tree = parse_html('<html><body><a href="http://x.test/">a</a></body></html>',
+                      "http://seed.test/")
+    with pytest.raises(ValueError, match="freq_detect_threshold"):
+        planner(tree, t)
+
+
 LINK_RATIOS = {"PageExternalLinksFreq", "PageSecureLinksFreq"}
 TWO_INTERNAL_LINKS = ('<html><body><a href="/x">a</a><a href="/y">b</a>'
                       '</body></html>')
