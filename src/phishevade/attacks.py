@@ -12,10 +12,12 @@ below the threshold, differing in what they know about the classifier:
   a time, then randomly adds harvested invisible elements in batches.
 
 The three share one skeleton, ``_Run``: it holds the current tree with its
-feature map and queried score, and each attack only chooses candidate trees
-and offers them.  A candidate is the ``tree`` of a ``MutationPlan`` built on
-the current tree (the planners return their plan), never a replay.  An
-offered candidate is scored once; the white attack keeps every candidate,
+feature tally, feature map and queried score, and each attack only builds
+candidate plans and offers them.  A candidate is a ``MutationPlan`` built on
+the current tree and tally (the planners return their plan), never a
+replay, and it is scored from the tally it carries, ``plan.fmap``: the page
+is extracted in full only once per attack, at the start.  An offered
+candidate is scored once; the white attack keeps every candidate,
 grey and black keep one only when its score drops (a dropped black batch is
 the rollback).  Each kept candidate appends a trajectory step and adds to
 ``mutated_rules`` the counted rules whose gated value product changed; white
@@ -45,7 +47,7 @@ from .classifier import (
     unsatisfied,
 )
 from .dom import DomTree, serialize, walk_elements, walk_text_nodes
-from .features import FeatureValueMap, extract_all_features, term_spans
+from .features import FeatureValueMap, PageTally, extract_all_features, term_spans
 from .mutation import (
     MODIFIABLE_ATTRS,
     ElementSpec,
@@ -195,8 +197,8 @@ def _classifier_products(clf: Classifier):
 
 
 class _Run:
-    """One attack in progress: the current tree with its feature map and
-    queried score, the trajectory and the counters.
+    """One attack in progress: the current tree with its tally, feature map
+    and queried score, the trajectory and the counters.
 
     ``products`` maps a feature map to the gated rule products whose
     changes count as mutated rules.  With ``keep_all`` every offered
@@ -212,7 +214,8 @@ class _Run:
         self._started = time.perf_counter()
         self._queries_before = self._oracle.query_count
         self.tree = page
-        self.fmap = extract_all_features(page)
+        self.tally = PageTally(page.source_url)
+        self.fmap = extract_all_features(page, self.tally)
         self.score = self._oracle.score_map(self.fmap)
         self._products = products(self.fmap)
         self.trajectory = [TrajectoryStep(0, "initial", self.score)]
@@ -222,11 +225,12 @@ class _Run:
     def done(self) -> bool:
         return self.score < self._tau
 
-    def offer(self, candidate: DomTree, label: str,
+    def offer(self, candidate: MutationPlan, label: str,
               feature_step: bool = True) -> bool:
-        """Score ``candidate`` and make it the current tree if the keep rule
-        allows; ``feature_step`` counts it as a mutated feature."""
-        fmap = extract_all_features(candidate)
+        """Score ``candidate`` from its tally and make its tree the current
+        one if the keep rule allows; ``feature_step`` counts it as a mutated
+        feature."""
+        fmap = candidate.fmap
         score = self._oracle.score_map(fmap)
         if not (self._keep_all or score < self.score):
             return False
@@ -234,7 +238,8 @@ class _Run:
         self.mutated_rules += sum(1 for rule_id, before in self._products.items()
                                   if products[rule_id] != before)
         self.mutated_features += feature_step
-        self.tree, self.fmap, self.score = candidate, fmap, score
+        self.tree, self.tally = candidate.tree, candidate.tally
+        self.fmap, self.score = fmap, score
         self._products = products
         self.trajectory.append(TrajectoryStep(len(self.trajectory), label, score))
         return True
@@ -322,7 +327,8 @@ def white_box(knowledge: Knowledge, page: DomTree,
                              or best_del[1] >= -best_add[1][0]):
                 feat = best_del[0]
                 try:
-                    plan = plan_delete_feature(run.tree, feat, t, avoid_terms)
+                    plan = plan_delete_feature(run.tree, feat, t, avoid_terms,
+                                               run.tally)
                     op_label = f"delete {feat}"
                 except _PLAN_FAILURES:
                     banned_deletions.add(feat)
@@ -330,7 +336,7 @@ def white_box(knowledge: Knowledge, page: DomTree,
             elif best_add:
                 rule = best_add[1][1]
                 try:
-                    plan = plan_add_rule(run.tree, rule.features, t)
+                    plan = plan_add_rule(run.tree, rule.features, t, run.tally)
                     op_label = f"add rule {rule.id}"
                 except _PLAN_FAILURES:
                     banned_additions.add(rule.id)
@@ -339,7 +345,7 @@ def white_box(knowledge: Knowledge, page: DomTree,
                 break
         if plan is None:
             break
-        run.offer(plan.tree, op_label)
+        run.offer(plan, op_label)
 
     return run.result(EXHAUSTED)
 
@@ -370,10 +376,10 @@ def grey_box(knowledge: Knowledge, page: DomTree) -> AttackResult:
         if run.fmap.get(feat, 0.0) == 0.0:
             continue
         try:
-            plan = plan_delete_feature(run.tree, feat, t, avoid_terms)
+            plan = plan_delete_feature(run.tree, feat, t, avoid_terms, run.tally)
         except _PLAN_FAILURES:
             continue
-        run.offer(plan.tree, f"delete {feat}")
+        run.offer(plan, f"delete {feat}")
 
     for rule_id, feats in sorted(rules):
         if run.done:
@@ -381,10 +387,10 @@ def grey_box(knowledge: Knowledge, page: DomTree) -> AttackResult:
         if not unsatisfied(feats, run.fmap, t):
             continue
         try:
-            plan = plan_add_rule(run.tree, feats, t)
+            plan = plan_add_rule(run.tree, feats, t, run.tally)
         except _PLAN_FAILURES:
             continue
-        run.offer(plan.tree, f"add rule {rule_id}")
+        run.offer(plan, f"add rule {rule_id}")
 
     return run.result(EXHAUSTED)
 
@@ -407,8 +413,6 @@ def _modification_candidates(tree: DomTree) -> list[tuple[str, tuple[int, ...], 
                 seen.add(term)
                 candidates.append(("text", path, term))
     return candidates
-
-
 
 
 def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
@@ -435,16 +439,16 @@ def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
                 label = f"split term {arg!r}"
         except (UnsupportedMutation, TermNotFound, PathError):
             continue
-        plan = MutationPlan.on(run.tree)
+        plan = MutationPlan.on(run.tree, run.tally)
         plan.push(op)
-        run.offer(plan.tree, label)
+        run.offer(plan, label)
 
     score_after_modification = run.score
     additions = 0
     while pool and not run.done and additions < budget:
         if trace is not None:
             trace.append(("checkpoint", serialize(run.tree)))
-        plan = MutationPlan.on(run.tree)
+        plan = MutationPlan.on(run.tree, run.tally)
         draws = 0
         while len(plan.ops) < batch and additions < budget and draws < 10 * batch:
             draws += 1
@@ -457,7 +461,7 @@ def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
             additions += 1
         if not plan.ops:
             break
-        kept = run.offer(plan.tree, f"add batch of {len(plan.ops)}",
+        kept = run.offer(plan, f"add batch of {len(plan.ops)}",
                          feature_step=False)
         if trace is not None:
             trace.append(("keep" if kept else "rollback", serialize(run.tree)))

@@ -1,8 +1,9 @@
 """Command-line surface: scoring, attacks, defense, inference, pruning,
 fixture generation and report tables.
 
-Exit codes: 0 success, 2 IO/schema problem, 3 precondition failure (the
-input page is not detected as phishing), 4 attack/search exhausted.
+Exit codes: 0 success, 2 IO/schema problem (also white- or grey-box
+knowledge that is still hashed), 3 precondition failure (the input page is
+not detected as phishing), 4 attack/search exhausted.
 
 Every command is deterministic given its config and RNG seed; wall-clock
 timings are only written when ``--timing`` is passed, so repeated runs
@@ -180,6 +181,12 @@ def cmd_score(args) -> int:
 def cmd_attack(args) -> int:
     config = _config_from_args(args)
     model = _load_model_with_overrides(args.model, config)
+    if model.hashed and args.level != attacks.BLACK:
+        # white and grey plan from feature names, and a digest names none
+        raise ValueError(
+            f"{args.level}-box knowledge is hashed: the model's features are "
+            "SHA-256 digests; recover their names with `phishevade infer` "
+            "first, or attack with --level black")
     page = load_page(args.page, args.url or _default_url(args.page))
     oracle = ScoreOracle(model)
     initial = score(model, extract_all_features(page))

@@ -4,9 +4,11 @@ A page is a tree of :class:`DomNode` values: elements, each with an
 insertion-ordered attribute dict and a list of content children (text,
 comment and element nodes).  Trees are treated as immutable once built;
 mutation code works on the copy each ``mutation.MutationPlan`` owns.
-:meth:`DomTree.copy` is the one way to copy a page: it clones the nodes
-with an explicit stack, so pages of any depth copy, and a copy shares
-nothing mutable with its source (only the immutable strings).
+:meth:`DomTree.copy` is the one way to copy a page, and a copy shares
+nothing mutable with its source (only the immutable strings).  The copy,
+``serialize``, the element and text walks, ``visible_projection`` and
+``isomorphic`` all work from an explicit stack instead of recursing, so
+pages of any depth work.
 """
 
 from __future__ import annotations
@@ -230,29 +232,38 @@ def _escape_attr(value: str) -> str:
 RAWTEXT_TAGS = frozenset({"script", "style"})
 
 
-def _serialize_node(node: DomNode, out: list[str], raw_text: bool = False) -> None:
-    if node.node_type == TEXT:
-        out.append(node.value if raw_text else escape(node.value, quote=False))
-        return
-    if node.node_type == COMMENT:
-        out.append(f"<!--{node.value}-->")
-        return
-    parts = [node.tag]
-    for name, value in node.attrs.items():
-        parts.append(f'{name}="{_escape_attr(value)}"')
-    out.append("<" + " ".join(parts) + ">")
-    if node.tag in VOID_TAGS and not node.children:
-        return
-    for child in node.children:
-        _serialize_node(child, out, node.tag in RAWTEXT_TAGS)
-    out.append(f"</{node.tag}>")
-
-
 def serialize(tree: DomTree) -> str:
-    """Deterministic HTML text for a tree; attribute order is preserved."""
+    """Deterministic HTML text for a tree; attribute order is preserved.
+    Uses a stack of child iterators, not recursion, so a page of any depth
+    serializes."""
     out: list[str] = []
-    _serialize_node(tree.root, out)
-    out.append("\n")
+    append = out.append
+    # frames: (children left to write, inside raw text, closing tag)
+    stack = [(iter((tree.root,)), False, "")]
+    while stack:
+        children, raw_text, closing = stack[-1]
+        for node in children:
+            node_type = node.node_type
+            if node_type == TEXT:
+                append(node.value if raw_text else escape(node.value, False))
+            elif node_type == COMMENT:
+                append(f"<!--{node.value}-->")
+            else:
+                tag = node.tag
+                if node.attrs:
+                    append("<" + tag + "".join(
+                        [f' {name}="{_escape_attr(value)}"'
+                         for name, value in node.attrs.items()]) + ">")
+                else:
+                    append(f"<{tag}>")
+                if node.children or tag not in VOID_TAGS:
+                    stack.append((iter(node.children), tag in RAWTEXT_TAGS,
+                                  f"</{tag}>"))
+                    break
+        else:
+            stack.pop()
+            append(closing)
+    append("\n")
     return "".join(out)
 
 
@@ -383,10 +394,11 @@ def visible_projection(tree: DomTree) -> list[ProjectionEntry]:
     """
     entries: list[ProjectionEntry] = []
     sheet = attribute_keyed_rules(tree)
-
-    def walk(node: DomNode) -> None:
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
         if node.tag in NONVISUAL_TAGS or is_hidden(node):
-            return
+            continue
         text = " ".join(strip_zero_width(node.direct_text()).split())
         attrs = {name: value for name, value in node.attrs.items()
                  if name in APPEARANCE_ATTRS and name != "style"}
@@ -394,10 +406,7 @@ def visible_projection(tree: DomTree) -> list[ProjectionEntry]:
         if style is not None:
             attrs["style"] = style
         entries.append((node.tag, text, attrs))
-        for child in node.element_children:
-            walk(child)
-
-    walk(tree.root)
+        stack.extend(reversed(node.element_children))
     return entries
 
 
@@ -413,43 +422,77 @@ def node_at(tree: DomTree, path: tuple[int, ...]) -> DomNode:
 
 
 def walk_elements(tree: DomTree):
-    """Yield ``(path, element)`` for every element in document order."""
+    """Yield ``(path, element)`` for every element in document order.
 
-    def walk(node: DomNode, path: tuple[int, ...]):
-        if node.node_type == ELEMENT:
-            yield path, node
-            for i, child in enumerate(node.children):
-                yield from walk(child, path + (i,))
-
-    yield from walk(tree.root, ())
+    Iterative: a stack of child iterators stands in for recursion, so a
+    page of any depth walks, and a child list is read as the walk reaches
+    it, as a recursive walk would."""
+    root = tree.root
+    if root.node_type != ELEMENT:
+        return
+    yield (), root
+    stack = [((), enumerate(root.children))]
+    while stack:
+        path, children = stack[-1]
+        for i, child in children:
+            if child.node_type == ELEMENT:
+                child_path = path + (i,)
+                yield child_path, child
+                stack.append((child_path, enumerate(child.children)))
+                break
+        else:
+            stack.pop()
 
 
 def walk_text_nodes(tree: DomTree):
     """Yield ``(path, text_node)`` in document order, skipping the code
-    inside script and style (``RAWTEXT_TAGS``) elements."""
-
-    def walk(node: DomNode, path: tuple[int, ...]):
-        for i, child in enumerate(node.children):
+    inside script and style (``RAWTEXT_TAGS``) elements.  Iterative, like
+    :func:`walk_elements`."""
+    root = tree.root
+    if root.tag in RAWTEXT_TAGS:
+        return
+    stack = [((), enumerate(root.children))]
+    while stack:
+        path, children = stack[-1]
+        for i, child in children:
             if child.node_type == TEXT:
                 yield path + (i,), child
             elif child.node_type == ELEMENT and child.tag not in RAWTEXT_TAGS:
-                yield from walk(child, path + (i,))
+                stack.append((path + (i,), enumerate(child.children)))
+                break
+        else:
+            stack.pop()
 
-    if tree.root.tag not in RAWTEXT_TAGS:
-        yield from walk(tree.root, ())
+
+def in_raw_text(tree: DomTree, path: tuple[int, ...]) -> bool:
+    """Whether the node at ``path`` is, or lies inside, a script or style
+    element: text there is what :func:`walk_text_nodes` skips."""
+    node = tree.root
+    if node.tag in RAWTEXT_TAGS:
+        return True
+    for index in path:
+        node = node.children[index]
+        if node.tag in RAWTEXT_TAGS:
+            return True
+    return False
 
 
 def isomorphic(a: DomNode, b: DomNode) -> bool:
     """Structural equality: same type, tag, attributes in the same order,
-    value, and children."""
-    if a.node_type != b.node_type:
-        return False
-    if a.node_type == ELEMENT:
-        if a.tag != b.tag or len(a.children) != len(b.children) \
-                or list(a.attrs.items()) != list(b.attrs.items()):
+    value, and children.  Compares node pairs from an explicit stack."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a.node_type != b.node_type:
             return False
-        return all(isomorphic(x, y) for x, y in zip(a.children, b.children))
-    return a.value == b.value
+        if a.node_type == ELEMENT:
+            if a.tag != b.tag or len(a.children) != len(b.children) \
+                    or list(a.attrs.items()) != list(b.attrs.items()):
+                return False
+            stack.extend(zip(a.children, b.children))
+        elif a.value != b.value:
+            return False
+    return True
 
 
 def element_count(tree: DomTree) -> int:

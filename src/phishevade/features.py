@@ -4,16 +4,31 @@ Features are identified by canonical strings: a bare kind name for boolean
 and frequency features (``PageHasForms``, ``PageSecureLinksFreq``, ...) and
 ``Kind=payload`` for wildcard kinds (``PageTerm=login``, ``UrlTld=com``, ...).
 A page's feature map holds canonical string -> value; absent features are 0.
+
+Page features are a fold of per-node contributions.  An element contributes
+a multiset of features (``PageHasForms``, the input kinds,
+``PageActionURL=...``, ``PageLinkDomain=...``) and a :class:`PageCounts`
+increment; a text node that ``walk_text_nodes`` yields (so not one inside
+script or style) contributes its terms as a multiset of ``PageTerm=...``.
+A :class:`PageTally` is that fold plus the URL features, which are fixed
+because URLs are never mutated.  Its feature map has value 1 for every
+feature counted at least once, the script flags and the frequency ratios
+from the folded counts, and the URL features.  ``extract_page_features`` and
+``extract_all_features`` fold a whole page; because each contribution is
+local, an edit to one node updates a tally by removing the node's old
+contribution and adding its new one, which is how ``mutation.MutationPlan``
+carries a page's tally along with its tree.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass
 from urllib.parse import urljoin, urlsplit
 
-from .dom import DomTree, walk_elements, walk_text_nodes
+from .dom import DomNode, DomTree, walk_elements, walk_text_nodes
 from .suffixes import split_host
 
 # Boolean page features.
@@ -149,8 +164,7 @@ def resolve_reference(ref: str, base_url: str,
     return domain, parts.scheme == "https"
 
 
-# Frequency kind -> its PageCounts numerator and denominator, in the order
-# extraction emits them.
+# Frequency kind -> its PageCounts numerator and denominator.
 FREQUENCY_TALLIES = {
     PAGE_EXTERNAL_LINKS_FREQ: ("external_links", "links"),
     PAGE_SECURE_LINKS_FREQ: ("secure_links", "links"),
@@ -178,6 +192,11 @@ class PageCounts:
         num, den = FREQUENCY_TALLIES[kind]
         return getattr(self, num), getattr(self, den)
 
+    def copy(self) -> PageCounts:
+        return PageCounts(self.links, self.external_links, self.secure_links,
+                          self.actions, self.other_actions, self.imgs,
+                          self.other_imgs, self.scripts)
+
 
 _INPUT_FEATURES = {
     "text": PAGE_HAS_TEXT_INPUTS,
@@ -186,82 +205,148 @@ _INPUT_FEATURES = {
     "checkbox": PAGE_HAS_CHECK_INPUTS,
 }
 
+_TERM_PREFIX = PAGE_TERM + "="
 
-def _element_walk(tree: DomTree) -> tuple[FeatureValueMap, PageCounts]:
-    """The element features and the element tally, in one walk.
+# The tags whose elements contribute; every other element contributes
+# nothing.
+_CONTRIBUTING_TAGS = frozenset({"a", "form", "img", "input", "script"})
 
-    ``<a href>`` counts as a link, ``<form action>`` as an action, every
-    ``<img>`` as an image; external references are counted in their
-    numerators, an external link also yields ``PageLinkDomain``.
-    """
-    fmap: FeatureValueMap = {}
-    counts = PageCounts()
-    base_url = tree.source_url
-    base_domain = registrable_domain(base_url)
-    for _, el in walk_elements(tree):
+
+class PageTally:
+    """The fold of a page's node contributions: ``features`` counts the
+    features the nodes contribute (only positive counts are kept),
+    ``counts`` is the folded :class:`PageCounts`, and the URL features of
+    ``url`` complete :meth:`fmap`.  Start with an empty tally for the page's
+    URL and fold the page into it with :func:`extract_page_features`."""
+
+    __slots__ = ("url", "base_domain", "features", "counts", "_url_fmap")
+
+    def __init__(self, url: str):
+        self.url = url
+        self.base_domain = registrable_domain(url)
+        self.features: Counter[str] = Counter()
+        self.counts = PageCounts()
+        self._url_fmap: FeatureValueMap | None = None
+
+    def copy(self) -> PageTally:
+        """An independent tally with the same contents."""
+        new = PageTally.__new__(PageTally)
+        new.url, new.base_domain = self.url, self.base_domain
+        new.features = self.features.copy()
+        new.counts = self.counts.copy()
+        new._url_fmap = self._url_fmap
+        return new
+
+    def _count(self, feature: str, sign: int) -> None:
+        n = self.features[feature] + sign
+        if n:
+            self.features[feature] = n
+        else:
+            del self.features[feature]
+
+    def add_element(self, el: DomNode, sign: int = 1) -> None:
+        """Add (``sign`` 1) or remove (``sign`` -1) the contribution of one
+        element.
+
+        ``<a href>`` counts as a link, ``<form action>`` as an action, every
+        ``<img>`` as an image; external references are counted in their
+        numerators, an external link also contributes ``PageLinkDomain``.
+        Every form contributes ``PageHasForms``, a non-empty action
+        ``PageActionURL``, an input of a known type its input kind.
+        """
         tag = el.tag
+        counts = self.counts
         if tag == "a":
             href = el.attrs.get("href")
             if href is None:
-                continue
-            domain, secure = resolve_reference(href, base_url, base_domain)
-            counts.links += 1
-            counts.secure_links += secure
+                return
+            domain, secure = resolve_reference(href, self.url, self.base_domain)
+            counts.links += sign
+            if secure:
+                counts.secure_links += sign
             if domain is not None:
-                counts.external_links += 1
+                counts.external_links += sign
                 if domain:
-                    fmap[f"{PAGE_LINK_DOMAIN}={domain}"] = 1.0
+                    self._count(f"{PAGE_LINK_DOMAIN}={domain}", sign)
         elif tag == "form":
-            fmap[PAGE_HAS_FORMS] = 1.0
+            self._count(PAGE_HAS_FORMS, sign)
             action = el.attrs.get("action")
             if action is None:
-                continue
+                return
             if action:
-                fmap[f"{PAGE_ACTION_URL}={action}"] = 1.0
-            counts.actions += 1
-            if resolve_reference(action, base_url, base_domain)[0] is not None:
-                counts.other_actions += 1
+                self._count(f"{PAGE_ACTION_URL}={action}", sign)
+            counts.actions += sign
+            if resolve_reference(action, self.url, self.base_domain)[0] is not None:
+                counts.other_actions += sign
         elif tag == "img":
-            counts.imgs += 1
+            counts.imgs += sign
             src = el.attrs.get("src")
             if src is not None and \
-                    resolve_reference(src, base_url, base_domain)[0] is not None:
-                counts.other_imgs += 1
+                    resolve_reference(src, self.url, self.base_domain)[0] is not None:
+                counts.other_imgs += sign
         elif tag == "input":
             feature = _INPUT_FEATURES.get((el.attrs.get("type") or "").lower())
             if feature:
-                fmap[feature] = 1.0
+                self._count(feature, sign)
         elif tag == "script":
-            counts.scripts += 1
-    return fmap, counts
+            counts.scripts += sign
+
+    def add_text(self, text: str, sign: int = 1) -> None:
+        """Add or remove the terms of counted text: one text node, or
+        several joined by whitespace.  Term extraction sees the raw text:
+        zero-width characters are token delimiters, not stripped."""
+        terms = map(_TERM_PREFIX.__add__, terms_of(text))
+        if sign > 0:
+            self.features.update(terms)
+        else:
+            for term in terms:
+                self._count(term, -1)
+
+    def page_fmap(self) -> FeatureValueMap:
+        """The page feature map: value 1 for each counted feature, the
+        script flags, and each frequency ratio whose numerator is not 0."""
+        fmap = dict.fromkeys(self.features, 1.0)
+        counts = self.counts
+        if counts.scripts > 1:
+            fmap[PAGE_NUM_SCRIPTS_GT1] = 1.0
+        if counts.scripts > 6:
+            fmap[PAGE_NUM_SCRIPTS_GT6] = 1.0
+        for kind, (num, den) in FREQUENCY_TALLIES.items():
+            n = getattr(counts, num)
+            if n:
+                fmap[kind] = n / getattr(counts, den)
+        return fmap
+
+    def fmap(self) -> FeatureValueMap:
+        """Page features plus the URL features of the page's own URL."""
+        if self._url_fmap is None:
+            features = extract_url_features(self.url) if self.url else ()
+            self._url_fmap = {f.canonical: 1.0 for f in features}
+        fmap = self.page_fmap()
+        fmap.update(self._url_fmap)
+        return fmap
 
 
-def page_counts(tree: DomTree) -> PageCounts:
-    """The element tally of a page (see :class:`PageCounts`)."""
-    return _element_walk(tree)[1]
-
-
-def extract_page_features(tree: DomTree) -> FeatureValueMap:
-    """Extract the page-level feature map.
+def extract_page_features(tree: DomTree,
+                          tally: PageTally | None = None) -> FeatureValueMap:
+    """Extract the page-level feature map by folding every node of ``tree``.
 
     Boolean features appear with value 1 only when true; frequency features
     appear only when their numerator is non-zero; wildcard features appear
-    with value 1 per distinct payload.  Term extraction sees the raw text,
-    zero-width characters are token delimiters, not stripped.
+    with value 1 per distinct payload.  ``tally``, when given, is an empty
+    ``PageTally(tree.source_url)`` that receives the fold, for a caller that
+    goes on to keep it up to date while it edits the page.
     """
-    fmap, counts = _element_walk(tree)
-    if counts.scripts > 1:
-        fmap[PAGE_NUM_SCRIPTS_GT1] = 1.0
-    if counts.scripts > 6:
-        fmap[PAGE_NUM_SCRIPTS_GT6] = 1.0
-    for kind in FREQUENCY_TALLIES:
-        num, den = counts.fraction(kind)
-        if num:
-            fmap[kind] = num / den
-    for _, node in walk_text_nodes(tree):
-        for term in terms_of(node.value):
-            fmap[f"{PAGE_TERM}={term}"] = 1.0
-    return fmap
+    if tally is None:
+        tally = PageTally(tree.source_url)
+    add_element = tally.add_element
+    for _, el in walk_elements(tree):
+        if el.tag in _CONTRIBUTING_TAGS:
+            add_element(el)
+    # whitespace delimits terms, so the joined text holds exactly the
+    # terms of all counted text nodes, and one tokenizer call folds them
+    tally.add_text(" ".join([node.value for _, node in walk_text_nodes(tree)]))
+    return tally.page_fmap()
 
 
 def extract_url_features(url: str) -> set[Feature]:
@@ -285,10 +370,11 @@ def extract_url_features(url: str) -> set[Feature]:
     return features
 
 
-def extract_all_features(tree: DomTree) -> FeatureValueMap:
-    """Page features plus the URL features of the page's own URL."""
-    fmap = extract_page_features(tree)
-    if tree.source_url:
-        for feature in extract_url_features(tree.source_url):
-            fmap[feature.canonical] = 1.0
-    return fmap
+def extract_all_features(tree: DomTree,
+                         tally: PageTally | None = None) -> FeatureValueMap:
+    """Page features plus the URL features of the page's own URL; ``tally``
+    as for :func:`extract_page_features`."""
+    if tally is None:
+        tally = PageTally(tree.source_url)
+    extract_page_features(tree, tally)
+    return tally.fmap()

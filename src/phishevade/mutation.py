@@ -11,11 +11,13 @@ Three node operations cover every feature-level edit:
   carrying feature-bearing attributes or text.
 
 ``plan_delete_feature`` and ``plan_add_rule`` build the feature-level plans
-used by the attacks.  A plan owns one copy of the page and applies each op
-as it is pushed, so ``plan.tree`` is the candidate page; ``apply`` replays
-a plan onto a fresh copy, the reference for tests.  Node paths index
-children (an attribute is addressed by its element's path plus its name), so
-paths stay valid across attribute rewrites and appended additions.
+used by the attacks.  A plan owns one copy of the page and of its feature
+tally (``features.PageTally``) and applies each op to both as it is pushed,
+so ``plan.tree`` is the candidate page and ``plan.fmap`` its feature map,
+with no walk over the page; ``apply`` replays a plan onto a fresh copy, the
+reference for tests.  Node paths index children (an attribute is addressed
+by its element's path plus its name), so paths stay valid across attribute
+rewrites and appended additions.
 """
 
 from __future__ import annotations
@@ -33,17 +35,20 @@ from .dom import (
     DomNode,
     DomTree,
     attribute_keyed_rules,
+    in_raw_text,
     node_at,
     visible_projection,
     walk_elements,
     walk_text_nodes,
 )
+# extract_all_features is bound here too: perfbench/layers.py times the
+# extraction entry points on every module that binds them
 from .features import (
     Feature,
-    extract_all_features,
+    FeatureValueMap,
+    PageTally,
+    extract_all_features,  # noqa: F401
     extract_page_features,
-    page_counts,
-    registrable_domain,
     resolve_reference,
     term_spans,
 )
@@ -122,18 +127,33 @@ class NodeOp:
 @dataclass
 class MutationPlan:
     """NodeOps in application order; a plan made with :meth:`on` also holds
-    ``tree``, its copy of the page with every pushed op applied."""
+    ``tree``, its copy of the page with every pushed op applied, and
+    ``tally``, the tally of ``tree``."""
     ops: list[NodeOp] = field(default_factory=list)
     tree: DomTree | None = None
+    tally: PageTally | None = None
 
     @classmethod
-    def on(cls, tree: DomTree) -> MutationPlan:
-        """An empty plan over a copy of ``tree``; the input is untouched."""
-        return cls(tree=tree.copy())
+    def on(cls, tree: DomTree, tally: PageTally | None = None) -> MutationPlan:
+        """An empty plan over a copy of ``tree`` and of ``tally``, the tally
+        of ``tree`` (folded from the page when not given); the inputs are
+        untouched."""
+        if tally is None:
+            tally = PageTally(tree.source_url)
+            extract_page_features(tree, tally)
+        else:
+            tally = tally.copy()
+        return cls(tree=tree.copy(), tally=tally)
+
+    @property
+    def fmap(self) -> FeatureValueMap:
+        """The feature map of ``tree``, read from the carried tally."""
+        return self.tally.fmap()
 
     def push(self, op: NodeOp) -> None:
-        """Apply ``op`` to the plan's tree and record it."""
-        _apply_in_place(self.tree, op)
+        """Apply ``op`` to the plan's tree, update the tally from the one
+        node it changes or appends, and record it."""
+        _apply_in_place(self.tree, op, self.tally)
         self.ops.append(op)
 
 
@@ -272,12 +292,15 @@ def add_invisible_element(tree: DomTree, spec: ElementSpec) -> NodeOp:
 
 # -- applying ops -----------------------------------------------------------
 
-def _apply_in_place(tree: DomTree, op: NodeOp) -> None:
+def _apply_in_place(tree: DomTree, op: NodeOp, tally: PageTally) -> None:
+    """Apply ``op`` to ``tree`` and keep ``tally`` its tally: the changed
+    node's old contribution is removed and its new one added."""
     if op.kind == "modify_attribute":
         el = _element_at(tree, op.target)
         attr = op.payload["attr"]
         if el.get_attr(attr) is None:
             raise PathError(f"attribute {attr!r} vanished at {op.target}")
+        tally.add_element(el, -1)
         el.remove_attr(attr)
         if op.payload["style"]:
             existing = el.get_attr("style")
@@ -287,6 +310,7 @@ def _apply_in_place(tree: DomTree, op: NodeOp) -> None:
         event = op.payload["event"]
         handler = el.get_attr(event) or ""
         el.set_attr(event, handler + op.payload["assignment"])
+        tally.add_element(el)
     elif op.kind == "modify_text":
         try:
             node = node_at(tree, op.target)
@@ -295,7 +319,12 @@ def _apply_in_place(tree: DomTree, op: NodeOp) -> None:
         offset = op.payload["offset"]
         if node.node_type != TEXT or offset > len(node.value):
             raise PathError(f"text target {op.target} no longer resolves")
+        counted = not in_raw_text(tree, op.target)
+        if counted:
+            tally.add_text(node.value, -1)
         node.value = node.value[:offset] + ZERO_WIDTH_SPACE + node.value[offset:]
+        if counted:
+            tally.add_text(node.value)
     elif op.kind == "add_invisible_element":
         parent = _element_at(tree, op.target)
         el = DomNode(ELEMENT, tag=op.payload["tag"])
@@ -312,6 +341,9 @@ def _apply_in_place(tree: DomTree, op: NodeOp) -> None:
         if text:
             el.children.append(DomNode.text(text))
         parent.children.append(el)
+        tally.add_element(el)
+        if text and not in_raw_text(tree, op.target + (len(parent.children) - 1, 0)):
+            tally.add_text(text)
     else:
         raise ValueError(f"unknown op kind {op.kind!r}")
 
@@ -370,10 +402,12 @@ def _boost_added(num: int, den: int, threshold: float) -> int:
 
 def plan_delete_feature(tree: DomTree, canonical: str,
                         freq_detect_threshold: float = 0.05,
-                        avoid_terms: set[str] | None = None) -> MutationPlan:
+                        avoid_terms: set[str] | None = None,
+                        tally: PageTally | None = None) -> MutationPlan:
     """Build a plan that zeroes ``canonical`` (or, for frequency features,
     drives it below the detection threshold) on the page; ``plan.tree`` is
-    the mutated page."""
+    the mutated page.  ``tally`` is the page's tally when the caller holds
+    it (see :meth:`MutationPlan.on`)."""
     check_freq_detect_threshold(freq_detect_threshold)
     feature = Feature.parse(canonical)
     if feature is None:
@@ -382,11 +416,10 @@ def plan_delete_feature(tree: DomTree, canonical: str,
         raise UnsupportedMutation("URL features cannot be deleted: URLs are never mutated")
     if feature.kind not in DELETABLE_KINDS:
         raise UnsupportedMutation(f"{feature.kind} cannot be deleted")
-    fmap = extract_page_features(tree)
-    if canonical not in fmap:
+    plan = MutationPlan.on(tree, tally)
+    if canonical not in plan.tally.page_fmap():
         raise FeatureAbsent(canonical)
 
-    plan = MutationPlan.on(tree)
     work, push = plan.tree, plan.push
     kind, payload = feature.kind, feature.payload
     if kind == F.PAGE_TERM:
@@ -405,7 +438,7 @@ def plan_delete_feature(tree: DomTree, canonical: str,
             if el.tag == "form" and el.get_attr("action") == payload:
                 push(modify_attribute(work, path, "action"))
     elif kind == F.PAGE_LINK_DOMAIN:
-        base_domain = registrable_domain(work.source_url)
+        base_domain = plan.tally.base_domain
         for path, el in list(walk_elements(work)):
             href = el.get_attr("href") if el.tag == "a" else None
             if href is not None and resolve_reference(
@@ -414,15 +447,17 @@ def plan_delete_feature(tree: DomTree, canonical: str,
     elif kind in F.FREQUENCY_KINDS:
         # dilute with internal, insecure references
         tag, attr = _FREQUENCY_CARRIERS[kind]
-        num, den = page_counts(work).fraction(kind)
+        num, den = plan.tally.counts.fraction(kind)
         spec = ElementSpec(tag, ((attr, _internal_url(work)),))
         for _ in range(_dilution_added(num, den, freq_detect_threshold)):
             push(add_invisible_element(work, spec))
     return plan
 
 
-def _spec_for_feature(work: DomTree, feature: Feature,
+def _spec_for_feature(plan: MutationPlan, feature: Feature,
                       freq_detect_threshold: float) -> list[ElementSpec]:
+    work, counts = plan.tree, plan.tally.counts
+    base_domain = plan.tally.base_domain
     kind, payload = feature.kind, feature.payload
     if kind == F.PAGE_TERM:
         return [ElementSpec("div", (), payload)]
@@ -438,13 +473,12 @@ def _spec_for_feature(work: DomTree, feature: Feature,
         return [ElementSpec("input", (("type", "checkbox"),))]
     if kind in (F.PAGE_NUM_SCRIPTS_GT1, F.PAGE_NUM_SCRIPTS_GT6):
         wanted = 2 if kind == F.PAGE_NUM_SCRIPTS_GT1 else 7
-        return [ElementSpec("script")] * max(0, wanted - page_counts(work).scripts)
+        return [ElementSpec("script")] * max(0, wanted - counts.scripts)
     if kind == F.PAGE_ACTION_URL:
         return [ElementSpec("form", (("action", payload),))]
     if kind == F.PAGE_LINK_DOMAIN:
         href = f"http://{payload}/"
-        if resolve_reference(href, work.source_url,
-                             registrable_domain(work.source_url))[0] is None:
+        if resolve_reference(href, work.source_url, base_domain)[0] is None:
             raise UnsupportedMutation(
                 f"{payload!r} is the page's own domain, the link would not be external")
         return [ElementSpec("a", (("href", href),))]
@@ -453,21 +487,22 @@ def _spec_for_feature(work: DomTree, feature: Feature,
         tag, attr = _FREQUENCY_CARRIERS[kind]
         url = _internal_url(work, "https") if kind == F.PAGE_SECURE_LINKS_FREQ \
             else _EXTERNAL_PAD_URL
-        domain, secure = resolve_reference(url, work.source_url,
-                                           registrable_domain(work.source_url))
+        domain, secure = resolve_reference(url, work.source_url, base_domain)
         if not (secure if kind == F.PAGE_SECURE_LINKS_FREQ else domain is not None):
             # padding that only grows the denominator can never reach t
             raise UnsupportedMutation(f"{url!r} does not count toward {kind} here")
-        num, den = page_counts(work).fraction(kind)
+        num, den = counts.fraction(kind)
         n = _boost_added(num, den, freq_detect_threshold)
         return [ElementSpec(tag, ((attr, url),))] * n
     raise UnsupportedMutation(f"{kind} cannot be added")
 
 
 def plan_add_rule(tree: DomTree, rule_features,
-                  freq_detect_threshold: float = 0.05) -> MutationPlan:
+                  freq_detect_threshold: float = 0.05,
+                  tally: PageTally | None = None) -> MutationPlan:
     """Build a plan that makes every feature of a rule satisfied, so the
-    rule hits on ``plan.tree``."""
+    rule hits on ``plan.tree``; ``tally`` as for
+    :func:`plan_delete_feature`."""
     check_freq_detect_threshold(freq_detect_threshold)
     parsed = []
     for canonical in sorted(rule_features):
@@ -484,16 +519,14 @@ def plan_add_rule(tree: DomTree, rule_features,
     link_ratios = {F.PAGE_EXTERNAL_LINKS_FREQ, F.PAGE_SECURE_LINKS_FREQ}
     both_link_ratios = freq_detect_threshold > 0.5 \
         and link_ratios <= {feature.kind for _, feature in parsed}
-    plan = MutationPlan.on(tree)
-    work = plan.tree
+    plan = MutationPlan.on(tree, tally)
     for _ in range(10):
-        unsat = unsatisfied(rule_features, extract_all_features(work),
-                            freq_detect_threshold)
+        unsat = unsatisfied(rule_features, plan.fmap, freq_detect_threshold)
         missing = [(c, f) for c, f in parsed if c in unsat]
         if not missing:
             return plan
         if both_link_ratios and any(f.kind in link_ratios for _, f in missing):
-            counts = page_counts(work)
+            counts = plan.tally.counts
             if counts.external_links + counts.secure_links \
                     < 2 * freq_detect_threshold * counts.links:
                 raise UnsupportedMutation(
@@ -502,8 +535,8 @@ def plan_add_rule(tree: DomTree, rule_features,
         for canonical, feature in missing:
             if feature.kind in F.URL_KINDS:
                 raise UrlFeatureUnaddable(canonical)
-            for spec in _spec_for_feature(work, feature, freq_detect_threshold):
-                plan.push(add_invisible_element(work, spec))
+            for spec in _spec_for_feature(plan, feature, freq_detect_threshold):
+                plan.push(add_invisible_element(plan.tree, spec))
     raise UnsupportedMutation(
         "rule features keep interfering; could not satisfy all of "
         + ", ".join(sorted(rule_features)))
@@ -522,34 +555,40 @@ class PreservationReport:
         return self.projection_equal and self.functional_equal
 
 
-def _check_functional(before: DomNode, after: DomNode, path: str,
+def _check_functional(before: DomNode, after: DomNode,
                       problems: list[str]) -> None:
-    if before.node_type != after.node_type:
-        problems.append(f"{path}: node type changed")
-        return
-    if before.node_type != ELEMENT:
-        return
-    if before.tag != after.tag:
-        problems.append(f"{path}: tag {before.tag} became {after.tag}")
-        return
-    before_attrs, after_attrs = before.attrs, after.attrs
-    entry = MODIFIABLE_ATTRS.get(before.tag)
-    for name, value in before_attrs.items():
-        if name in after_attrs:
+    """Append a problem for every node pair, in document order, whose type or
+    tag changed, that lost an attribute no event handler restores, or lost
+    content children.  Works from an explicit stack."""
+    stack = [(before, after, "")]
+    while stack:
+        before, after, path = stack.pop()
+        if before.node_type != after.node_type:
+            problems.append(f"{path}: node type changed")
             continue
-        if entry is None or name not in entry[0]:
-            problems.append(f"{path}: attribute {name!r} removed from <{before.tag}>")
+        if before.node_type != ELEMENT:
             continue
-        handler = after_attrs.get(entry[1], "")
-        restored = parse_handler_assignments(handler)
-        if restored.get(name) != value:
-            problems.append(
-                f"{path}: removed {name!r} has no event handler restoring "
-                f"{name}={value!r}")
-    if len(after.children) < len(before.children):
-        problems.append(f"{path}: content children removed under <{before.tag}>")
-    for i, (b, a) in enumerate(zip(before.children, after.children)):
-        _check_functional(b, a, f"{path}/{i}", problems)
+        if before.tag != after.tag:
+            problems.append(f"{path}: tag {before.tag} became {after.tag}")
+            continue
+        before_attrs, after_attrs = before.attrs, after.attrs
+        entry = MODIFIABLE_ATTRS.get(before.tag)
+        for name, value in before_attrs.items():
+            if name in after_attrs:
+                continue
+            if entry is None or name not in entry[0]:
+                problems.append(f"{path}: attribute {name!r} removed from <{before.tag}>")
+                continue
+            handler = after_attrs.get(entry[1], "")
+            restored = parse_handler_assignments(handler)
+            if restored.get(name) != value:
+                problems.append(
+                    f"{path}: removed {name!r} has no event handler restoring "
+                    f"{name}={value!r}")
+        if len(after.children) < len(before.children):
+            problems.append(f"{path}: content children removed under <{before.tag}>")
+        stack.extend(reversed([(b, a, f"{path}/{i}") for i, (b, a)
+                               in enumerate(zip(before.children, after.children))]))
 
 
 def preservation_check(before: DomTree, after: DomTree) -> PreservationReport:
@@ -559,7 +598,7 @@ def preservation_check(before: DomTree, after: DomTree) -> PreservationReport:
     problems: list[str] = []
     if not projection_equal:
         problems.append("visible projections differ")
-    _check_functional(before.root, after.root, "", problems)
+    _check_functional(before.root, after.root, problems)
     functional_equal = not [p for p in problems if p != "visible projections differ"]
     return PreservationReport(projection_equal, functional_equal, problems)
 

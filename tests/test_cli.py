@@ -118,7 +118,9 @@ def test_score_page_with_malformed_references_exits_0(workdir, capsys):
     assert capsys.readouterr().out.split()[1] in ("PHISH", "BENIGN")
 
 
-def test_score_hashed_twin_matches_plaintext(workdir, capsys):
+def _hashed_twin(workdir) -> str:
+    """Save the workdir model with every feature name replaced by its
+    digest; returns the path."""
     plain = load_model(workdir["model"])
     hashed_rules = [ClassificationRule(
         r.id, frozenset(hash_feature(f) for f in r.features), r.weight)
@@ -126,7 +128,11 @@ def test_score_hashed_twin_matches_plaintext(workdir, capsys):
     twin = make_classifier(hashed_rules, bias=plain.bias, hashed=True)
     twin_path = workdir["dir"] / "hashed.json"
     save_model(twin, twin_path)
+    return str(twin_path)
 
+
+def test_score_hashed_twin_matches_plaintext(workdir, capsys):
+    twin_path = _hashed_twin(workdir)
     run(["score", workdir["seed"], "--model", workdir["model"],
          "--url", workdir["seed_url"]])
     plain_out = capsys.readouterr().out
@@ -171,19 +177,58 @@ def test_attack_model_with_zero_frequency_threshold_exits_2(workdir, capsys):
     assert "freq_detect_threshold" in capsys.readouterr().err
 
 
-def test_attack_on_a_deeply_nested_page_exits_0(workdir):
-    # the form and the links sit 300 <div>s down; copying the page with
-    # copy.deepcopy ran out of Python stack at about 150 levels
-    depth = 300
+def _nested_seed(workdir, depth: int) -> str:
+    """The workdir seed page with its body content ``depth`` <div>s down;
+    returns the path."""
     html = open(workdir["seed"]).read()
     deep = workdir["dir"] / "deep.html"
     deep.write_text(html.replace("<body>", "<body>" + "<div>" * depth, 1)
                     .replace("</body>", "</div>" * depth + "</body>", 1))
+    return str(deep)
+
+
+def test_attack_on_a_deeply_nested_page_exits_0(workdir):
+    # the form and the links sit 300 <div>s down; copying the page with
+    # copy.deepcopy ran out of Python stack at about 150 levels
+    deep = _nested_seed(workdir, 300)
     out = workdir["dir"] / "out"
-    assert run(["attack", str(deep), "--model", workdir["model"],
+    assert run(["attack", deep, "--model", workdir["model"],
                 "--level", "white", "--url", workdir["seed_url"],
                 "--out", str(out)]) == 0
     assert json.loads((out / "deep.white.report.json").read_text())["success"]
+
+
+def test_score_and_attack_on_a_page_2000_levels_deep_exit_0(workdir, capsys):
+    # serialize, the element and text walks and the preservation walks
+    # recursed once per level and raised RecursionError from about 1,000
+    deep = _nested_seed(workdir, 2000)
+    assert run(["score", deep, "--model", workdir["model"],
+                "--url", workdir["seed_url"]]) == 0
+    assert capsys.readouterr().out.split()[1] == "PHISH"
+    out = workdir["dir"] / "out"
+    assert run(["attack", deep, "--model", workdir["model"],
+                "--level", "white", "--url", workdir["seed_url"],
+                "--out", str(out)]) == 0
+    assert json.loads((out / "deep.white.report.json").read_text())["success"]
+
+
+@pytest.mark.parametrize("level", ["white", "grey"])
+def test_attack_with_hashed_knowledge_exits_2_and_names_infer(workdir, capsys, level):
+    out = workdir["dir"] / "out"
+    assert run(["attack", workdir["seed"], "--model", _hashed_twin(workdir),
+                "--level", level, "--url", workdir["seed_url"],
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "hashed" in err and "infer" in err
+    assert not out.exists()
+
+
+def test_black_attack_on_a_hashed_model_still_runs(workdir):
+    out = workdir["dir"] / "out"
+    assert run(["attack", workdir["seed"], "--model", _hashed_twin(workdir),
+                "--level", "black", "--pool", workdir["pool"],
+                "--url", workdir["seed_url"], "--out", str(out)]) == 0
+    assert json.loads((out / "seed.black.report.json").read_text())["success"]
 
 
 def test_attack_on_benign_page_exits_3(workdir, tmp_path):

@@ -18,8 +18,18 @@ from phishevade.dom import (
     serialize,
     visible_projection,
     walk_elements,
+    walk_text_nodes,
+)
+from phishevade.mutation import (
+    ElementSpec,
+    MutationPlan,
+    add_invisible_element,
+    plan_add_rule,
+    plan_delete_feature,
+    preservation_check,
 )
 
+import dom_oracle
 from conftest import PAYPAL_URL, fixture_path
 from test_features import SOUP
 
@@ -299,8 +309,8 @@ def test_projection_sound_under_hidden_mutations(paypal_page):
 # -- copy -------------------------------------------------------------------------
 
 def _node_pairs(a: DomNode, b: DomNode) -> list[tuple[DomNode, DomNode]]:
-    """Corresponding nodes of two trees of the same shape, found without
-    recursion (``isomorphic`` and ``serialize`` recurse)."""
+    """Corresponding nodes of two trees of the same shape, every pair
+    listed, found without recursion."""
     pairs, stack = [], [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -357,3 +367,75 @@ def test_copy_is_an_unshared_structural_clone(pieces, data):
                               label="edit text"):
             node.value += "\u200bedited"
     assert serialize(tree) == before
+
+
+# -- iterative walks against the recursive reference -----------------------------
+
+def test_walks_of_a_very_deep_page_return():
+    depth = 5000
+    tree = parse_html('<div class="d">' * depth + "leaf", "http://seed.test/")
+    elements = list(walk_elements(tree))
+    assert len(elements) == depth + 1
+    assert elements[-1][0] == (0,) * depth
+    assert [(path, n.value) for path, n in walk_text_nodes(tree)] == [((0,) * (depth + 1), "leaf")]
+    html = serialize(tree)
+    assert serialize(parse_html(html, tree.source_url)) == html
+    assert len(visible_projection(tree)) == depth + 1
+    clone = tree.copy()
+    assert isomorphic(tree.root, clone.root)
+    assert preservation_check(tree, clone).passed
+
+
+# Extra pieces for the projection and the functional check: hidden and
+# styled elements, an attribute-keyed stylesheet rule and zero-width text.
+STYLED = st.sampled_from([
+    '<div style="display:none">', '<span style="width:0;height:0px">',
+    '<p class="c" align="left">', '<p style="visibility:hidden">',
+    '<style>[name=a]{color:red} input[type=text]{border:0}</style>',
+    '<input name="a" type="text">', '<button type="submit">', "x\u200by",
+    "<!-- note -->", "<br>", "</p>", "</span>",
+])
+
+
+def _assert_walks_match_reference(tree):
+    assert [(p, id(n)) for p, n in walk_elements(tree)] \
+        == [(p, id(n)) for p, n in dom_oracle.walk_elements(tree)]
+    assert [(p, id(n)) for p, n in walk_text_nodes(tree)] \
+        == [(p, id(n)) for p, n in dom_oracle.walk_text_nodes(tree)]
+    assert serialize(tree) == dom_oracle.serialize(tree)
+    assert visible_projection(tree) == dom_oracle.visible_projection(tree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pieces=SOUP, styled=st.lists(STYLED, max_size=8), data=st.data(),
+       body=st.booleans())
+def test_iterative_walks_match_the_recursive_reference(pieces, styled, data, body):
+    pieces = data.draw(st.permutations(pieces + styled))
+    tree = parse_html(("<html><body>" if body else "") + "".join(pieces),
+                      "http://seed.test/page")
+    others = [tree.copy()]
+    for feature in ["PageTerm=login", "PageHasTextInputs", "PageHasPswdInputs",
+                    "PageExternalLinksFreq"]:
+        try:
+            others.append(plan_delete_feature(tree, feature).tree)
+        except (LookupError, ValueError):
+            pass
+    others.append(plan_add_rule(tree, {"PageTerm=new", "PageHasForms"}).tree)
+    # void and raw-text elements that carry text, which only additions make
+    additions = MutationPlan.on(tree)
+    for spec in [ElementSpec("input", (("type", "text"),), "typed"),
+                 ElementSpec("img", (), "a<b"), ElementSpec("script", (), "x<y")]:
+        additions.push(add_invisible_element(additions.tree, spec))
+    others.append(additions.tree)
+    others.append(parse_html("<html><body>" + "".join(reversed(pieces)),
+                             "http://seed.test/page"))
+    _assert_walks_match_reference(tree)
+    for other in others:
+        _assert_walks_match_reference(other)
+        assert isomorphic(tree.root, other.root) \
+            == dom_oracle.isomorphic(tree.root, other.root)
+        for before, after in [(tree, other), (other, tree)]:
+            expected = []
+            dom_oracle.check_functional(before.root, after.root, "", expected)
+            problems = preservation_check(before, after).problems
+            assert [p for p in problems if p != "visible projections differ"] == expected

@@ -9,16 +9,23 @@ from hypothesis import strategies as st
 from phishevade.dom import parse_html, walk_elements, walk_text_nodes
 from phishevade.features import (
     Feature,
+    PageTally,
     UrlError,
     extract_page_features,
     extract_url_features,
     hash_feature,
-    page_counts,
     terms_of,
 )
 from phishevade.suffixes import split_host
 
 from conftest import build_page
+
+
+def page_counts(tree):
+    """The folded element tally of a page."""
+    tally = PageTally(tree.source_url)
+    extract_page_features(tree, tally)
+    return tally.counts
 
 
 # -- reference SHA-256 (independent of hashlib) --------------------------------

@@ -1,4 +1,6 @@
 import time
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 
 from phishevade.classifier import raw_score, rule_hit
 from phishevade.dom import (
+    ELEMENT,
+    TEXT,
     isomorphic,
     parse_html,
     serialize,
@@ -13,12 +17,14 @@ from phishevade.dom import (
     walk_text_nodes,
 )
 from phishevade.features import (
+    PageTally,
     extract_all_features,
     extract_page_features,
-    page_counts,
     term_spans,
+    terms_of,
 )
 from phishevade.mutation import (
+    MODIFIABLE_ATTRS,
     ElementSpec,
     FeatureAbsent,
     MutationPlan,
@@ -42,6 +48,8 @@ from phishevade.mutation import (
 )
 
 from conftest import build_page, build_page_html, make_classifier, rule
+from features_oracle import extract_all_features as oracle_extract_all_features
+from features_oracle import page_counts
 from test_features import SOUP
 
 
@@ -476,6 +484,139 @@ def test_term_deletion_splits_node_by_node_like_the_reextract_loop(avoid):
     assert len(expected) == 6
     assert plan.ops == expected
     assert "PageTerm=pay" not in extract_page_features(plan.tree)
+
+
+# -- the carried tally -------------------------------------------------------------
+
+@contextmanager
+def checked_pushes():
+    """Check after every ``MutationPlan.push`` that the plan's feature map,
+    read from its tally, is the reference extraction of its tree."""
+    push = MutationPlan.push
+
+    def checking(self, op):
+        push(self, op)
+        assert self.fmap == oracle_extract_all_features(self.tree), op
+
+    with mock.patch.object(MutationPlan, "push", checking):
+        yield
+
+
+def _text_nodes(tree):
+    """``(path, node)`` for every text node, script and style text included."""
+    out, stack = [], [((), tree.root)]
+    while stack:
+        path, node = stack.pop()
+        if node.node_type == TEXT:
+            out.append((path, node))
+        stack.extend((path + (i,), c) for i, c in enumerate(node.children))
+    return sorted(out, key=lambda entry: entry[0])
+
+
+# Addition specs for the black-box steps: script and style text that must
+# not count, references of every kind, input types in any case.
+EDGE_POOL = [
+    ElementSpec("script", (), "login now"),
+    ElementSpec("style", (), "verify account"),
+    ElementSpec("a", (("href", "http://a.example.com/"),)),
+    ElementSpec("a", (("href", "/local"),), "help"),
+    ElementSpec("img", (("src", "https://cdn.shop.co.uk/i.png"),)),
+    ElementSpec("img", ()),
+    ElementSpec("form", (("action", "http://collector.evil.example/post"),)),
+    ElementSpec("form", (("action", ""),)),
+    ElementSpec("input", (("type", "Password"),)),
+    ElementSpec("input", (("type", "checkbox"),)),
+    ElementSpec("div", (("style", "color:red"),), "login bank"),
+    ElementSpec("span", (), "x\u200bverify login"),
+]
+
+
+def _black_op(draw, tree):
+    """One black-box NodeOp on ``tree``: an attribute rewrite, a term split
+    in any text node, or an invisible addition."""
+    kind = draw(st.sampled_from(["modify", "split", "append"]))
+    if kind == "modify":
+        targets = [(path, name) for path, el in walk_elements(tree)
+                   if el.tag in MODIFIABLE_ATTRS
+                   for name in el.attrs if name in MODIFIABLE_ATTRS[el.tag][0]]
+        if targets:
+            return modify_attribute(tree, *draw(st.sampled_from(targets)))
+    elif kind == "split":
+        targets = [(path, term) for path, node in _text_nodes(tree)
+                   for term in terms_of(node.value) if len(term) >= 2]
+        if targets:
+            return modify_text(tree, *draw(st.sampled_from(targets)))
+    return add_invisible_element(tree, draw(st.sampled_from(EDGE_POOL)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pieces=SOUP, body=st.booleans(), data=st.data(),
+       url=st.sampled_from(["", "http://seed.test/page", "https://seed.test/login",
+                            "https://shop.co.uk/cart"]),
+       t=st.floats(min_value=0.05, max_value=0.9))
+def test_plan_fmap_is_the_extraction_of_its_tree_after_every_push(
+        pieces, body, data, url, t):
+    """Chains of planner and black-box plans, each built on the tree and
+    tally the previous one left, keep ``plan.fmap`` equal to the reference
+    extraction of ``plan.tree``; pages with and without a body."""
+    tree = parse_html(("<html><body>" if body else "") + "".join(pieces), url)
+    tally = PageTally(url)
+    assert extract_all_features(tree, tally) == oracle_extract_all_features(tree)
+    draw = data.draw
+    avoid = draw(st.sets(st.sampled_from(["lo", "gin", "ver", "ify"])))
+    with checked_pushes():
+        for _ in range(draw(st.integers(1, 6), label="plans")):
+            step = draw(st.sampled_from(["delete", "add", "black"]))
+            try:
+                if step == "delete":
+                    present = sorted(f for f in tally.fmap() if deletable_feature(f))
+                    if not present:
+                        continue
+                    plan = plan_delete_feature(tree, draw(st.sampled_from(present)),
+                                               t, avoid, tally)
+                elif step == "add":
+                    feats = draw(st.sets(st.sampled_from(RULE_FEATURES),
+                                         min_size=1, max_size=3))
+                    plan = plan_add_rule(tree, feats, t, tally)
+                else:
+                    plan = MutationPlan.on(tree, tally)
+                    for _ in range(draw(st.integers(1, 3), label="ops")):
+                        plan.push(_black_op(draw, plan.tree))
+            except _PLAN_FAILURES:
+                continue
+            tree, tally = plan.tree, plan.tally
+    assert tally.fmap() == oracle_extract_all_features(tree)
+    assert extract_all_features(tree) == oracle_extract_all_features(tree)
+
+
+def test_plan_fmap_follows_rewrites_and_additions_that_extraction_skips():
+    tree = parse_html(
+        '<html><body><a href="http://a.example.com/x">go</a>'
+        '<input type="text"><script>login</script></body></html>',
+        "http://seed.test/")
+    with checked_pushes():
+        plan = MutationPlan.on(tree)
+        plan.push(modify_attribute(plan.tree, path_of(plan.tree, lambda el: el.tag == "a"),
+                                   "href"))
+        plan.push(modify_attribute(plan.tree,
+                                   path_of(plan.tree, lambda el: el.tag == "input"), "type"))
+        script_text = next(p for p, n in _text_nodes(plan.tree) if n.value == "login")
+        plan.push(modify_text(plan.tree, script_text, "login"))
+        for spec in EDGE_POOL[:2]:
+            plan.push(add_invisible_element(plan.tree, spec))
+    fmap = plan.fmap
+    assert "PageLinkDomain=example.com" not in fmap
+    assert "PageExternalLinksFreq" not in fmap
+    assert "PageHasTextInputs" not in fmap
+    assert not [f for f in fmap if f.startswith("PageTerm=") and f != "PageTerm=go"]
+    assert fmap["PageNumScriptTags>1"] == 1.0
+
+    bodiless = parse_html("<p>hello</p>", "http://seed.test/")
+    with checked_pushes():
+        plan = MutationPlan.on(bodiless)
+        plan.push(add_invisible_element(plan.tree, EDGE_POOL[-2]))
+    assert plan.tree.root.children[-1].tag == "div"
+    assert {"PageTerm=hello", "PageTerm=login", "PageTerm=bank"} <= set(plan.fmap)
 
 
 # -- preservation check ----------------------------------------------------------------
