@@ -268,17 +268,26 @@ def _read_model_file(path) -> tuple[dict, list[tuple[dict, str, frozenset[str]]]
     return doc, rules
 
 
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{what} must be a number, not {value!r}") from exc
+
+
 def load_model(path) -> Classifier:
     doc, entries = _read_model_file(path)
-    bias = _require(doc, "bias")
-    threshold = _require(doc, "threshold")
+    bias = _number(_require(doc, "bias"), "model 'bias'")
+    threshold = _number(_require(doc, "threshold"), "model 'threshold'")
     hashed = bool(doc.get("hashed", False))
-    freq_t = float(doc.get("freq_detect_threshold", 0.05))
+    freq_t = _number(doc.get("freq_detect_threshold", 0.05),
+                     "model 'freq_detect_threshold'")
     if not 0.0 < freq_t < 1.0:
         raise SchemaError("model 'freq_detect_threshold' must be in (0, 1)")
-    rules = tuple(ClassificationRule(rule_id, feats, float(_require(entry, "weight")))
-                  for entry, rule_id, feats in entries)
-    return Classifier(float(bias), rules, float(threshold), hashed, freq_t)
+    rules = tuple(ClassificationRule(
+        rule_id, feats, _number(_require(entry, "weight"), f"rule {rule_id!r} 'weight'"))
+        for entry, rule_id, feats in entries)
+    return Classifier(bias, rules, threshold, hashed, freq_t)
 
 
 def load_rule_features(path) -> list[tuple[str, frozenset[str]]]:

@@ -538,13 +538,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What a malformed input file or argument raises; each exits 2.
+INPUT_ERRORS = (OSError, SchemaError, HashFormatError, UnknownRuleError, UrlError,
+                ParseError, ValueError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, SchemaError, HashFormatError, UnknownRuleError, UrlError,
-            ParseError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Unreachable as exc:

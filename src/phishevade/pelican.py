@@ -26,18 +26,36 @@ pairs one by one.  Each signature keeps its layers in tag order, so a
 same-tag block is a slice; the assignment still runs per block in sorted
 tag order, except that a one-row or one-column block takes its maximum.
 
+A store scan compares few entries in full.  Each entry first gets an upper
+bound on its personalized similarity, whatever ``layer_accept`` and
+``lookahead`` are.  A stored element's value against an unknown layer is at
+most ``(|A & UA|/|A| + |T & UT|/|T|) / 2`` (a ratio counts 1 when its set is
+empty), where UA and UT are the unions of the attribute and text hashes of
+that layer's same-tag elements.  Per tag, the largest ``min(n_tag, m_tag)``
+of these values are summed; a stored layer takes the largest such sum over
+the unknown layers, divided by its size, and the bound averages the stored
+layers.  Entries are visited in descending bound order, ties by index.  An
+entry is skipped when its bound plus ``BOUND_SLACK`` (which absorbs the
+different summation order) is below the best value so far, or equal to it
+at a larger index than the best entry's.  A compared entry becomes the best
+when its value is larger, or equal, positive and at a smaller index.  The
+scan thus returns exactly what comparing every entry in index order returns:
+the largest value and the first entry reaching it, or ``(0.0, None)``.
+
 The pipeline checks whitelist and blacklist, then the similarity store, and
 only then the classifier; detected phishing pages enter the recency-bounded
-store.
+store, whose expired and over-capacity entries are evicted before each scan.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from operator import attrgetter
 
 import numpy as np
@@ -120,6 +138,10 @@ class TreeSignature:
     def _vocabulary(self) -> "_Vocabulary":
         return _Vocabulary(self._layers)
 
+    @cached_property
+    def _outline(self) -> "_Outline":
+        return _Outline(self.layers)
+
 
 def signature_of(tree: DomTree) -> TreeSignature:
     return TreeSignature(tuple(
@@ -133,14 +155,32 @@ def _coerce(tree_or_sig) -> TreeSignature:
     return signature_of(tree_or_sig)
 
 
+def _meetings(sorted_keys: np.ndarray, keys: np.ndarray):
+    """Where each of ``keys`` occurs in ``sorted_keys``: ``reps[n]`` is the
+    number of occurrences of key n, and ``picks`` lists their positions,
+    key by key."""
+    lo = sorted_keys.searchsorted(keys, "left")
+    reps = sorted_keys.searchsorted(keys, "right") - lo
+    picks = (lo - reps.cumsum() + reps).repeat(reps)
+    picks += np.arange(picks.size)
+    return reps, picks
+
+
 class _Vocabulary:
     """Integer ids for the hashes of the unknown tree of a comparison.
 
     Attribute and text hashes get disjoint ids.  ``layers[j]`` is layer j's
     (hash id, element) incidence sorted by id.
+
+    For the similarity bound, ``tag_ids`` numbers the tree's tags,
+    ``tag_counts[j, t]`` is the number of tag-t elements in layer j (the
+    last column, for tag id -1, is zero), and ``placed`` lists every
+    (hash id, tag id) key once per layer in which an element of that tag
+    holds that hash, sorted by key, with ``placed_layers`` the layers.
     """
 
-    __slots__ = ("attr_ids", "text_ids", "layers")
+    __slots__ = ("attr_ids", "text_ids", "layers", "tag_ids", "tag_counts",
+                 "placed", "placed_layers")
 
     def __init__(self, layers: tuple[_Layer, ...]):
         self.attr_ids, self.text_ids = {}, {}
@@ -150,17 +190,34 @@ class _Vocabulary:
         for layer in layers:
             for h in layer.texts:
                 self.text_ids.setdefault(h, len(self.attr_ids) + len(self.text_ids))
+        self.tag_ids = {tag: t for t, tag in enumerate(
+            sorted({tag for layer in layers for tag in layer.spans}))}
+        height = len(layers)
+        self.tag_counts = np.zeros((height, len(self.tag_ids) + 1), dtype=np.intp)
         self.layers = []
-        for layer in layers:
+        placed = [np.empty(0, dtype=np.intp)]
+        for j, layer in enumerate(layers):
             ids = self.ids_of(layer)
             order = ids.argsort()
             self.layers.append((ids[order], layer.elements[order]))
+            tags = np.empty(layer.size, dtype=np.intp)
+            for tag, (r0, r1) in layer.spans.items():
+                tags[r0:r1] = self.tag_ids[tag]
+                self.tag_counts[j, tags[r0]] = r1 - r0
+            placed.append(self.key(ids, tags[layer.elements]) * height + j)
+        placed = np.unique(np.concatenate(placed))
+        self.placed, self.placed_layers = np.divmod(placed, max(height, 1))
 
     def ids_of(self, layer: _Layer) -> np.ndarray:
         """Each hash's id, or -1 for a hash the tree does not have."""
         attr_get, text_get = self.attr_ids.get, self.text_ids.get
         return np.array([attr_get(h, -1) for h in layer.attrs]
                         + [text_get(h, -1) for h in layer.texts], dtype=np.intp)
+
+    def key(self, ids: np.ndarray, tags: np.ndarray) -> np.ndarray:
+        """One integer per (hash id, tag id) pair, different for different
+        pairs; either id may be -1, for a hash or tag the tree lacks."""
+        return ids * (len(self.tag_ids) + 1) + tags + 1
 
 
 class _Comparison:
@@ -194,10 +251,7 @@ class _Comparison:
         rows, ids = self._shared_hashes(i)
         n, width = self.stored[i].size, self.unknown[j].size
         sorted_ids, elements = self.vocabulary.layers[j]
-        lo = sorted_ids.searchsorted(ids, "left")
-        reps = sorted_ids.searchsorted(ids, "right") - lo
-        picks = (lo - reps.cumsum() + reps).repeat(reps)
-        picks += np.arange(picks.size)
+        reps, picks = _meetings(sorted_ids, ids)
         cells = (rows * width).repeat(reps) + elements[picks]
         return np.bincount(cells, minlength=2 * n * width).reshape(2 * n, width)
 
@@ -316,6 +370,155 @@ def tree_similarity_pelican(stored, unknown, layer_accept: float = 0.5,
     return total / m
 
 
+# -- an upper bound for the store scan ------------------------------------------
+
+# Added to a bound before it is compared with a similarity: the two sum the
+# same element values in different orders.
+BOUND_SLACK = 1e-9
+
+
+class _Outline:
+    """A stored signature's elements as the similarity bound reads them.
+
+    Rows run layer by layer, and in a layer the same-tag elements are
+    consecutive rows: a group.  ``groups`` has one column per group: its tag
+    (an index into ``tags``), its layer (counting non-empty layers only),
+    its first row, its size, and how many of its elements have two empty
+    sets and how many one, whose bound is 1 and 1/2 when no hash is shared
+    (the others' is 0).  ``sizes`` holds each row's attribute-set and
+    text-set size, and ``attr_rows`` and ``text_rows`` the rows holding each
+    hash, whose keys ``attr_keys`` and ``text_keys`` hold again as sets.
+    """
+
+    __slots__ = ("layers", "filled", "tags", "groups", "sizes", "attr_rows",
+                 "text_rows", "attr_keys", "text_keys")
+
+    def __init__(self, layers):
+        self.tags = sorted({e.tag for layer in layers for e in layer})
+        index = {tag: t for t, tag in enumerate(self.tags)}
+        filled = [layer for layer in layers if layer]
+        ordered, groups = [], []
+        for number, layer in enumerate(filled):
+            for tag, run in groupby(sorted(layer, key=attrgetter("tag")),
+                                    key=attrgetter("tag")):
+                run = list(run)
+                empties = [(not e.attr_hashes) + (not e.text_hashes) for e in run]
+                groups.append((index[tag], number, len(ordered), len(run),
+                               empties.count(2), empties.count(1)))
+                ordered.extend(run)
+        self.layers, self.filled = len(layers), len(filled)
+        self.groups = np.array(groups, dtype=np.intp).reshape(-1, 6).T
+        self.sizes = np.array([[len(e.attr_hashes) for e in ordered],
+                               [len(e.text_hashes) for e in ordered]],
+                              dtype=float).reshape(2, -1)
+        self.attr_rows, self.text_rows = {}, {}
+        for row, e in enumerate(ordered):
+            for h in e.attr_hashes:
+                self.attr_rows.setdefault(h, []).append(row)
+            for h in e.text_hashes:
+                self.text_rows.setdefault(h, []).append(row)
+        self.attr_keys = frozenset(self.attr_rows)
+        self.text_keys = frozenset(self.text_rows)
+
+
+def _offsets(counts) -> np.ndarray:
+    """Where each of consecutive runs of ``counts`` items starts."""
+    return np.concatenate(([0], np.cumsum(counts[:-1], dtype=np.intp)))
+
+
+def _bounds(outlines: list[_Outline], vocabulary: _Vocabulary) -> np.ndarray:
+    """For each stored tree (given by its outline), an upper bound on its
+    ``tree_similarity_pelican`` against the unknown tree (given by its
+    vocabulary), whatever ``layer_accept`` and ``lookahead`` are.
+
+    Against unknown layer j, a stored element's similarity to any unknown
+    element is at most ``(|A & UA|/|A| + |T & UT|/|T|) / 2``, a ratio
+    counting 1 where its set is empty, where UA and UT are the unions of the
+    attribute and text hashes of the layer's same-tag elements.  A matching
+    pairs at most ``min(n_tag, m_tag)`` elements of a tag, so a stored
+    layer's matched sum is at most, per tag, the sum of that many of its
+    largest element values.  The layer-skip pairs a stored layer with some
+    unknown layer or with none, so its value is at most the largest of
+    those sums over all unknown layers divided by its size (1 for an empty
+    layer), and the bound averages that over the stored layers.  A tree
+    without layers has similarity 1, and against an unknown tree without
+    layers, 0.
+
+    The outlines are stacked into one batch of rows and groups.  A group
+    none of whose hashes the unknown tree has gets its sums from its counts
+    of 1- and 1/2-valued elements; only the groups holding a shared hash
+    have their element values computed and sorted.
+    """
+    layers = np.array([o.layers for o in outlines], dtype=float)
+    width = len(vocabulary.layers)
+    if not width or not outlines:
+        return (layers == 0.0).astype(float)
+    heights = [o.sizes.shape[1] for o in outlines]
+    total = sum(heights)
+    first = _offsets(heights)
+    tag_of = np.array([vocabulary.tag_ids.get(tag, -1)
+                       for o in outlines for tag in o.tags], dtype=np.intp)
+    shifts = np.array([_offsets([len(o.tags) for o in outlines]),
+                       _offsets([o.filled for o in outlines]), first])
+    groups = np.concatenate([o.groups for o in outlines], axis=1)
+    groups[:3] += np.repeat(shifts, [o.groups.shape[1] for o in outlines], axis=1)
+    tag, layer, start, size, ones, halves = groups
+    tag = tag_of[tag]
+    # per unknown layer and group: how many of its elements the layer can
+    # match, and the sum of that many largest values when none shares a hash
+    take = vocabulary.tag_counts[:, tag]
+    sums = np.minimum(take, ones) + 0.5 * np.clip(take - ones, 0, halves)
+
+    # the stacked row (attributes of all trees, then texts) and the id of
+    # every stored hash the unknown tree has; no other hash can intersect
+    rows, ids = [], []
+    attr_keys, text_keys = frozenset(vocabulary.attr_ids), frozenset(vocabulary.text_ids)
+    for o, f in zip(outlines, first):
+        for where, shared, known, shift in (
+                (o.attr_rows, o.attr_keys & attr_keys, vocabulary.attr_ids, f),
+                (o.text_rows, o.text_keys & text_keys, vocabulary.text_ids, f + total)):
+            for h in shared:
+                for row in where[h]:
+                    rows.append(row + shift)
+                    ids.append(known[h])
+    if rows:
+        rows = np.array(rows, dtype=np.intp)
+        elements = rows % total
+        owner = start.searchsorted(elements, "right") - 1
+        touched = np.unique(owner)
+        span = size[touched]
+        # the touched groups' rows, group by group, with places in the group
+        place = np.arange(span.sum()) - np.repeat(_offsets(span), span)
+        picked = np.repeat(start[touched], span) + place
+        n = picked.size
+        # |A & UA| and |T & UT| against every unknown layer: a hash meets
+        # each layer where an element of its element's tag holds it
+        keys = vocabulary.key(np.array(ids, dtype=np.intp), tag[owner])
+        reps, picks = _meetings(vocabulary.placed, keys)
+        columns = picked.searchsorted(elements) + n * (rows >= total)
+        cells = vocabulary.placed_layers[picks] * (2 * n) + columns.repeat(reps)
+        counts = np.bincount(cells, minlength=width * 2 * n).reshape(width, 2 * n)
+        set_sizes = np.concatenate([o.sizes for o in outlines], axis=1)[:, picked].ravel()
+        ratios = counts / np.maximum(set_sizes, 1.0) + (set_sizes == 0.0)
+        values = (ratios[:, :n] + ratios[:, n:]) / 2.0
+        # each group largest first, and the sum of as many as a layer can match
+        members = np.broadcast_to(np.repeat(np.arange(touched.size), span), values.shape)
+        values = np.take_along_axis(values, np.lexsort((-values, members)), axis=1)
+        values *= place < take[:, touched].repeat(span, axis=1)
+        sums[:, touched] = np.add.reduceat(values, _offsets(span), axis=1)
+
+    entry_sums = np.zeros(len(outlines))
+    if tag.size:
+        firsts = np.flatnonzero(np.diff(layer, prepend=-1))
+        best = (np.add.reduceat(sums, firsts, axis=1)
+                / np.add.reduceat(size, firsts)).max(axis=0)
+        owners = np.repeat(np.arange(len(outlines)), [o.filled for o in outlines])
+        entry_sums = np.bincount(owners, weights=best, minlength=len(outlines))
+    empty_layers = layers - [o.filled for o in outlines]
+    return np.where(layers > 0.0,
+                    (entry_sums + empty_layers) / np.maximum(layers, 1.0), 1.0)
+
+
 # -- recency-bounded store ------------------------------------------------------
 
 @dataclass
@@ -346,13 +549,32 @@ class PhishStore:
 
     def max_similarity(self, tree_or_sig, layer_accept: float = 0.5,
                        lookahead: int = 3) -> tuple[float, int | None]:
-        """Best Pelican similarity of the unknown tree against the store."""
+        """Best Pelican similarity of the unknown tree against the store,
+        and the first entry reaching it; ``(0.0, None)`` when no entry
+        scores above 0.
+
+        Each entry first gets an upper bound (:func:`_bounds`) on its
+        similarity.  Entries are visited in descending bound order, ties by
+        index, and the full comparison runs only on an entry that can still
+        win: one is skipped when ``bound + BOUND_SLACK`` is below the best
+        value so far, or equal to it at a larger index than the best
+        entry's.  A compared entry becomes the best when its value is
+        larger, or equal, positive and at a smaller index, so the result is
+        exactly that of comparing every entry in index order.
+        """
         sig = _coerce(tree_or_sig)
+        bounds = _bounds([entry.signature._outline for entry in self.entries],
+                         sig._vocabulary).tolist()
         best, best_index = 0.0, None
-        for index, entry in enumerate(self.entries):
-            value = tree_similarity_pelican(entry.signature, sig,
+        for index in sorted(range(len(bounds)), key=lambda i: (-bounds[i], i)):
+            reach = bounds[index] + BOUND_SLACK
+            if reach < best:
+                break                   # no later entry has a larger bound
+            if reach <= best and index > best_index:
+                continue
+            value = tree_similarity_pelican(self.entries[index].signature, sig,
                                             layer_accept, lookahead)
-            if value > best:
+            if value > best or (value == best > 0.0 and index < best_index):
                 best, best_index = value, index
         return best, best_index
 
@@ -389,17 +611,25 @@ def save_store(store: PhishStore, path) -> None:
         fh.write("\n")
 
 
+def _timestamp_from_json(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise SchemaError(f"store entry 'timestamp' must be a finite number, not {value!r}")
+    return float(value)
+
+
 def load_store(path, k: int = 50, h_hours: float = 24.0) -> PhishStore:
-    """Read a store file; a document of the wrong shape raises
-    :class:`SchemaError`."""
+    """Read a store file; a document of the wrong shape, or a timestamp that
+    is not a finite number, raises :class:`SchemaError`."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     store = PhishStore(k=k, h_hours=h_hours)
     try:
         for entry in doc.get("entries", []):
             store.entries.append(StoreEntry(
-                _signature_from_json(entry["signature"]), float(entry["timestamp"])))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                _signature_from_json(entry["signature"]),
+                _timestamp_from_json(entry["timestamp"])))
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed store file: {type(exc).__name__}: {exc}") from exc
     return store
 
@@ -423,6 +653,8 @@ def pipeline(url: str, page: DomTree, whitelist: set[str], blacklist: set[str],
              lookahead: int = 3, now: float | None = None) -> Verdict:
     """Whitelist / blacklist / similarity store / classifier, in that order.
 
+    Store entries older than the store's horizon at ``now``, and the oldest
+    beyond its capacity, are evicted before the scan, so they never match.
     The classifier is only queried when the earlier stages do not decide;
     classifier-detected pages are inserted into the store.
     """
@@ -431,6 +663,7 @@ def pipeline(url: str, page: DomTree, whitelist: set[str], blacklist: set[str],
     if url in blacklist:
         return Verdict(BLACKLISTED)
     sig = signature_of(page)
+    store.evict(now)
     best, index = store.max_similarity(sig, layer_accept, lookahead)
     if index is not None and best >= detect_threshold:
         return Verdict(EVASION_DETECTED, similarity=best, matched_entry=index)

@@ -3,13 +3,17 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from phishevade.attacks import white_box, white_knowledge
 from phishevade.classifier import ScoreOracle, load_model, save_model
-from phishevade.cli import Config, load_config, main
+from phishevade.cli import INPUT_ERRORS, Config, load_config, main
+from phishevade.collision import load_corpus
 from phishevade.dom import parse_html, serialize
 from phishevade.features import extract_all_features, hash_feature
-from phishevade.mutation import save_pool
+from phishevade.mutation import load_pool, save_pool
+from phishevade.pelican import load_store
 from phishevade.classifier import ClassificationRule, score
 
 from conftest import (
@@ -316,6 +320,37 @@ def test_defend_pipeline_roundtrip(workdir, capsys):
     assert json.loads(capsys.readouterr().out)["label"] == "benign"
 
 
+def test_defend_never_matches_an_expired_entry(workdir, capsys):
+    store_path = workdir["dir"] / "store.json"
+    defend = ["defend", workdir["seed"], "--model", workdir["model"],
+              "--url", workdir["seed_url"], "--store", str(store_path)]
+    assert run([*defend, "--now", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["label"] == "phishing_by_classifier"
+    # the same page again, within the 24-hour horizon and far past it
+    assert run([*defend, "--now", str(1000 + 24 * 3600)]) == 0
+    assert json.loads(capsys.readouterr().out)["label"] == "evasion_detected"
+    assert run([*defend, "--now", "9999999999"]) == 0
+    assert json.loads(capsys.readouterr().out)["label"] == "phishing_by_classifier"
+    entries = json.loads(store_path.read_text())["entries"]
+    assert [e["timestamp"] for e in entries] == [9999999999.0]
+
+
+def test_defend_twice_gives_the_same_verdicts_and_store(workdir, capsys):
+    results = []
+    for name in ("one", "two"):
+        store_path = workdir["dir"] / f"{name}.json"
+        verdicts = []
+        for now in ("1000", "1000"):
+            assert run(["defend", workdir["seed"], "--model", workdir["model"],
+                        "--url", workdir["seed_url"], "--store", str(store_path),
+                        "--now", now]) == 0
+            verdicts.append(capsys.readouterr().out)
+        results.append((verdicts, store_path.read_bytes()))
+    assert results[0] == results[1]
+    assert [json.loads(v)["label"] for v in results[0][0]] == \
+        ["phishing_by_classifier", "evasion_detected"]
+
+
 # -- infer --------------------------------------------------------------------------
 
 def _write_corpus_manifest(path):
@@ -377,11 +412,19 @@ def test_infer_malformed_hex_exits_2(tmp_path):
         {"tag": "html", "attrs": "abc", "texts": []}]], "timestamp": 1}]}),
     ("store", {"entries": [{"signature": [[
         {"tag": "html", "attrs": [1, 2], "texts": []}]], "timestamp": 1}]}),
+    ("store", {"entries": [{"signature": [], "timestamp": "1000"}]}),
+    ("store", {"entries": [{"signature": [], "timestamp": "nan"}]}),
+    ("store", {"entries": [{"signature": [], "timestamp": True}]}),
+    ("store", {"entries": [{"signature": [], "timestamp": float("nan")}]}),
+    ("store", {"entries": [{"signature": [], "timestamp": float("inf")}]}),
     ("pool", {"attrs": {}, "text": "x"}),
     ("pool", {"tag": "a", "attrs": {"href": 5}, "text": None}),
 ], ids=["corpus-record-without-url", "corpus-path-not-a-string",
         "store-entry-without-signature", "store-entries-not-a-list",
         "store-attrs-a-string", "store-hash-not-a-string",
+        "store-timestamp-a-string", "store-timestamp-the-string-nan",
+        "store-timestamp-a-boolean", "store-timestamp-nan",
+        "store-timestamp-infinite",
         "pool-line-without-tag", "pool-attribute-value-not-a-string"])
 def test_malformed_loader_input_exits_2(workdir, capsys, loader, content):
     path = workdir["dir"] / f"bad-{loader}.json"
@@ -397,6 +440,69 @@ def test_malformed_loader_input_exits_2(workdir, capsys, loader, content):
     }[loader]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Random JSON documents: any value, and the loaders' own shapes with any
+# value in each place, so that the fuzzing reaches past the first checks.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=10)
+
+
+def _shaped(**fields):
+    return st.fixed_dictionaries({}, optional={key: value | JSON
+                                               for key, value in fields.items()})
+
+
+STRINGS = st.lists(st.text(max_size=8) | JSON, max_size=3)
+MODELS = _shaped(rules=st.lists(_shaped(id=JSON, features=STRINGS, weight=JSON),
+                                max_size=3),
+                 bias=JSON, threshold=JSON, hashed=JSON, freq_detect_threshold=JSON)
+STORES_JSON = _shaped(entries=st.lists(_shaped(
+    signature=st.lists(st.lists(_shaped(tag=JSON, attrs=STRINGS, texts=STRINGS),
+                                max_size=3), max_size=3),
+    timestamp=JSON), max_size=3))
+RECORDS = _shaped(url=st.text(max_size=20),
+                  path=st.sampled_from(["page.html", "missing.html", "", "."]),
+                  label=JSON)
+POOL_LINES = _shaped(tag=st.text(max_size=4),
+                     attrs=st.dictionaries(st.text(max_size=4), JSON, max_size=3),
+                     text=JSON)
+LINES = st.lists((RECORDS | POOL_LINES | JSON).map(json.dumps) | st.text(max_size=20),
+                 max_size=4)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "page.html").write_text("<html><body><p>x</p></body></html>")
+    return path
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=MODELS | STORES_JSON | JSON, lines=LINES)
+def test_loaders_return_or_raise_what_the_cli_exits_2_for(fuzz_dir, doc, lines):
+    whole, per_line = fuzz_dir / "doc.json", fuzz_dir / "doc.jsonl"
+    whole.write_text(json.dumps(doc))
+    per_line.write_text("\n".join(lines))
+    for loader, path in [(load_model, whole), (load_store, whole),
+                         (load_corpus, per_line), (load_pool, per_line)]:
+        try:
+            loader(path)
+        except INPUT_ERRORS:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text() | st.binary(), url=st.text(max_size=30))
+def test_parse_html_returns_or_raises_what_the_cli_exits_2_for(text, url):
+    try:
+        parse_html(text, url)
+    except INPUT_ERRORS:
+        pass
 
 
 # -- prune --------------------------------------------------------------------------

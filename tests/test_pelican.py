@@ -141,15 +141,93 @@ def test_both_measures_equal_the_per_pair_oracle(a, b, layer_accept, lookahead):
     assert tree_similarity_baseline(b, a) == oracle.tree_similarity_baseline(b, a)
 
 
-@settings(max_examples=100, deadline=None)
-@given(stored=st.lists(st.one_of(SIGNATURES, PAGES), max_size=6),
-       unknown=st.one_of(SIGNATURES, PAGES), layer_accept=LAYER_ACCEPT,
-       lookahead=st.integers(1, 4))
+# Stores pick from a small pool of trees, so that entries repeat and
+# different entries tie in value.
+STORES = st.lists(st.one_of(SIGNATURES, PAGES), min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stored=STORES, unknown=st.one_of(SIGNATURES, PAGES),
+       layer_accept=LAYER_ACCEPT, lookahead=st.integers(1, 4))
 def test_store_scan_equals_the_per_pair_oracle(stored, unknown, layer_accept,
                                                 lookahead):
     store = PhishStore(k=10, entries=[StoreEntry(s, 0.0) for s in stored])
     assert store.max_similarity(unknown, layer_accept, lookahead) == \
         oracle.max_similarity(stored, unknown, layer_accept, lookahead)
+
+
+def test_store_scan_ties_between_entries_with_different_bounds():
+    """Entry 1 ties entry 0 in value but has the larger bound, so the scan
+    compares it first; entry 0 still wins the tie."""
+    unknown = TreeSignature(((el("p", [("a", "1")]), el("p", [("a", "9")])),))
+    tight = TreeSignature(((el("p", [("a", "1"), ("b", "5")]),),))
+    loose = TreeSignature(((el("p", [("a", "1")]), el("p", [("a", "1")])),))
+    bounds = pelican._bounds([tight._outline, loose._outline], unknown._vocabulary)
+    assert list(bounds) == [0.75, 1.0]
+    assert tree_similarity_pelican(tight, unknown) == 0.75
+    assert tree_similarity_pelican(loose, unknown) == 0.75
+    store = PhishStore(entries=[StoreEntry(tight, 0.0), StoreEntry(loose, 0.0)])
+    assert store.max_similarity(unknown) == (0.75, 0)
+
+
+# -- the store-scan bound ----------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(stored=st.lists(st.one_of(SIGNATURES, PAGES), min_size=1, max_size=4),
+       unknown=st.one_of(SIGNATURES, PAGES))
+def test_bound_is_at_least_the_similarity(stored, unknown):
+    """For every layer_accept and lookahead, including empty layers, empty
+    sets and trees without layers; an entry's bound does not depend on the
+    other entries scanned with it."""
+    bounds = pelican._bounds([s._outline for s in stored], unknown._vocabulary)
+    for sig, bound in zip(stored, bounds):
+        assert pelican._bounds([sig._outline], unknown._vocabulary)[0] == bound
+        for layer_accept in (0.0, 0.05, 0.25, 0.5, 0.75, 1.0, 1.5):
+            for lookahead in range(5):
+                value = tree_similarity_pelican(sig, unknown, layer_accept, lookahead)
+                assert bound + pelican.BOUND_SLACK >= value
+
+
+def test_bound_of_trees_without_layers():
+    empty, page = TreeSignature(()), sig("<html><body><p>x</p></body></html>")
+    assert list(pelican._bounds([empty._outline, page._outline],
+                                empty._vocabulary)) == [1.0, 0.0]
+    assert tree_similarity_pelican(page, empty) == 0.0
+    assert tree_similarity_pelican(empty, page) == 1.0
+
+
+def _site(token: str, sections: int) -> TreeSignature:
+    """A generated site whose every element carries its own token."""
+    body = "".join(f'<section class="s-{token}"><h2 class="h-{token}">{token} {i}</h2>'
+                   f'<p class="p-{token}">{token} text {i}</p></section>'
+                   for i in range(sections))
+    return sig(f'<html lang="{token}"><body class="b-{token}">'
+               f'<div id="{token}">{body}</div></body></html>',
+               f"http://{token}.test/")
+
+
+@pytest.fixture
+def similarity_calls(monkeypatch) -> list:
+    """One item per call of the module-level tree_similarity_pelican."""
+    calls = []
+    full = pelican.tree_similarity_pelican
+
+    def counting(*args):
+        calls.append(args)
+        return full(*args)
+
+    monkeypatch.setattr(pelican, "tree_similarity_pelican", counting)
+    return calls
+
+
+def test_scan_compares_fewer_entries_than_the_store_holds(similarity_calls):
+    sites = [_site(f"site{i}", 1 + i % 5) for i in range(12)]
+    store = PhishStore(k=20, entries=[StoreEntry(s, 0.0) for s in sites])
+    for i in (0, 7):
+        similarity_calls.clear()
+        assert store.max_similarity(sites[i]) == (1.0, i)
+        assert 0 < len(similarity_calls) < len(sites)
 
 
 def test_kernel_matches_oracle_on_a_page_and_its_attacked_twin(paypal_page):
@@ -350,6 +428,29 @@ def test_store_matches_history_replay_oracle():
     expected = alive[-k:]
     got = [(e.signature, e.timestamp) for e in store.entries]
     assert got == expected
+
+
+def test_pipeline_evicts_a_loaded_store_over_capacity(tmp_path, paypal_page, bank_page):
+    """A store file may hold more than k entries; the oldest beyond k never
+    match."""
+    store = PhishStore(k=10)
+    for now, page in enumerate([paypal_page, bank_page, build_page(terms=["w"])]):
+        store.insert(page, now=float(now))
+    path = tmp_path / "store.json"
+    save_store(store, path)
+    clf = make_classifier([rule("p", {"PageTerm=nothing-here"}, 1.0)], bias=-1.0)
+    verdict = pipeline(paypal_page.source_url, paypal_page, set(), set(),
+                       load_store(path, k=10), ScoreOracle(clf), now=3.0)
+    assert (verdict.label, verdict.matched_entry) == (EVASION_DETECTED, 0)
+    small = load_store(path, k=2)
+    assert len(small.entries) == 3
+    verdict = pipeline(paypal_page.source_url, paypal_page, set(), set(), small,
+                       ScoreOracle(clf), now=3.0)
+    assert verdict.label == BENIGN
+    assert [e.timestamp for e in small.entries] == [1.0, 2.0]
+    verdict = pipeline(bank_page.source_url, bank_page, set(), set(), small,
+                       ScoreOracle(clf), now=3.0)
+    assert (verdict.label, verdict.matched_entry) == (EVASION_DETECTED, 0)
 
 
 def test_store_persistence_round_trip(tmp_path):
