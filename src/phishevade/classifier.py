@@ -31,7 +31,17 @@ _FREQ_FEATURES = F.FREQUENCY_KINDS | {hash_feature(k) for k in F.FREQUENCY_KINDS
 
 
 class SchemaError(ValueError):
-    """Model file is missing required keys or has the wrong shape."""
+    """An input file is not JSON, or is missing required keys or has the
+    wrong shape."""
+
+
+def decode_json(text: str, what: str):
+    """One JSON document; text that is not JSON, or that nests deeper than
+    the decoder can recurse, raises :class:`SchemaError` naming ``what``."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
 class HashFormatError(ValueError):
@@ -129,12 +139,6 @@ def rule_contribution(rule: ClassificationRule, fmap: FeatureValueMap) -> float:
     for feat in rule.features:
         product *= fmap.get(feat, 0.0)
     return product
-
-
-def hit_rules(classifier: Classifier, fmap: FeatureValueMap) -> list[ClassificationRule]:
-    fmap = prepare_map(classifier, fmap)
-    t = classifier.freq_detect_threshold
-    return [r for r in classifier.rules if rule_hit(r, fmap, t)]
 
 
 def raw_score(classifier: Classifier, fmap: FeatureValueMap) -> float:
@@ -247,10 +251,7 @@ def _read_model_file(path) -> tuple[dict, list[tuple[dict, str, frozenset[str]]]
     """The model document and its rules as ``(entry, id, features)``, with
     the shape of the document and of every rule checked."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"model file is not valid JSON: {exc}") from exc
+        doc = decode_json(fh.read(), "model file")
     if not isinstance(doc, dict):
         raise SchemaError("model file must hold a JSON object")
     raw_rules = _require(doc, "rules")

@@ -27,6 +27,7 @@ from .classifier import (
     ScoreOracle,
     UnknownRuleError,
     check_freq_detect_threshold,
+    decode_json,
     find_single_rules,
     find_subset_rules,
     load_model,
@@ -380,15 +381,31 @@ def _bucket_label(value: float) -> str:
     return "<0.5"
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _collect_rows(results_dir) -> list[dict]:
+    """One row per attack report in the directory: a JSON object with
+    ``steps``; other JSON files are skipped.  A report whose ``steps`` is not
+    a list of objects with a numeric ``score``, or whose counters are not
+    numbers, raises :class:`SchemaError`."""
     rows = []
     for name in sorted(os.listdir(results_dir)):
         if not name.endswith(".json"):
             continue
         with open(os.path.join(results_dir, name), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if "steps" not in doc:
+            doc = decode_json(fh.read(), f"attack report {name!r}")
+        if not isinstance(doc, dict) or "steps" not in doc:
             continue
+        if not isinstance(doc["steps"], list) or not all(
+                isinstance(step, dict) and _is_number(step.get("score"))
+                for step in doc["steps"]):
+            raise SchemaError(f"attack report {name!r}: 'steps' must be a list "
+                              "of objects with a numeric 'score'")
+        for key in ("mutated_features", "mutated_rules", "queries", "additions"):
+            if not _is_number(doc.get(key, 0)):
+                raise SchemaError(f"attack report {name!r}: {key!r} must be a number")
         initial = doc["steps"][0]["score"] if doc["steps"] else 0.0
         rows.append({
             "seed": name[: -len(".json")],

@@ -9,11 +9,10 @@ manifest digest whose preimage occurs in the corpus.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
-from .classifier import HEX64, Classifier, HashFormatError, SchemaError
+from .classifier import HEX64, Classifier, HashFormatError, SchemaError, decode_json
 from .dom import DomTree, load_page
 from .features import extract_page_features, extract_url_features, hash_feature
 
@@ -64,7 +63,7 @@ def load_corpus(manifest_path) -> Corpus:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            record = decode_json(line, "corpus record")
             if not isinstance(record, dict) or not isinstance(record.get("url"), str) \
                     or not isinstance(record.get("path", ""), str):
                 raise SchemaError(

@@ -493,7 +493,3 @@ def isomorphic(a: DomNode, b: DomNode) -> bool:
         elif a.value != b.value:
             return False
     return True
-
-
-def element_count(tree: DomTree) -> int:
-    return sum(1 for _ in walk_elements(tree))

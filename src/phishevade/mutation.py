@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from . import features as F
-from .classifier import SchemaError, check_freq_detect_threshold, unsatisfied
+from .classifier import SchemaError, check_freq_detect_threshold, decode_json, unsatisfied
 from .dom import (
     ELEMENT,
     TEXT,
@@ -648,7 +648,7 @@ def load_pool(path) -> list[ElementSpec]:
             if not line:
                 continue
             try:
-                spec = ElementSpec.from_dict(json.loads(line))
+                spec = ElementSpec.from_dict(decode_json(line, "pool line"))
             except (AttributeError, KeyError, TypeError) as exc:
                 raise SchemaError(f"pool line {line!r} is not an element spec: "
                                   f"{type(exc).__name__}: {exc}") from exc

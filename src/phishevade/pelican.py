@@ -29,11 +29,11 @@ tag order, except that a one-row or one-column block takes its maximum.
 A store scan compares few entries in full.  Each entry first gets an upper
 bound on its personalized similarity, whatever ``layer_accept`` and
 ``lookahead`` are.  A stored element's value against an unknown layer is at
-most ``(|A & UA|/|A| + |T & UT|/|T|) / 2`` (a ratio counts 1 when its set is
-empty), where UA and UT are the unions of the attribute and text hashes of
-that layer's same-tag elements.  Per tag, the largest ``min(n_tag, m_tag)``
-of these values are summed; a stored layer takes the largest such sum over
-the unknown layers, divided by its size, and the bound averages the stored
+most its worth ``(|A & UA|/|A| + |T & UT|/|T|) / 2`` (a ratio counts 1 when
+its set is empty), where UA and UT are the unions of the attribute and text
+hashes of that layer's same-tag elements, and 0 when the layer lacks its
+tag.  A stored layer takes the largest sum of its elements' worths over the
+unknown layers, divided by its size, and the bound averages the stored
 layers.  Entries are visited in descending bound order, ties by index.  An
 entry is skipped when its bound plus ``BOUND_SLACK`` (which absorbs the
 different summation order) is below the best value so far, or equal to it
@@ -55,13 +55,12 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 from operator import attrgetter
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .classifier import SchemaError, ScoreOracle
+from .classifier import SchemaError, ScoreOracle, decode_json
 from .dom import TEXT, DomTree, bfs_layers
 
 WHITELISTED = "whitelisted"
@@ -173,13 +172,13 @@ class _Vocabulary:
     (hash id, element) incidence sorted by id.
 
     For the similarity bound, ``tag_ids`` numbers the tree's tags,
-    ``tag_counts[j, t]`` is the number of tag-t elements in layer j (the
-    last column, for tag id -1, is zero), and ``placed`` lists every
-    (hash id, tag id) key once per layer in which an element of that tag
-    holds that hash, sorted by key, with ``placed_layers`` the layers.
+    ``present[j, t]`` tells whether layer j has a tag-t element (the last
+    column, for tag id -1, is false), and ``placed`` lists every (hash id,
+    tag id) key once per layer in which an element of that tag holds that
+    hash, sorted by key, with ``placed_layers`` the layers.
     """
 
-    __slots__ = ("attr_ids", "text_ids", "layers", "tag_ids", "tag_counts",
+    __slots__ = ("attr_ids", "text_ids", "layers", "tag_ids", "present",
                  "placed", "placed_layers")
 
     def __init__(self, layers: tuple[_Layer, ...]):
@@ -193,7 +192,7 @@ class _Vocabulary:
         self.tag_ids = {tag: t for t, tag in enumerate(
             sorted({tag for layer in layers for tag in layer.spans}))}
         height = len(layers)
-        self.tag_counts = np.zeros((height, len(self.tag_ids) + 1), dtype=np.intp)
+        self.present = np.zeros((height, len(self.tag_ids) + 1), dtype=bool)
         self.layers = []
         placed = [np.empty(0, dtype=np.intp)]
         for j, layer in enumerate(layers):
@@ -203,7 +202,7 @@ class _Vocabulary:
             tags = np.empty(layer.size, dtype=np.intp)
             for tag, (r0, r1) in layer.spans.items():
                 tags[r0:r1] = self.tag_ids[tag]
-                self.tag_counts[j, tags[r0]] = r1 - r0
+            self.present[j, tags] = True
             placed.append(self.key(ids, tags[layer.elements]) * height + j)
         placed = np.unique(np.concatenate(placed))
         self.placed, self.placed_layers = np.divmod(placed, max(height, 1))
@@ -380,34 +379,22 @@ BOUND_SLACK = 1e-9
 class _Outline:
     """A stored signature's elements as the similarity bound reads them.
 
-    Rows run layer by layer, and in a layer the same-tag elements are
-    consecutive rows: a group.  ``groups`` has one column per group: its tag
-    (an index into ``tags``), its layer (counting non-empty layers only),
-    its first row, its size, and how many of its elements have two empty
-    sets and how many one, whose bound is 1 and 1/2 when no hash is shared
-    (the others' is 0).  ``sizes`` holds each row's attribute-set and
-    text-set size, and ``attr_rows`` and ``text_rows`` the rows holding each
-    hash, whose keys ``attr_keys`` and ``text_keys`` hold again as sets.
+    Rows run layer by layer, in page order, and ``layer_sizes`` holds each
+    layer's number of rows.  ``row_tags`` gives each row's tag as an index
+    into ``tags``; ``sizes`` holds each row's attribute-set and text-set
+    size, and ``attr_rows`` and ``text_rows`` the rows holding each hash,
+    whose keys ``attr_keys`` and ``text_keys`` hold again as sets.
     """
 
-    __slots__ = ("layers", "filled", "tags", "groups", "sizes", "attr_rows",
+    __slots__ = ("layer_sizes", "tags", "row_tags", "sizes", "attr_rows",
                  "text_rows", "attr_keys", "text_keys")
 
     def __init__(self, layers):
+        self.layer_sizes = [len(layer) for layer in layers]
         self.tags = sorted({e.tag for layer in layers for e in layer})
         index = {tag: t for t, tag in enumerate(self.tags)}
-        filled = [layer for layer in layers if layer]
-        ordered, groups = [], []
-        for number, layer in enumerate(filled):
-            for tag, run in groupby(sorted(layer, key=attrgetter("tag")),
-                                    key=attrgetter("tag")):
-                run = list(run)
-                empties = [(not e.attr_hashes) + (not e.text_hashes) for e in run]
-                groups.append((index[tag], number, len(ordered), len(run),
-                               empties.count(2), empties.count(1)))
-                ordered.extend(run)
-        self.layers, self.filled = len(layers), len(filled)
-        self.groups = np.array(groups, dtype=np.intp).reshape(-1, 6).T
+        ordered = [e for layer in layers for e in layer]
+        self.row_tags = np.array([index[e.tag] for e in ordered], dtype=np.intp)
         self.sizes = np.array([[len(e.attr_hashes) for e in ordered],
                                [len(e.text_hashes) for e in ordered]],
                               dtype=float).reshape(2, -1)
@@ -432,42 +419,40 @@ def _bounds(outlines: list[_Outline], vocabulary: _Vocabulary) -> np.ndarray:
     vocabulary), whatever ``layer_accept`` and ``lookahead`` are.
 
     Against unknown layer j, a stored element's similarity to any unknown
-    element is at most ``(|A & UA|/|A| + |T & UT|/|T|) / 2``, a ratio
-    counting 1 where its set is empty, where UA and UT are the unions of the
-    attribute and text hashes of the layer's same-tag elements.  A matching
-    pairs at most ``min(n_tag, m_tag)`` elements of a tag, so a stored
-    layer's matched sum is at most, per tag, the sum of that many of its
-    largest element values.  The layer-skip pairs a stored layer with some
+    element is at most its worth ``(|A & UA|/|A| + |T & UT|/|T|) / 2``, a
+    ratio counting 1 where its set is empty, where UA and UT are the unions
+    of the attribute and text hashes of the layer's same-tag elements; it
+    is worth 0 when the layer lacks its tag.  A matching pairs each element
+    at most once, so a stored layer's matched sum is at most the sum of its
+    elements' worths.  The layer-skip pairs a stored layer with some
     unknown layer or with none, so its value is at most the largest of
     those sums over all unknown layers divided by its size (1 for an empty
     layer), and the bound averages that over the stored layers.  A tree
     without layers has similarity 1, and against an unknown tree without
     layers, 0.
 
-    The outlines are stacked into one batch of rows and groups.  A group
-    none of whose hashes the unknown tree has gets its sums from its counts
-    of 1- and 1/2-valued elements; only the groups holding a shared hash
-    have their element values computed and sorted.
+    The outlines are stacked into one batch of rows and layers, and one
+    weighted count builds every (unknown layer, stored layer) sum from the
+    empty sets and the shared hashes; no element's worth is formed alone.
     """
-    layers = np.array([o.layers for o in outlines], dtype=float)
+    layers = np.array([len(o.layer_sizes) for o in outlines], dtype=np.intp)
     width = len(vocabulary.layers)
     if not width or not outlines:
-        return (layers == 0.0).astype(float)
+        return (layers == 0).astype(float)
     heights = [o.sizes.shape[1] for o in outlines]
-    total = sum(heights)
-    first = _offsets(heights)
+    total, first = sum(heights), _offsets(heights)
+    size = np.array([n for o in outlines for n in o.layer_sizes], dtype=np.intp)
+    count, layer = size.size, np.repeat(np.arange(size.size), size)
     tag_of = np.array([vocabulary.tag_ids.get(tag, -1)
                        for o in outlines for tag in o.tags], dtype=np.intp)
-    shifts = np.array([_offsets([len(o.tags) for o in outlines]),
-                       _offsets([o.filled for o in outlines]), first])
-    groups = np.concatenate([o.groups for o in outlines], axis=1)
-    groups[:3] += np.repeat(shifts, [o.groups.shape[1] for o in outlines], axis=1)
-    tag, layer, start, size, ones, halves = groups
-    tag = tag_of[tag]
-    # per unknown layer and group: how many of its elements the layer can
-    # match, and the sum of that many largest values when none shares a hash
-    take = vocabulary.tag_counts[:, tag]
-    sums = np.minimum(take, ones) + 0.5 * np.clip(take - ones, 0, halves)
+    tag = tag_of[np.concatenate([o.row_tags for o in outlines])
+                 + np.repeat(_offsets([len(o.tags) for o in outlines]), heights)]
+    sizes = np.concatenate([o.sizes for o in outlines], axis=1)
+    empties = (sizes == 0.0).sum(axis=0)
+    # each empty set adds 1/2 to every unknown layer that has its tag
+    js, at = np.nonzero(vocabulary.present[:, tag] & (empties > 0))
+    cells = [js * count + layer[at]]
+    weights = [empties[at] / 2.0]
 
     # the stacked row (attributes of all trees, then texts) and the id of
     # every stored hash the unknown tree has; no other hash can intersect
@@ -481,42 +466,22 @@ def _bounds(outlines: list[_Outline], vocabulary: _Vocabulary) -> np.ndarray:
                 for row in where[h]:
                     rows.append(row + shift)
                     ids.append(known[h])
-    if rows:
-        rows = np.array(rows, dtype=np.intp)
-        elements = rows % total
-        owner = start.searchsorted(elements, "right") - 1
-        touched = np.unique(owner)
-        span = size[touched]
-        # the touched groups' rows, group by group, with places in the group
-        place = np.arange(span.sum()) - np.repeat(_offsets(span), span)
-        picked = np.repeat(start[touched], span) + place
-        n = picked.size
-        # |A & UA| and |T & UT| against every unknown layer: a hash meets
-        # each layer where an element of its element's tag holds it
-        keys = vocabulary.key(np.array(ids, dtype=np.intp), tag[owner])
-        reps, picks = _meetings(vocabulary.placed, keys)
-        columns = picked.searchsorted(elements) + n * (rows >= total)
-        cells = vocabulary.placed_layers[picks] * (2 * n) + columns.repeat(reps)
-        counts = np.bincount(cells, minlength=width * 2 * n).reshape(width, 2 * n)
-        set_sizes = np.concatenate([o.sizes for o in outlines], axis=1)[:, picked].ravel()
-        ratios = counts / np.maximum(set_sizes, 1.0) + (set_sizes == 0.0)
-        values = (ratios[:, :n] + ratios[:, n:]) / 2.0
-        # each group largest first, and the sum of as many as a layer can match
-        members = np.broadcast_to(np.repeat(np.arange(touched.size), span), values.shape)
-        values = np.take_along_axis(values, np.lexsort((-values, members)), axis=1)
-        values *= place < take[:, touched].repeat(span, axis=1)
-        sums[:, touched] = np.add.reduceat(values, _offsets(span), axis=1)
+    rows = np.array(rows, dtype=np.intp)
+    elements = rows % total
+    # each shared hash adds 1 / (2 |set|) to every unknown layer where an
+    # element of its element's tag holds it
+    keys = vocabulary.key(np.array(ids, dtype=np.intp), tag[elements])
+    reps, picks = _meetings(vocabulary.placed, keys)
+    cells.append(vocabulary.placed_layers[picks] * count + layer[elements].repeat(reps))
+    weights.append((0.5 / sizes.ravel()[rows]).repeat(reps))
+    sums = np.bincount(np.concatenate(cells), np.concatenate(weights),
+                       minlength=width * count)
 
-    entry_sums = np.zeros(len(outlines))
-    if tag.size:
-        firsts = np.flatnonzero(np.diff(layer, prepend=-1))
-        best = (np.add.reduceat(sums, firsts, axis=1)
-                / np.add.reduceat(size, firsts)).max(axis=0)
-        owners = np.repeat(np.arange(len(outlines)), [o.filled for o in outlines])
-        entry_sums = np.bincount(owners, weights=best, minlength=len(outlines))
-    empty_layers = layers - [o.filled for o in outlines]
-    return np.where(layers > 0.0,
-                    (entry_sums + empty_layers) / np.maximum(layers, 1.0), 1.0)
+    best = np.where(size > 0, sums.reshape(width, count).max(axis=0)
+                    / np.maximum(size, 1), 1.0)
+    owners = np.repeat(np.arange(len(outlines)), layers)
+    entry_sums = np.bincount(owners, weights=best, minlength=len(outlines))
+    return np.where(layers > 0, entry_sums / np.maximum(layers, 1), 1.0)
 
 
 # -- recency-bounded store ------------------------------------------------------
@@ -622,7 +587,7 @@ def load_store(path, k: int = 50, h_hours: float = 24.0) -> PhishStore:
     """Read a store file; a document of the wrong shape, or a timestamp that
     is not a finite number, raises :class:`SchemaError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = decode_json(fh.read(), "store file")
     store = PhishStore(k=k, h_hours=h_hours)
     try:
         for entry in doc.get("entries", []):

@@ -14,7 +14,6 @@ from phishevade.classifier import (
     UnknownRuleError,
     find_single_rules,
     find_subset_rules,
-    hit_rules,
     load_model,
     load_rule_features,
     logistic,
@@ -239,7 +238,8 @@ def test_prune_delta_equals_contribution_sum():
         subs = sorted({sub for _, sub in find_subset_rules(clf)})
         pruned = prune(clf, subs)
         expected_delta = 0.0
-        for r in hit_rules(clf, fmap):
+        hits = [r for r in clf.rules if rule_hit(r, fmap, clf.freq_detect_threshold)]
+        for r in hits:
             if r.id in subs:
                 product = r.weight
                 for f in r.features:

@@ -403,6 +403,10 @@ def test_infer_malformed_hex_exits_2(tmp_path):
 
 # -- malformed loader input --------------------------------------------------------
 
+# Raw text, nested deeper than the JSON decoder can recurse.
+DEEP = "[" * 100_000
+
+
 @pytest.mark.parametrize("loader, content", [
     ("corpus", {"path": "seed.html", "label": "legit"}),
     ("corpus", {"url": "https://dailyledger.test/", "path": 5}),
@@ -419,16 +423,27 @@ def test_infer_malformed_hex_exits_2(tmp_path):
     ("store", {"entries": [{"signature": [], "timestamp": float("inf")}]}),
     ("pool", {"attrs": {}, "text": "x"}),
     ("pool", {"tag": "a", "attrs": {"href": 5}, "text": None}),
+    ("report", {"steps": 5}),
+    ("report", {"steps": [{"x": 1}]}),
+    ("report", {"steps": [{"score": "x"}]}),
+    ("report", {"steps": [], "mutated_features": "a"}),
+    ("model", DEEP), ("store", DEEP), ("pool", DEEP), ("corpus", DEEP), ("report", DEEP),
 ], ids=["corpus-record-without-url", "corpus-path-not-a-string",
         "store-entry-without-signature", "store-entries-not-a-list",
         "store-attrs-a-string", "store-hash-not-a-string",
         "store-timestamp-a-string", "store-timestamp-the-string-nan",
         "store-timestamp-a-boolean", "store-timestamp-nan",
         "store-timestamp-infinite",
-        "pool-line-without-tag", "pool-attribute-value-not-a-string"])
+        "pool-line-without-tag", "pool-attribute-value-not-a-string",
+        "report-steps-not-a-list", "report-step-without-score",
+        "report-score-not-a-number", "report-counter-not-a-number",
+        "model-too-deep", "store-too-deep", "pool-too-deep", "corpus-too-deep",
+        "report-too-deep"])
 def test_malformed_loader_input_exits_2(workdir, capsys, loader, content):
-    path = workdir["dir"] / f"bad-{loader}.json"
-    path.write_text(json.dumps(content) + "\n")
+    inputs = workdir["dir"] / "inputs"
+    inputs.mkdir()
+    path = inputs / f"bad-{loader}.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content) + "\n")
     manifest = workdir["dir"] / "digests.txt"
     manifest.write_text("")
     page = [workdir["seed"], "--model", workdir["model"], "--url", workdir["seed_url"]]
@@ -437,6 +452,9 @@ def test_malformed_loader_input_exits_2(workdir, capsys, loader, content):
         "store": ["defend", *page, "--store", str(path)],
         "pool": ["attack", *page, "--level", "black", "--pool", str(path),
                  "--out", str(workdir["dir"] / "out")],
+        "model": ["score", workdir["seed"], "--model", str(path),
+                  "--url", workdir["seed_url"]],
+        "report": ["report", str(inputs)],
     }[loader]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")

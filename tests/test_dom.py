@@ -12,7 +12,6 @@ from phishevade.dom import (
     DomTree,
     ParseError,
     bfs_layers,
-    element_count,
     isomorphic,
     parse_html,
     serialize,
@@ -236,7 +235,7 @@ def test_round_trip_stable_on_random_tag_soup():
 def test_layer_partition_covers_every_element(paypal_page):
     layers = bfs_layers(paypal_page)
     total = sum(len(layer) for layer in layers)
-    assert total == element_count(paypal_page)
+    assert total == sum(1 for _ in walk_elements(paypal_page))
     seen = set()
     for layer in layers:
         for node in layer:

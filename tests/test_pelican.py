@@ -189,6 +189,23 @@ def test_bound_is_at_least_the_similarity(stored, unknown):
                 assert bound + pelican.BOUND_SLACK >= value
 
 
+def test_bound_sums_every_element_of_a_present_tag():
+    """Each of three stored p elements is worth 1 against the unknown
+    layer's one p, so the bound counts all three although a matching pairs
+    only one; the span, whose tag the unknown layer lacks, is worth 0."""
+    p = el("p", [("a", "1")])
+    unknown = one(p)
+    wide = TreeSignature(((p, p, p, el("span", [("a", "1")])),))
+    narrow = TreeSignature(((p, el("span", [("b", "2")])),))
+    bounds = pelican._bounds([wide._outline, narrow._outline], unknown._vocabulary)
+    assert list(bounds) == [0.75, 0.5]
+    assert tree_similarity_pelican(wide, unknown) == 0.25
+    assert tree_similarity_pelican(narrow, unknown) == 0.5
+    store = PhishStore(entries=[StoreEntry(wide, 0.0), StoreEntry(narrow, 0.0)])
+    assert store.max_similarity(unknown) == \
+        oracle.max_similarity([wide, narrow], unknown) == (0.5, 1)
+
+
 def test_bound_of_trees_without_layers():
     empty, page = TreeSignature(()), sig("<html><body><p>x</p></body></html>")
     assert list(pelican._bounds([empty._outline, page._outline],
