@@ -44,6 +44,28 @@ def decode_json(text: str, what: str):
         raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
+def clip(text: str, limit: int = 80) -> str:
+    """``text`` for an error message: its first ``limit`` characters, and
+    its length when it is longer."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
+def finite_number(value, what: str) -> float:
+    """A decoded JSON number as a float; a boolean, a string, an infinity
+    or NaN, or an integer beyond the float range raises
+    :class:`SchemaError` naming ``what``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise SchemaError(f"{what} must be a finite number, not {clip(repr(value))}")
+
+
 class HashFormatError(ValueError):
     """A digest is not 64 lowercase hex characters."""
 
@@ -269,24 +291,21 @@ def _read_model_file(path) -> tuple[dict, list[tuple[dict, str, frozenset[str]]]
     return doc, rules
 
 
-def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{what} must be a number, not {value!r}") from exc
-
-
 def load_model(path) -> Classifier:
+    """Read a model file; a document of the wrong shape, or a bias,
+    threshold or weight that is not a finite number, raises
+    :class:`SchemaError`."""
     doc, entries = _read_model_file(path)
-    bias = _number(_require(doc, "bias"), "model 'bias'")
-    threshold = _number(_require(doc, "threshold"), "model 'threshold'")
+    bias = finite_number(_require(doc, "bias"), "model 'bias'")
+    threshold = finite_number(_require(doc, "threshold"), "model 'threshold'")
     hashed = bool(doc.get("hashed", False))
-    freq_t = _number(doc.get("freq_detect_threshold", 0.05),
-                     "model 'freq_detect_threshold'")
+    freq_t = finite_number(doc.get("freq_detect_threshold", 0.05),
+                           "model 'freq_detect_threshold'")
     if not 0.0 < freq_t < 1.0:
         raise SchemaError("model 'freq_detect_threshold' must be in (0, 1)")
     rules = tuple(ClassificationRule(
-        rule_id, feats, _number(_require(entry, "weight"), f"rule {rule_id!r} 'weight'"))
+        rule_id, feats,
+        finite_number(_require(entry, "weight"), f"rule {rule_id!r} 'weight'"))
         for entry, rule_id, feats in entries)
     return Classifier(bias, rules, threshold, hashed, freq_t)
 

@@ -28,6 +28,7 @@ from .classifier import (
     UnknownRuleError,
     check_freq_detect_threshold,
     decode_json,
+    finite_number,
     find_single_rules,
     find_subset_rules,
     load_model,
@@ -381,15 +382,11 @@ def _bucket_label(value: float) -> str:
     return "<0.5"
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _collect_rows(results_dir) -> list[dict]:
     """One row per attack report in the directory: a JSON object with
     ``steps``; other JSON files are skipped.  A report whose ``steps`` is not
-    a list of objects with a numeric ``score``, or whose counters are not
-    numbers, raises :class:`SchemaError`."""
+    a list of objects with a finite number as ``score``, or whose counters
+    are not finite numbers, raises :class:`SchemaError`."""
     rows = []
     for name in sorted(os.listdir(results_dir)):
         if not name.endswith(".json"):
@@ -399,13 +396,12 @@ def _collect_rows(results_dir) -> list[dict]:
         if not isinstance(doc, dict) or "steps" not in doc:
             continue
         if not isinstance(doc["steps"], list) or not all(
-                isinstance(step, dict) and _is_number(step.get("score"))
-                for step in doc["steps"]):
-            raise SchemaError(f"attack report {name!r}: 'steps' must be a list "
-                              "of objects with a numeric 'score'")
+                isinstance(step, dict) for step in doc["steps"]):
+            raise SchemaError(f"attack report {name!r}: 'steps' must be a list of objects")
+        for step in doc["steps"]:
+            finite_number(step.get("score"), f"attack report {name!r}: step 'score'")
         for key in ("mutated_features", "mutated_rules", "queries", "additions"):
-            if not _is_number(doc.get(key, 0)):
-                raise SchemaError(f"attack report {name!r}: {key!r} must be a number")
+            finite_number(doc.get(key, 0), f"attack report {name!r}: {key!r}")
         initial = doc["steps"][0]["score"] if doc["steps"] else 0.0
         rows.append({
             "seed": name[: -len(".json")],
@@ -416,7 +412,6 @@ def _collect_rows(results_dir) -> list[dict]:
             "rules": doc.get("mutated_rules", 0),
             "queries": doc.get("queries", 0),
             "operations": doc.get("mutated_features", 0) + doc.get("additions", 0),
-            "elapsed_ms": doc.get("elapsed_ms"),
         })
     return rows
 

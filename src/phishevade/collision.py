@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .classifier import HEX64, Classifier, HashFormatError, SchemaError, decode_json
+from .classifier import HEX64, Classifier, HashFormatError, SchemaError, clip, decode_json
 from .dom import DomTree, load_page
 from .features import extract_page_features, extract_url_features, hash_feature
 
@@ -66,8 +66,8 @@ def load_corpus(manifest_path) -> Corpus:
             record = decode_json(line, "corpus record")
             if not isinstance(record, dict) or not isinstance(record.get("url"), str) \
                     or not isinstance(record.get("path", ""), str):
-                raise SchemaError(
-                    f"corpus record {line!r} needs a string 'url' and no non-string 'path'")
+                raise SchemaError(f"corpus record {clip(repr(line))} needs a string "
+                                  "'url' and no non-string 'path'")
             url = record["url"]
             path = record.get("path")
             if path:

@@ -28,7 +28,13 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from . import features as F
-from .classifier import SchemaError, check_freq_detect_threshold, decode_json, unsatisfied
+from .classifier import (
+    SchemaError,
+    check_freq_detect_threshold,
+    clip,
+    decode_json,
+    unsatisfied,
+)
 from .dom import (
     ELEMENT,
     TEXT,
@@ -650,12 +656,12 @@ def load_pool(path) -> list[ElementSpec]:
             try:
                 spec = ElementSpec.from_dict(decode_json(line, "pool line"))
             except (AttributeError, KeyError, TypeError) as exc:
-                raise SchemaError(f"pool line {line!r} is not an element spec: "
+                raise SchemaError(f"pool line {clip(repr(line))} is not an element spec: "
                                   f"{type(exc).__name__}: {exc}") from exc
             strings = [spec.tag, *(value for _, value in spec.attrs)]
             if not all(isinstance(s, str) for s in strings) \
                     or not isinstance(spec.text, (str, type(None))):
-                raise SchemaError(f"pool line {line!r} is not an element spec: "
+                raise SchemaError(f"pool line {clip(repr(line))} is not an element spec: "
                                   "tag, attribute values and text must be strings")
             pool.append(spec)
     return pool

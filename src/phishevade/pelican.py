@@ -28,19 +28,18 @@ tag order, except that a one-row or one-column block takes its maximum.
 
 A store scan compares few entries in full.  Each entry first gets an upper
 bound on its personalized similarity, whatever ``layer_accept`` and
-``lookahead`` are.  A stored element's value against an unknown layer is at
-most its worth ``(|A & UA|/|A| + |T & UT|/|T|) / 2`` (a ratio counts 1 when
-its set is empty), where UA and UT are the unions of the attribute and text
-hashes of that layer's same-tag elements, and 0 when the layer lacks its
-tag.  A stored layer takes the largest sum of its elements' worths over the
-unknown layers, divided by its size, and the bound averages the stored
-layers.  Entries are visited in descending bound order, ties by index.  An
-entry is skipped when its bound plus ``BOUND_SLACK`` (which absorbs the
-different summation order) is below the best value so far, or equal to it
-at a larger index than the best entry's.  A compared entry becomes the best
-when its value is larger, or equal, positive and at a smaller index.  The
-scan thus returns exactly what comparing every entry in index order returns:
-the largest value and the first entry reaching it, or ``(0.0, None)``.
+``lookahead`` are.  A stored element's value against any unknown element is
+at most its worth ``(|A & UA|/|A| + |T & UT|/|T|) / 2`` (a ratio counts 1
+when its set is empty), where UA and UT are the unions of the attribute and
+text hashes of the unknown tree's same-tag elements, and 0 when the tree
+lacks its tag.  A stored layer's bound is the sum of its elements' worths
+divided by its size, and the entry's bound averages its layers.  Entries are
+visited in store order, and an entry is compared only when its bound plus
+``BOUND_SLACK`` (which absorbs the different summation order) is above the
+best value so far and reaches the floor.  The scan thus returns what
+comparing every entry in index order returns, the largest value and the
+first entry reaching it, whenever that value reaches the floor, and
+``(0.0, None)`` otherwise.
 
 The pipeline checks whitelist and blacklist, then the similarity store, and
 only then the classifier; detected phishing pages enter the recency-bounded
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -60,7 +58,7 @@ from operator import attrgetter
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .classifier import SchemaError, ScoreOracle, decode_json
+from .classifier import SchemaError, ScoreOracle, decode_json, finite_number
 from .dom import TEXT, DomTree, bfs_layers
 
 WHITELISTED = "whitelisted"
@@ -171,15 +169,12 @@ class _Vocabulary:
     Attribute and text hashes get disjoint ids.  ``layers[j]`` is layer j's
     (hash id, element) incidence sorted by id.
 
-    For the similarity bound, ``tag_ids`` numbers the tree's tags,
-    ``present[j, t]`` tells whether layer j has a tag-t element (the last
-    column, for tag id -1, is false), and ``placed`` lists every (hash id,
-    tag id) key once per layer in which an element of that tag holds that
-    hash, sorted by key, with ``placed_layers`` the layers.
+    For the similarity bound, ``tag_ids`` numbers the tree's tags, and
+    ``placed`` lists, sorted and once each, the (hash id, tag id) key of
+    every hash that an element of that tag holds somewhere in the tree.
     """
 
-    __slots__ = ("attr_ids", "text_ids", "layers", "tag_ids", "present",
-                 "placed", "placed_layers")
+    __slots__ = ("attr_ids", "text_ids", "layers", "tag_ids", "placed")
 
     def __init__(self, layers: tuple[_Layer, ...]):
         self.attr_ids, self.text_ids = {}, {}
@@ -191,21 +186,17 @@ class _Vocabulary:
                 self.text_ids.setdefault(h, len(self.attr_ids) + len(self.text_ids))
         self.tag_ids = {tag: t for t, tag in enumerate(
             sorted({tag for layer in layers for tag in layer.spans}))}
-        height = len(layers)
-        self.present = np.zeros((height, len(self.tag_ids) + 1), dtype=bool)
         self.layers = []
         placed = [np.empty(0, dtype=np.intp)]
-        for j, layer in enumerate(layers):
+        for layer in layers:
             ids = self.ids_of(layer)
             order = ids.argsort()
             self.layers.append((ids[order], layer.elements[order]))
             tags = np.empty(layer.size, dtype=np.intp)
             for tag, (r0, r1) in layer.spans.items():
                 tags[r0:r1] = self.tag_ids[tag]
-            self.present[j, tags] = True
-            placed.append(self.key(ids, tags[layer.elements]) * height + j)
-        placed = np.unique(np.concatenate(placed))
-        self.placed, self.placed_layers = np.divmod(placed, max(height, 1))
+            placed.append(self.key(ids, tags[layer.elements]))
+        self.placed = np.unique(np.concatenate(placed))
 
     def ids_of(self, layer: _Layer) -> np.ndarray:
         """Each hash's id, or -1 for a hash the tree does not have."""
@@ -215,7 +206,7 @@ class _Vocabulary:
 
     def key(self, ids: np.ndarray, tags: np.ndarray) -> np.ndarray:
         """One integer per (hash id, tag id) pair, different for different
-        pairs; either id may be -1, for a hash or tag the tree lacks."""
+        pairs; the tag id may be -1, for a tag the tree lacks."""
         return ids * (len(self.tag_ids) + 1) + tags + 1
 
 
@@ -418,41 +409,30 @@ def _bounds(outlines: list[_Outline], vocabulary: _Vocabulary) -> np.ndarray:
     ``tree_similarity_pelican`` against the unknown tree (given by its
     vocabulary), whatever ``layer_accept`` and ``lookahead`` are.
 
-    Against unknown layer j, a stored element's similarity to any unknown
-    element is at most its worth ``(|A & UA|/|A| + |T & UT|/|T|) / 2``, a
-    ratio counting 1 where its set is empty, where UA and UT are the unions
-    of the attribute and text hashes of the layer's same-tag elements; it
-    is worth 0 when the layer lacks its tag.  A matching pairs each element
-    at most once, so a stored layer's matched sum is at most the sum of its
-    elements' worths.  The layer-skip pairs a stored layer with some
-    unknown layer or with none, so its value is at most the largest of
-    those sums over all unknown layers divided by its size (1 for an empty
-    layer), and the bound averages that over the stored layers.  A tree
-    without layers has similarity 1, and against an unknown tree without
-    layers, 0.
+    A stored element's similarity to any unknown element is at most its
+    worth ``(|A & UA|/|A| + |T & UT|/|T|) / 2``, a ratio counting 1 where
+    its set is empty, where UA and UT are the unions of the attribute and
+    text hashes of the unknown tree's same-tag elements; it is worth 0 when
+    the tree lacks its tag.  Whichever unknown layer the layer-skip pairs a
+    stored layer with, a matching pairs each element at most once, so the
+    layer's value is at most the sum of its elements' worths divided by its
+    size (1 for an empty layer), and the bound averages that over the
+    stored layers.  A tree without layers has similarity 1.
 
     The outlines are stacked into one batch of rows and layers, and one
-    weighted count builds every (unknown layer, stored layer) sum from the
-    empty sets and the shared hashes; no element's worth is formed alone.
+    weighted count builds every element's worth from the shared hashes.
     """
+    if not outlines:
+        return np.zeros(0)
     layers = np.array([len(o.layer_sizes) for o in outlines], dtype=np.intp)
-    width = len(vocabulary.layers)
-    if not width or not outlines:
-        return (layers == 0).astype(float)
     heights = [o.sizes.shape[1] for o in outlines]
     total, first = sum(heights), _offsets(heights)
     size = np.array([n for o in outlines for n in o.layer_sizes], dtype=np.intp)
-    count, layer = size.size, np.repeat(np.arange(size.size), size)
     tag_of = np.array([vocabulary.tag_ids.get(tag, -1)
                        for o in outlines for tag in o.tags], dtype=np.intp)
     tag = tag_of[np.concatenate([o.row_tags for o in outlines])
                  + np.repeat(_offsets([len(o.tags) for o in outlines]), heights)]
     sizes = np.concatenate([o.sizes for o in outlines], axis=1)
-    empties = (sizes == 0.0).sum(axis=0)
-    # each empty set adds 1/2 to every unknown layer that has its tag
-    js, at = np.nonzero(vocabulary.present[:, tag] & (empties > 0))
-    cells = [js * count + layer[at]]
-    weights = [empties[at] / 2.0]
 
     # the stacked row (attributes of all trees, then texts) and the id of
     # every stored hash the unknown tree has; no other hash can intersect
@@ -467,20 +447,19 @@ def _bounds(outlines: list[_Outline], vocabulary: _Vocabulary) -> np.ndarray:
                     rows.append(row + shift)
                     ids.append(known[h])
     rows = np.array(rows, dtype=np.intp)
-    elements = rows % total
-    # each shared hash adds 1 / (2 |set|) to every unknown layer where an
-    # element of its element's tag holds it
-    keys = vocabulary.key(np.array(ids, dtype=np.intp), tag[elements])
-    reps, picks = _meetings(vocabulary.placed, keys)
-    cells.append(vocabulary.placed_layers[picks] * count + layer[elements].repeat(reps))
-    weights.append((0.5 / sizes.ravel()[rows]).repeat(reps))
-    sums = np.bincount(np.concatenate(cells), np.concatenate(weights),
-                       minlength=width * count)
+    # a shared hash counts 1/|set| when an element of its element's tag
+    # holds it, and an empty set counts 1
+    held, _ = _meetings(vocabulary.placed, vocabulary.key(
+        np.array(ids, dtype=np.intp), tag[rows % total]))
+    ratios = np.bincount(rows, held / sizes.ravel()[rows], minlength=2 * total)
+    ratios = np.where(sizes == 0.0, 1.0, ratios.reshape(2, total))
+    worths = np.where(tag >= 0, (ratios[0] + ratios[1]) / 2.0, 0.0)
 
-    best = np.where(size > 0, sums.reshape(width, count).max(axis=0)
-                    / np.maximum(size, 1), 1.0)
+    sums = np.bincount(np.repeat(np.arange(size.size), size), worths,
+                       minlength=size.size)
+    layer_bounds = np.where(size > 0, sums / np.maximum(size, 1), 1.0)
     owners = np.repeat(np.arange(len(outlines)), layers)
-    entry_sums = np.bincount(owners, weights=best, minlength=len(outlines))
+    entry_sums = np.bincount(owners, weights=layer_bounds, minlength=len(outlines))
     return np.where(layers > 0, entry_sums / np.maximum(layers, 1), 1.0)
 
 
@@ -513,33 +492,30 @@ class PhishStore:
         self.evict(now)
 
     def max_similarity(self, tree_or_sig, layer_accept: float = 0.5,
-                       lookahead: int = 3) -> tuple[float, int | None]:
+                       lookahead: int = 3,
+                       floor: float = 0.0) -> tuple[float, int | None]:
         """Best Pelican similarity of the unknown tree against the store,
         and the first entry reaching it; ``(0.0, None)`` when no entry
-        scores above 0.
+        scores above 0 and at least ``floor``.
 
         Each entry first gets an upper bound (:func:`_bounds`) on its
-        similarity.  Entries are visited in descending bound order, ties by
-        index, and the full comparison runs only on an entry that can still
-        win: one is skipped when ``bound + BOUND_SLACK`` is below the best
-        value so far, or equal to it at a larger index than the best
-        entry's.  A compared entry becomes the best when its value is
-        larger, or equal, positive and at a smaller index, so the result is
-        exactly that of comparing every entry in index order.
+        similarity.  Entries are visited in index order, and the full
+        comparison runs only on an entry that can still win: one is skipped
+        when ``bound + BOUND_SLACK`` is at most the best value so far or
+        below ``floor``.  A compared entry becomes the best when its value
+        is larger than the best and reaches ``floor``.
         """
         sig = _coerce(tree_or_sig)
         bounds = _bounds([entry.signature._outline for entry in self.entries],
                          sig._vocabulary).tolist()
         best, best_index = 0.0, None
-        for index in sorted(range(len(bounds)), key=lambda i: (-bounds[i], i)):
-            reach = bounds[index] + BOUND_SLACK
-            if reach < best:
-                break                   # no later entry has a larger bound
-            if reach <= best and index > best_index:
+        for index, bound in enumerate(bounds):
+            reach = bound + BOUND_SLACK
+            if reach <= best or reach < floor:
                 continue
             value = tree_similarity_pelican(self.entries[index].signature, sig,
                                             layer_accept, lookahead)
-            if value > best or (value == best > 0.0 and index < best_index):
+            if value > best and value >= floor:
                 best, best_index = value, index
         return best, best_index
 
@@ -576,13 +552,6 @@ def save_store(store: PhishStore, path) -> None:
         fh.write("\n")
 
 
-def _timestamp_from_json(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise SchemaError(f"store entry 'timestamp' must be a finite number, not {value!r}")
-    return float(value)
-
-
 def load_store(path, k: int = 50, h_hours: float = 24.0) -> PhishStore:
     """Read a store file; a document of the wrong shape, or a timestamp that
     is not a finite number, raises :class:`SchemaError`."""
@@ -593,7 +562,7 @@ def load_store(path, k: int = 50, h_hours: float = 24.0) -> PhishStore:
         for entry in doc.get("entries", []):
             store.entries.append(StoreEntry(
                 _signature_from_json(entry["signature"]),
-                _timestamp_from_json(entry["timestamp"])))
+                finite_number(entry["timestamp"], "store entry 'timestamp'")))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed store file: {type(exc).__name__}: {exc}") from exc
     return store
@@ -620,8 +589,9 @@ def pipeline(url: str, page: DomTree, whitelist: set[str], blacklist: set[str],
 
     Store entries older than the store's horizon at ``now``, and the oldest
     beyond its capacity, are evicted before the scan, so they never match.
-    The classifier is only queried when the earlier stages do not decide;
-    classifier-detected pages are inserted into the store.
+    The scan's floor is ``detect_threshold``, so any entry it returns is a
+    detection.  The classifier is only queried when the earlier stages do
+    not decide; classifier-detected pages are inserted into the store.
     """
     if url in whitelist:
         return Verdict(WHITELISTED)
@@ -629,8 +599,9 @@ def pipeline(url: str, page: DomTree, whitelist: set[str], blacklist: set[str],
         return Verdict(BLACKLISTED)
     sig = signature_of(page)
     store.evict(now)
-    best, index = store.max_similarity(sig, layer_accept, lookahead)
-    if index is not None and best >= detect_threshold:
+    best, index = store.max_similarity(sig, layer_accept, lookahead,
+                                       detect_threshold)
+    if index is not None:
         return Verdict(EVASION_DETECTED, similarity=best, matched_entry=index)
     score = oracle.score_page(page)
     if score >= oracle.classifier.threshold:

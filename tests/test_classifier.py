@@ -313,8 +313,17 @@ def test_model_round_trip(tmp_path):
     {"bias": 0.0, "threshold": 0.5,
      "rules": [{"id": "r", "features": "PageHasForms", "weight": 1.0}]},
     {"bias": 0.0, "threshold": 0.5, "freq_detect_threshold": 0, "rules": []},
+    {"bias": 0.0, "threshold": 0.5,
+     "rules": [{"id": "r", "features": ["PageHasForms"], "weight": float("inf")}]},
+    {"bias": 0.0, "threshold": float("nan"), "rules": []},
+    {"bias": "0.5", "threshold": 0.5, "rules": []},
+    {"bias": 0.0, "threshold": 0.5,
+     "rules": [{"id": "r", "features": ["PageHasForms"], "weight": True}]},
+    {"bias": 10 ** 400, "threshold": 0.5, "rules": []},
 ], ids=["missing-threshold", "rules-not-a-list", "rule-not-an-object",
-        "features-a-string", "freq-threshold-zero"])
+        "features-a-string", "freq-threshold-zero", "weight-infinite",
+        "threshold-nan", "bias-a-string", "weight-a-boolean",
+        "bias-too-large-an-integer"])
 def test_malformed_model_is_schema_error(tmp_path, doc):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))

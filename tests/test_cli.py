@@ -405,6 +405,8 @@ def test_infer_malformed_hex_exits_2(tmp_path):
 
 # Raw text, nested deeper than the JSON decoder can recurse.
 DEEP = "[" * 100_000
+# Raw text, one malformed line of 100,000 characters.
+LONG_LINE = json.dumps(["x" * 99_996]) + "\n"
 
 
 @pytest.mark.parametrize("loader, content", [
@@ -421,24 +423,31 @@ DEEP = "[" * 100_000
     ("store", {"entries": [{"signature": [], "timestamp": True}]}),
     ("store", {"entries": [{"signature": [], "timestamp": float("nan")}]}),
     ("store", {"entries": [{"signature": [], "timestamp": float("inf")}]}),
+    ("store", {"entries": [{"signature": [], "timestamp": 10 ** 400}]}),
     ("pool", {"attrs": {}, "text": "x"}),
     ("pool", {"tag": "a", "attrs": {"href": 5}, "text": None}),
     ("report", {"steps": 5}),
     ("report", {"steps": [{"x": 1}]}),
     ("report", {"steps": [{"score": "x"}]}),
     ("report", {"steps": [], "mutated_features": "a"}),
+    ("report", {"steps": [{"score": float("inf")}]}),
+    ("report", {"steps": [], "queries": True}),
+    ("model", '{"bias": 0.0, "threshold": 0.5, "rules": '
+              '[{"id": "r", "features": ["PageHasForms"], "weight": 1e400}]}'),
     ("model", DEEP), ("store", DEEP), ("pool", DEEP), ("corpus", DEEP), ("report", DEEP),
+    ("corpus", LONG_LINE), ("pool", LONG_LINE),
 ], ids=["corpus-record-without-url", "corpus-path-not-a-string",
         "store-entry-without-signature", "store-entries-not-a-list",
         "store-attrs-a-string", "store-hash-not-a-string",
         "store-timestamp-a-string", "store-timestamp-the-string-nan",
         "store-timestamp-a-boolean", "store-timestamp-nan",
-        "store-timestamp-infinite",
+        "store-timestamp-infinite", "store-timestamp-too-large-an-integer",
         "pool-line-without-tag", "pool-attribute-value-not-a-string",
         "report-steps-not-a-list", "report-step-without-score",
         "report-score-not-a-number", "report-counter-not-a-number",
+        "report-score-infinite", "report-counter-a-boolean", "model-weight-1e400",
         "model-too-deep", "store-too-deep", "pool-too-deep", "corpus-too-deep",
-        "report-too-deep"])
+        "report-too-deep", "corpus-line-too-long", "pool-line-too-long"])
 def test_malformed_loader_input_exits_2(workdir, capsys, loader, content):
     inputs = workdir["dir"] / "inputs"
     inputs.mkdir()
@@ -457,7 +466,8 @@ def test_malformed_loader_input_exits_2(workdir, capsys, loader, content):
         "report": ["report", str(inputs)],
     }[loader]
     assert run(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.encode()) < 500
 
 
 # Random JSON documents: any value, and the loaders' own shapes with any

@@ -149,17 +149,26 @@ STORES = st.lists(st.one_of(SIGNATURES, PAGES), min_size=1, max_size=4).flatmap(
 
 @settings(max_examples=150, deadline=None)
 @given(stored=STORES, unknown=st.one_of(SIGNATURES, PAGES),
-       layer_accept=LAYER_ACCEPT, lookahead=st.integers(1, 4))
+       layer_accept=LAYER_ACCEPT, lookahead=st.integers(1, 4),
+       floor=st.one_of(st.just(0.0), st.just(None), st.floats(0.0, 1.0)))
 def test_store_scan_equals_the_per_pair_oracle(stored, unknown, layer_accept,
-                                                lookahead):
+                                                lookahead, floor):
+    """A ``None`` floor stands for the oracle's own value."""
     store = PhishStore(k=10, entries=[StoreEntry(s, 0.0) for s in stored])
-    assert store.max_similarity(unknown, layer_accept, lookahead) == \
-        oracle.max_similarity(stored, unknown, layer_accept, lookahead)
+    expected = oracle.max_similarity(stored, unknown, layer_accept, lookahead)
+    if floor is None:
+        floor = expected[0]
+    if not (expected[0] > 0.0 and expected[0] >= floor):
+        expected = (0.0, None)
+    assert store.max_similarity(unknown, layer_accept, lookahead, floor) == expected
+    if floor == 0.0:
+        assert store.max_similarity(unknown, layer_accept, lookahead) == expected
 
 
 def test_store_scan_ties_between_entries_with_different_bounds():
-    """Entry 1 ties entry 0 in value but has the larger bound, so the scan
-    compares it first; entry 0 still wins the tie."""
+    """Entry 1 ties entry 0 in value and has the larger bound, so it is
+    compared too; it does not beat the equal value of entry 0, which comes
+    first."""
     unknown = TreeSignature(((el("p", [("a", "1")]), el("p", [("a", "9")])),))
     tight = TreeSignature(((el("p", [("a", "1"), ("b", "5")]),),))
     loose = TreeSignature(((el("p", [("a", "1")]), el("p", [("a", "1")])),))
@@ -204,6 +213,20 @@ def test_bound_sums_every_element_of_a_present_tag():
     store = PhishStore(entries=[StoreEntry(wide, 0.0), StoreEntry(narrow, 0.0)])
     assert store.max_similarity(unknown) == \
         oracle.max_similarity([wide, narrow], unknown) == (0.5, 1)
+
+
+def test_bound_takes_the_unions_of_the_whole_unknown_tree():
+    """The stored element's attributes sit in two different unknown layers,
+    so against either layer alone it is worth 3/4, but against the tree's
+    p hashes it is worth 1."""
+    stored = one(el("p", [("a", "1"), ("b", "2")]))
+    unknown = TreeSignature(((el("p", [("a", "1")]),), (el("p", [("b", "2")]),)))
+    assert list(pelican._bounds([stored._outline], unknown._vocabulary)) == [1.0]
+    assert tree_similarity_pelican(stored, unknown) == 0.75
+    store = PhishStore(entries=[StoreEntry(stored, 0.0)])
+    assert store.max_similarity(unknown) == (0.75, 0)
+    assert store.max_similarity(unknown, floor=0.75) == (0.75, 0)
+    assert store.max_similarity(unknown, floor=0.8) == (0.0, None)
 
 
 def test_bound_of_trees_without_layers():
