@@ -36,7 +36,6 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import features as F
 from .classifier import (
     ClassificationRule,
     Classifier,
@@ -64,6 +63,7 @@ from .mutation import (
     modify_text,
     plan_add_rule,
     plan_delete_feature,
+    split_avoid_terms,
 )
 
 WHITE, GREY, BLACK = "white", "grey", "black"
@@ -260,12 +260,6 @@ class _Run:
         )
 
 
-def _term_payloads(rules_features) -> set[str]:
-    prefix = F.PAGE_TERM + "="
-    return {f[len(prefix):] for feats in rules_features for f in feats
-            if f.startswith(prefix)}
-
-
 _PLAN_FAILURES = (UnsupportedMutation, TermNotFound, FeatureAbsent,
                   UrlFeatureUnaddable, PathError)
 
@@ -287,7 +281,7 @@ def white_box(knowledge: Knowledge, page: DomTree,
     positive = [r for r in rules if r.weight > 0]
     negative = [r for r in rules if r.weight < 0]
     positive_features = sorted({f for r in positive for f in r.features})
-    avoid_terms = _term_payloads([r.features for r in positive])
+    avoid_terms = split_avoid_terms(f for r in positive for f in r.features)
     banned_deletions: set[str] = set()
     banned_additions: set[str] = set()
     feature_universe = {f for r in rules for f in r.features}
@@ -359,7 +353,7 @@ def grey_box(knowledge: Knowledge, page: DomTree) -> AttackResult:
     t = knowledge.freq_detect_threshold
     rules = knowledge.rules or []
     run = _Run(knowledge, page, lambda fmap: _rule_products(rules, fmap, t))
-    avoid_terms = _term_payloads([feats for _, feats in rules])
+    avoid_terms = split_avoid_terms(f for _, feats in rules for f in feats)
 
     reliance: dict[str, int] = {}
     for _, feats in rules:

@@ -282,30 +282,36 @@ def _read_model_file(path) -> tuple[dict, list[tuple[dict, str, frozenset[str]]]
     rules = []
     for entry in raw_rules:
         if not isinstance(entry, dict):
-            raise SchemaError(f"model rule {entry!r} is not a JSON object")
+            raise SchemaError(f"model rule {clip(repr(entry))} is not a JSON object")
         rule_id = str(_require(entry, "id"))
         feats = _require(entry, "features")
         if not isinstance(feats, list) or not all(isinstance(f, str) for f in feats):
-            raise SchemaError(f"rule {rule_id!r}: 'features' must be a list of strings")
+            raise SchemaError(f"rule {clip(repr(rule_id))}: "
+                              "'features' must be a list of strings")
         rules.append((entry, rule_id, frozenset(feats)))
     return doc, rules
 
 
 def load_model(path) -> Classifier:
-    """Read a model file; a document of the wrong shape, or a bias,
-    threshold or weight that is not a finite number, raises
+    """Read a model file; a document of the wrong shape, a bias, threshold
+    or weight that is not a finite number, or a ``hashed`` flag that is not
+    ``true`` or ``false`` (a missing one means false), raises
     :class:`SchemaError`."""
     doc, entries = _read_model_file(path)
     bias = finite_number(_require(doc, "bias"), "model 'bias'")
     threshold = finite_number(_require(doc, "threshold"), "model 'threshold'")
-    hashed = bool(doc.get("hashed", False))
+    hashed = doc.get("hashed", False)
+    if not isinstance(hashed, bool):
+        raise SchemaError("model 'hashed' must be true or false, "
+                          f"not {clip(repr(hashed))}")
     freq_t = finite_number(doc.get("freq_detect_threshold", 0.05),
                            "model 'freq_detect_threshold'")
     if not 0.0 < freq_t < 1.0:
         raise SchemaError("model 'freq_detect_threshold' must be in (0, 1)")
     rules = tuple(ClassificationRule(
         rule_id, feats,
-        finite_number(_require(entry, "weight"), f"rule {rule_id!r} 'weight'"))
+        finite_number(_require(entry, "weight"),
+                      f"rule {clip(repr(rule_id))} 'weight'"))
         for entry, rule_id, feats in entries)
     return Classifier(bias, rules, threshold, hashed, freq_t)
 

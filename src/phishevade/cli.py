@@ -39,7 +39,7 @@ from .classifier import (
 from .collision import LEGIT, Corpus, harvest_candidates, invert_hashes, load_corpus, load_manifest
 from .dom import DomTree, ParseError, load_page, serialize, walk_elements
 from . import features as F
-from .features import Feature, PAGE_TERM, UrlError, extract_all_features
+from .features import Feature, UrlError, extract_all_features
 from .mutation import (
     DELETABLE_KINDS,
     FeatureAbsent,
@@ -47,6 +47,7 @@ from .mutation import (
     load_pool,
     plan_add_rule,
     plan_delete_feature,
+    split_avoid_terms,
 )
 
 EXIT_OK = 0
@@ -298,9 +299,7 @@ def generate_fixture_pages(corpus: Corpus, model: Classifier, lo: float,
         raise Unreachable("corpus has no form-bearing legitimate pages")
 
     model_features = {f for r in model.rules for f in r.features}
-    term_prefix = PAGE_TERM + "="
-    avoid = {f[len(term_prefix):] for f in model_features
-             if f.startswith(term_prefix)}
+    avoid = split_avoid_terms(model_features)
     t = model.freq_detect_threshold
     out: list[tuple[str, DomTree, float]] = []
     index = 0

@@ -243,6 +243,14 @@ def modify_attribute(tree: DomTree, path: tuple[int, ...], attr: str) -> NodeOp:
     })
 
 
+def split_avoid_terms(features) -> set[str]:
+    """The terms that ``PageTerm`` features among ``features`` name: the
+    ``avoid_terms`` of :func:`modify_text`, so that a split does not leave
+    a term that a rule tests."""
+    prefix = F.PAGE_TERM + "="
+    return {f[len(prefix):] for f in features if f.startswith(prefix)}
+
+
 def modify_text(tree: DomTree, path: tuple[int, ...], term: str,
                 avoid_terms: set[str] | None = None) -> NodeOp:
     """Plan a zero-width split of ``term`` in the text node at ``path``.

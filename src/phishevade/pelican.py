@@ -15,31 +15,34 @@ by maximum-weight assignment.
 
 Both measures fill a layer pair's similarity blocks from one kernel.  The
 unknown tree's hashes get integer ids (its vocabulary, built once per
-signature, so a store scan builds it once); a stored hash outside it cannot
-intersect and drops out.  Joining the two layers' (element, id) incidences
-gives every intersection size ``|a & b|`` as an exact integer, and the
-block values are array divisions of those integers by ``|a|`` (personalized)
-or by ``|a| + |b| - |a & b|`` (baseline).  These are the same IEEE divisions
+signature, so a store scan builds it at most once); a stored hash outside
+it cannot intersect and drops out.  Joining the two layers' (element, id)
+incidences gives every intersection size ``|a & b|`` as an exact integer,
+and the block values are array divisions of those integers by ``|a|``
+(personalized) or by ``|a| + |b| - |a & b|`` (baseline).  These are the same IEEE divisions
 of the same integers as ``len(a & b) / len(a)`` on the sets, so every block,
 and every assignment over it, is bit-identical to comparing the element
 pairs one by one.  Each signature keeps its layers in tag order, so a
 same-tag block is a slice; the assignment still runs per block in sorted
 tag order, except that a one-row or one-column block takes its maximum.
 
-A store scan compares few entries in full.  Each entry first gets an upper
-bound on its personalized similarity, whatever ``layer_accept`` and
-``lookahead`` are.  A stored element's value against any unknown element is
-at most its worth ``(|A & UA|/|A| + |T & UT|/|T|) / 2`` (a ratio counts 1
-when its set is empty), where UA and UT are the unions of the attribute and
-text hashes of the unknown tree's same-tag elements, and 0 when the tree
-lacks its tag.  A stored layer's bound is the sum of its elements' worths
-divided by its size, and the entry's bound averages its layers.  Entries are
-visited in store order, and an entry is compared only when its bound plus
-``BOUND_SLACK`` (which absorbs the different summation order) is above the
-best value so far and reaches the floor.  The scan thus returns what
-comparing every entry in index order returns, the largest value and the
-first entry reaching it, whenever that value reaches the floor, and
-``(0.0, None)`` otherwise.
+A store scan compares few entries in full.  Entries are visited in store
+order, and each first gets an upper bound on its personalized similarity,
+whatever ``layer_accept`` and ``lookahead`` are.  A stored element's value
+against any unknown element is at most its worth
+``(|A & UA|/|A| + |T & UT|/|T|) / 2`` (a ratio counts 1 when its set is
+empty), where UA and UT are the attribute and text hashes of the whole
+unknown tree.  A stored layer's bound is the sum of its elements' worths
+divided by its size, and the entry's bound averages its layers.  That is
+linear in which stored hashes the unknown tree holds, so each stored
+signature keeps a table of a constant base and one weight per hash, and
+the bound is the base plus the weights of the shared hashes.  An entry is
+compared only when its bound plus ``BOUND_SLACK`` (which absorbs the
+different summation order) is above the best value so far and reaches the
+floor, and the unknown tree's vocabulary is built only once an entry is
+compared.  The scan thus returns what comparing every entry in index order
+returns, the largest value and the first entry reaching it, whenever that
+value reaches the floor, and ``(0.0, None)`` otherwise.
 
 The pipeline checks whitelist and blacklist, then the similarity store, and
 only then the classifier; detected phishing pages enter the recency-bounded
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -136,8 +140,38 @@ class TreeSignature:
         return _Vocabulary(self._layers)
 
     @cached_property
-    def _outline(self) -> "_Outline":
-        return _Outline(self.layers)
+    def _hashes(self) -> tuple[frozenset[str], frozenset[str]]:
+        """Every attribute hash and every text hash of the tree."""
+        return (frozenset(h for layer in self.layers for e in layer
+                          for h in e.attr_hashes),
+                frozenset(h for layer in self.layers for e in layer
+                          for h in e.text_hashes))
+
+    @cached_property
+    def _weights(self) -> tuple[float, dict[str, float], dict[str, float]]:
+        """``(base, attr_weights, text_weights)``, which :func:`_bound`
+        sums.  In a tree of L layers, an n-element layer adds
+        ``e/(2n)/L`` to ``base`` for its e empty sets (an empty layer adds
+        ``1/L``, and a tree without layers has base 1), and each hash of a
+        non-empty set adds ``1/(2Ln|set|)`` to its weight."""
+        depth = len(self.layers)
+        if not depth:
+            return 1.0, {}, {}
+        base = []
+        attr_weights, text_weights = {}, {}
+        for layer in self.layers:
+            empty = 0
+            for e in layer:
+                for hashes, weights in ((e.attr_hashes, attr_weights),
+                                        (e.text_hashes, text_weights)):
+                    if not hashes:
+                        empty += 1
+                        continue
+                    weight = 0.5 / (depth * len(layer) * len(hashes))
+                    for h in hashes:
+                        weights[h] = weights.get(h, 0.0) + weight
+            base.append(empty / (2 * len(layer)) if layer else 1.0)
+        return math.fsum(base) / depth, attr_weights, text_weights
 
 
 def signature_of(tree: DomTree) -> TreeSignature:
@@ -152,29 +186,15 @@ def _coerce(tree_or_sig) -> TreeSignature:
     return signature_of(tree_or_sig)
 
 
-def _meetings(sorted_keys: np.ndarray, keys: np.ndarray):
-    """Where each of ``keys`` occurs in ``sorted_keys``: ``reps[n]`` is the
-    number of occurrences of key n, and ``picks`` lists their positions,
-    key by key."""
-    lo = sorted_keys.searchsorted(keys, "left")
-    reps = sorted_keys.searchsorted(keys, "right") - lo
-    picks = (lo - reps.cumsum() + reps).repeat(reps)
-    picks += np.arange(picks.size)
-    return reps, picks
-
-
 class _Vocabulary:
-    """Integer ids for the hashes of the unknown tree of a comparison.
+    """Integer ids for the hashes of the unknown tree of a comparison,
+    built when the first stored tree is compared with it in full.
 
     Attribute and text hashes get disjoint ids.  ``layers[j]`` is layer j's
     (hash id, element) incidence sorted by id.
-
-    For the similarity bound, ``tag_ids`` numbers the tree's tags, and
-    ``placed`` lists, sorted and once each, the (hash id, tag id) key of
-    every hash that an element of that tag holds somewhere in the tree.
     """
 
-    __slots__ = ("attr_ids", "text_ids", "layers", "tag_ids", "placed")
+    __slots__ = ("attr_ids", "text_ids", "layers")
 
     def __init__(self, layers: tuple[_Layer, ...]):
         self.attr_ids, self.text_ids = {}, {}
@@ -184,30 +204,17 @@ class _Vocabulary:
         for layer in layers:
             for h in layer.texts:
                 self.text_ids.setdefault(h, len(self.attr_ids) + len(self.text_ids))
-        self.tag_ids = {tag: t for t, tag in enumerate(
-            sorted({tag for layer in layers for tag in layer.spans}))}
         self.layers = []
-        placed = [np.empty(0, dtype=np.intp)]
         for layer in layers:
             ids = self.ids_of(layer)
             order = ids.argsort()
             self.layers.append((ids[order], layer.elements[order]))
-            tags = np.empty(layer.size, dtype=np.intp)
-            for tag, (r0, r1) in layer.spans.items():
-                tags[r0:r1] = self.tag_ids[tag]
-            placed.append(self.key(ids, tags[layer.elements]))
-        self.placed = np.unique(np.concatenate(placed))
 
     def ids_of(self, layer: _Layer) -> np.ndarray:
         """Each hash's id, or -1 for a hash the tree does not have."""
         attr_get, text_get = self.attr_ids.get, self.text_ids.get
         return np.array([attr_get(h, -1) for h in layer.attrs]
                         + [text_get(h, -1) for h in layer.texts], dtype=np.intp)
-
-    def key(self, ids: np.ndarray, tags: np.ndarray) -> np.ndarray:
-        """One integer per (hash id, tag id) pair, different for different
-        pairs; the tag id may be -1, for a tag the tree lacks."""
-        return ids * (len(self.tag_ids) + 1) + tags + 1
 
 
 class _Comparison:
@@ -241,7 +248,12 @@ class _Comparison:
         rows, ids = self._shared_hashes(i)
         n, width = self.stored[i].size, self.unknown[j].size
         sorted_ids, elements = self.vocabulary.layers[j]
-        reps, picks = _meetings(sorted_ids, ids)
+        # reps[k]: how many elements of layer j hold the k-th shared hash;
+        # picks: their positions in sorted_ids, hash by hash
+        lo = sorted_ids.searchsorted(ids, "left")
+        reps = sorted_ids.searchsorted(ids, "right") - lo
+        picks = (lo - reps.cumsum() + reps).repeat(reps)
+        picks += np.arange(picks.size)
         cells = (rows * width).repeat(reps) + elements[picks]
         return np.bincount(cells, minlength=2 * n * width).reshape(2 * n, width)
 
@@ -362,105 +374,32 @@ def tree_similarity_pelican(stored, unknown, layer_accept: float = 0.5,
 
 # -- an upper bound for the store scan ------------------------------------------
 
-# Added to a bound before it is compared with a similarity: the two sum the
-# same element values in different orders.
+# Added to a bound before it is compared with a similarity: the two sum
+# their element values in different groupings and orders.
 BOUND_SLACK = 1e-9
 
 
-class _Outline:
-    """A stored signature's elements as the similarity bound reads them.
-
-    Rows run layer by layer, in page order, and ``layer_sizes`` holds each
-    layer's number of rows.  ``row_tags`` gives each row's tag as an index
-    into ``tags``; ``sizes`` holds each row's attribute-set and text-set
-    size, and ``attr_rows`` and ``text_rows`` the rows holding each hash,
-    whose keys ``attr_keys`` and ``text_keys`` hold again as sets.
-    """
-
-    __slots__ = ("layer_sizes", "tags", "row_tags", "sizes", "attr_rows",
-                 "text_rows", "attr_keys", "text_keys")
-
-    def __init__(self, layers):
-        self.layer_sizes = [len(layer) for layer in layers]
-        self.tags = sorted({e.tag for layer in layers for e in layer})
-        index = {tag: t for t, tag in enumerate(self.tags)}
-        ordered = [e for layer in layers for e in layer]
-        self.row_tags = np.array([index[e.tag] for e in ordered], dtype=np.intp)
-        self.sizes = np.array([[len(e.attr_hashes) for e in ordered],
-                               [len(e.text_hashes) for e in ordered]],
-                              dtype=float).reshape(2, -1)
-        self.attr_rows, self.text_rows = {}, {}
-        for row, e in enumerate(ordered):
-            for h in e.attr_hashes:
-                self.attr_rows.setdefault(h, []).append(row)
-            for h in e.text_hashes:
-                self.text_rows.setdefault(h, []).append(row)
-        self.attr_keys = frozenset(self.attr_rows)
-        self.text_keys = frozenset(self.text_rows)
-
-
-def _offsets(counts) -> np.ndarray:
-    """Where each of consecutive runs of ``counts`` items starts."""
-    return np.concatenate(([0], np.cumsum(counts[:-1], dtype=np.intp)))
-
-
-def _bounds(outlines: list[_Outline], vocabulary: _Vocabulary) -> np.ndarray:
-    """For each stored tree (given by its outline), an upper bound on its
-    ``tree_similarity_pelican`` against the unknown tree (given by its
-    vocabulary), whatever ``layer_accept`` and ``lookahead`` are.
+def _bound(stored: TreeSignature, unknown: TreeSignature) -> float:
+    """An upper bound on ``tree_similarity_pelican(stored, unknown)``,
+    whatever ``layer_accept`` and ``lookahead`` are.
 
     A stored element's similarity to any unknown element is at most its
     worth ``(|A & UA|/|A| + |T & UT|/|T|) / 2``, a ratio counting 1 where
-    its set is empty, where UA and UT are the unions of the attribute and
-    text hashes of the unknown tree's same-tag elements; it is worth 0 when
-    the tree lacks its tag.  Whichever unknown layer the layer-skip pairs a
+    its set is empty, where UA and UT are the attribute and text hashes of
+    the whole unknown tree.  Whichever unknown layer the layer-skip pairs a
     stored layer with, a matching pairs each element at most once, so the
     layer's value is at most the sum of its elements' worths divided by its
     size (1 for an empty layer), and the bound averages that over the
     stored layers.  A tree without layers has similarity 1.
 
-    The outlines are stacked into one batch of rows and layers, and one
-    weighted count builds every element's worth from the shared hashes.
+    That sum is the stored tree's ``base`` plus the weight of every stored
+    hash the unknown tree holds (:attr:`TreeSignature._weights`); ``fsum``
+    rounds it exactly, so the order of the sets cannot change it.
     """
-    if not outlines:
-        return np.zeros(0)
-    layers = np.array([len(o.layer_sizes) for o in outlines], dtype=np.intp)
-    heights = [o.sizes.shape[1] for o in outlines]
-    total, first = sum(heights), _offsets(heights)
-    size = np.array([n for o in outlines for n in o.layer_sizes], dtype=np.intp)
-    tag_of = np.array([vocabulary.tag_ids.get(tag, -1)
-                       for o in outlines for tag in o.tags], dtype=np.intp)
-    tag = tag_of[np.concatenate([o.row_tags for o in outlines])
-                 + np.repeat(_offsets([len(o.tags) for o in outlines]), heights)]
-    sizes = np.concatenate([o.sizes for o in outlines], axis=1)
-
-    # the stacked row (attributes of all trees, then texts) and the id of
-    # every stored hash the unknown tree has; no other hash can intersect
-    rows, ids = [], []
-    attr_keys, text_keys = frozenset(vocabulary.attr_ids), frozenset(vocabulary.text_ids)
-    for o, f in zip(outlines, first):
-        for where, shared, known, shift in (
-                (o.attr_rows, o.attr_keys & attr_keys, vocabulary.attr_ids, f),
-                (o.text_rows, o.text_keys & text_keys, vocabulary.text_ids, f + total)):
-            for h in shared:
-                for row in where[h]:
-                    rows.append(row + shift)
-                    ids.append(known[h])
-    rows = np.array(rows, dtype=np.intp)
-    # a shared hash counts 1/|set| when an element of its element's tag
-    # holds it, and an empty set counts 1
-    held, _ = _meetings(vocabulary.placed, vocabulary.key(
-        np.array(ids, dtype=np.intp), tag[rows % total]))
-    ratios = np.bincount(rows, held / sizes.ravel()[rows], minlength=2 * total)
-    ratios = np.where(sizes == 0.0, 1.0, ratios.reshape(2, total))
-    worths = np.where(tag >= 0, (ratios[0] + ratios[1]) / 2.0, 0.0)
-
-    sums = np.bincount(np.repeat(np.arange(size.size), size), worths,
-                       minlength=size.size)
-    layer_bounds = np.where(size > 0, sums / np.maximum(size, 1), 1.0)
-    owners = np.repeat(np.arange(len(outlines)), layers)
-    entry_sums = np.bincount(owners, weights=layer_bounds, minlength=len(outlines))
-    return np.where(layers > 0, entry_sums / np.maximum(layers, 1), 1.0)
+    base, attr_weights, text_weights = stored._weights
+    (attrs, texts), (attr_held, text_held) = stored._hashes, unknown._hashes
+    return math.fsum([base] + [attr_weights[h] for h in attrs & attr_held]
+                     + [text_weights[h] for h in texts & text_held])
 
 
 # -- recency-bounded store ------------------------------------------------------
@@ -498,22 +437,20 @@ class PhishStore:
         and the first entry reaching it; ``(0.0, None)`` when no entry
         scores above 0 and at least ``floor``.
 
-        Each entry first gets an upper bound (:func:`_bounds`) on its
-        similarity.  Entries are visited in index order, and the full
-        comparison runs only on an entry that can still win: one is skipped
-        when ``bound + BOUND_SLACK`` is at most the best value so far or
-        below ``floor``.  A compared entry becomes the best when its value
-        is larger than the best and reaches ``floor``.
+        Entries are visited in index order, and each first gets an upper
+        bound (:func:`_bound`) on its similarity.  The full comparison runs
+        only on an entry that can still win: one is skipped when
+        ``bound + BOUND_SLACK`` is at most the best value so far or below
+        ``floor``.  A compared entry becomes the best when its value is
+        larger than the best and reaches ``floor``.
         """
         sig = _coerce(tree_or_sig)
-        bounds = _bounds([entry.signature._outline for entry in self.entries],
-                         sig._vocabulary).tolist()
         best, best_index = 0.0, None
-        for index, bound in enumerate(bounds):
-            reach = bound + BOUND_SLACK
+        for index, entry in enumerate(self.entries):
+            reach = _bound(entry.signature, sig) + BOUND_SLACK
             if reach <= best or reach < floor:
                 continue
-            value = tree_similarity_pelican(self.entries[index].signature, sig,
+            value = tree_similarity_pelican(entry.signature, sig,
                                             layer_accept, lookahead)
             if value > best and value >= floor:
                 best, best_index = value, index

@@ -3,7 +3,8 @@
 Each element pair is compared with one Python call on its hash sets, and
 each same-tag block is matched with ``linear_sum_assignment``.  The
 program computes the same blocks from integer intersection counts;
-``tests/test_pelican.py`` checks that both give the same floats.
+``tests/test_pelican.py`` checks that both give the same floats.  The
+store-scan bound is defined here with set arithmetic too.
 """
 
 import numpy as np
@@ -116,3 +117,18 @@ def max_similarity(signatures, sig_u, layer_accept: float = 0.5,
         if value > best:
             best, best_index = value, index
     return best, best_index
+
+
+def bound(sig_p, sig_u) -> float:
+    """The store-scan upper bound on ``tree_similarity_pelican(sig_p,
+    sig_u)``: each stored element's worth against the attribute and text
+    hashes of the whole unknown tree, averaged per layer (1 for an empty
+    layer), then over the layers (1 for a tree without layers)."""
+    attrs = frozenset().union(*(e.attr_hashes for layer in sig_u.layers for e in layer))
+    texts = frozenset().union(*(e.text_hashes for layer in sig_u.layers for e in layer))
+    def worth(e):
+        return (_ratio_left(e.attr_hashes, attrs) + _ratio_left(e.text_hashes, texts)) / 2.0
+
+    layers = [sum(map(worth, layer)) / len(layer) if layer else 1.0
+              for layer in sig_p.layers]
+    return sum(layers) / len(layers) if layers else 1.0

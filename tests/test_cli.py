@@ -145,6 +145,21 @@ def test_score_hashed_twin_matches_plaintext(workdir, capsys):
     assert capsys.readouterr().out == plain_out
 
 
+@pytest.mark.parametrize("twin, flag", [(False, "false"), (True, 1)],
+                         ids=["plain-the-string-false", "hashed-the-number-1"])
+def test_score_model_with_a_malformed_hashed_flag_exits_2(workdir, capsys, twin, flag):
+    path = _hashed_twin(workdir) if twin else workdir["model"]
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["hashed"] = flag
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert run(["score", workdir["seed"], "--model", path,
+                "--url", workdir["seed_url"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'hashed'" in err and "digest" not in err
+
+
 # -- attack -------------------------------------------------------------------------
 
 def test_attack_white_succeeds_and_writes_outputs(workdir, capsys):
@@ -434,6 +449,9 @@ LONG_LINE = json.dumps(["x" * 99_996]) + "\n"
     ("report", {"steps": [], "queries": True}),
     ("model", '{"bias": 0.0, "threshold": 0.5, "rules": '
               '[{"id": "r", "features": ["PageHasForms"], "weight": 1e400}]}'),
+    ("model", {"bias": 0.0, "threshold": 0.5, "rules": ["x" * 100_000]}),
+    ("model", {"bias": 0.0, "threshold": 0.5, "rules": [
+        {"id": "r" * 100_000, "features": ["PageHasForms"], "weight": "z"}]}),
     ("model", DEEP), ("store", DEEP), ("pool", DEEP), ("corpus", DEEP), ("report", DEEP),
     ("corpus", LONG_LINE), ("pool", LONG_LINE),
 ], ids=["corpus-record-without-url", "corpus-path-not-a-string",
@@ -446,6 +464,7 @@ LONG_LINE = json.dumps(["x" * 99_996]) + "\n"
         "report-steps-not-a-list", "report-step-without-score",
         "report-score-not-a-number", "report-counter-not-a-number",
         "report-score-infinite", "report-counter-a-boolean", "model-weight-1e400",
+        "model-rule-too-long", "model-rule-id-too-long",
         "model-too-deep", "store-too-deep", "pool-too-deep", "corpus-too-deep",
         "report-too-deep", "corpus-line-too-long", "pool-line-too-long"])
 def test_malformed_loader_input_exits_2(workdir, capsys, loader, content):

@@ -172,8 +172,7 @@ def test_store_scan_ties_between_entries_with_different_bounds():
     unknown = TreeSignature(((el("p", [("a", "1")]), el("p", [("a", "9")])),))
     tight = TreeSignature(((el("p", [("a", "1"), ("b", "5")]),),))
     loose = TreeSignature(((el("p", [("a", "1")]), el("p", [("a", "1")])),))
-    bounds = pelican._bounds([tight._outline, loose._outline], unknown._vocabulary)
-    assert list(bounds) == [0.75, 1.0]
+    assert [pelican._bound(s, unknown) for s in (tight, loose)] == [0.75, 1.0]
     assert tree_similarity_pelican(tight, unknown) == 0.75
     assert tree_similarity_pelican(loose, unknown) == 0.75
     store = PhishStore(entries=[StoreEntry(tight, 0.0), StoreEntry(loose, 0.0)])
@@ -187,27 +186,30 @@ def test_store_scan_ties_between_entries_with_different_bounds():
        unknown=st.one_of(SIGNATURES, PAGES))
 def test_bound_is_at_least_the_similarity(stored, unknown):
     """For every layer_accept and lookahead, including empty layers, empty
-    sets and trees without layers; an entry's bound does not depend on the
-    other entries scanned with it."""
-    bounds = pelican._bounds([s._outline for s in stored], unknown._vocabulary)
-    for sig, bound in zip(stored, bounds):
-        assert pelican._bounds([sig._outline], unknown._vocabulary)[0] == bound
+    sets and trees without layers."""
+    for sig in stored:
+        bound = pelican._bound(sig, unknown)
         for layer_accept in (0.0, 0.05, 0.25, 0.5, 0.75, 1.0, 1.5):
             for lookahead in range(5):
                 value = tree_similarity_pelican(sig, unknown, layer_accept, lookahead)
                 assert bound + pelican.BOUND_SLACK >= value
 
 
-def test_bound_sums_every_element_of_a_present_tag():
-    """Each of three stored p elements is worth 1 against the unknown
-    layer's one p, so the bound counts all three although a matching pairs
-    only one; the span, whose tag the unknown layer lacks, is worth 0."""
+@settings(max_examples=300, deadline=None)
+@given(stored=st.one_of(SIGNATURES, PAGES), unknown=st.one_of(SIGNATURES, PAGES))
+def test_bound_equals_the_set_reference(stored, unknown):
+    assert abs(pelican._bound(stored, unknown) - oracle.bound(stored, unknown)) <= 1e-12
+
+
+def test_bound_counts_every_element_whatever_its_tag():
+    """The three stored ps and the span holding a=1 are each worth 1,
+    although a matching pairs only one p and no span; the span holding b=2
+    is worth 1/2, from its empty text set."""
     p = el("p", [("a", "1")])
     unknown = one(p)
     wide = TreeSignature(((p, p, p, el("span", [("a", "1")])),))
     narrow = TreeSignature(((p, el("span", [("b", "2")])),))
-    bounds = pelican._bounds([wide._outline, narrow._outline], unknown._vocabulary)
-    assert list(bounds) == [0.75, 0.5]
+    assert [pelican._bound(s, unknown) for s in (wide, narrow)] == [1.0, 0.75]
     assert tree_similarity_pelican(wide, unknown) == 0.25
     assert tree_similarity_pelican(narrow, unknown) == 0.5
     store = PhishStore(entries=[StoreEntry(wide, 0.0), StoreEntry(narrow, 0.0)])
@@ -221,7 +223,7 @@ def test_bound_takes_the_unions_of_the_whole_unknown_tree():
     p hashes it is worth 1."""
     stored = one(el("p", [("a", "1"), ("b", "2")]))
     unknown = TreeSignature(((el("p", [("a", "1")]),), (el("p", [("b", "2")]),)))
-    assert list(pelican._bounds([stored._outline], unknown._vocabulary)) == [1.0]
+    assert pelican._bound(stored, unknown) == 1.0
     assert tree_similarity_pelican(stored, unknown) == 0.75
     store = PhishStore(entries=[StoreEntry(stored, 0.0)])
     assert store.max_similarity(unknown) == (0.75, 0)
@@ -230,9 +232,10 @@ def test_bound_takes_the_unions_of_the_whole_unknown_tree():
 
 
 def test_bound_of_trees_without_layers():
+    """Against a tree without layers only empty sets count: the html and
+    body layers are worth 1, the p layer 1/2 for its empty attribute set."""
     empty, page = TreeSignature(()), sig("<html><body><p>x</p></body></html>")
-    assert list(pelican._bounds([empty._outline, page._outline],
-                                empty._vocabulary)) == [1.0, 0.0]
+    assert [pelican._bound(s, empty) for s in (empty, page)] == [1.0, 2.5 / 3]
     assert tree_similarity_pelican(page, empty) == 0.0
     assert tree_similarity_pelican(empty, page) == 1.0
 
@@ -348,6 +351,20 @@ def test_scan_builds_the_unknown_vocabulary_once(built_vocabularies, paypal_page
     assert built_vocabularies == [unknown._layers]
     store.max_similarity(signature_of(paypal_page))
     assert len(built_vocabularies) == 2
+
+
+def test_pruned_scan_builds_no_vocabulary(built_vocabularies):
+    """Every entry's bound is below the floor, so no entry is compared and
+    the unknown page gets neither layers nor a vocabulary."""
+    store = PhishStore(k=20, entries=[StoreEntry(_site(f"site{i}", 1 + i % 5), 0.0)
+                                      for i in range(6)])
+    unknown = _site("probe", 3)
+    floor = 0.9
+    assert all(pelican._bound(e.signature, unknown) + pelican.BOUND_SLACK < floor
+               for e in store.entries)
+    assert store.max_similarity(unknown, floor=floor) == (0.0, None)
+    assert built_vocabularies == []
+    assert "_layers" not in vars(unknown) and "_vocabulary" not in vars(unknown)
 
 
 # -- tree similarity ---------------------------------------------------------------
