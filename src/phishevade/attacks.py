@@ -45,7 +45,7 @@ from .classifier import (
     rule_hit,
     unsatisfied,
 )
-from .dom import DomTree, serialize, walk_elements, walk_text_nodes
+from .dom import DomTree, walk_elements, walk_text_nodes
 from .features import FeatureValueMap, PageTally, extract_all_features, term_spans
 from .mutation import (
     MODIFIABLE_ATTRS,
@@ -410,8 +410,7 @@ def _modification_candidates(tree: DomTree) -> list[tuple[str, tuple[int, ...], 
 
 
 def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
-              batch: int = 3, budget: int = 2000, rng_seed: int = 0,
-              trace: list | None = None) -> AttackResult:
+              batch: int = 3, budget: int = 2000, rng_seed: int = 0) -> AttackResult:
     """Phase 1 applies every candidate node modification one at a time and
     keeps those that lower the queried score.  Phase 2 randomly adds
     invisible elements drawn from the pool; every ``batch`` additions the
@@ -440,8 +439,6 @@ def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
     score_after_modification = run.score
     additions = 0
     while pool and not run.done and additions < budget:
-        if trace is not None:
-            trace.append(("checkpoint", serialize(run.tree)))
         plan = MutationPlan.on(run.tree, run.tally)
         draws = 0
         while len(plan.ops) < batch and additions < budget and draws < 10 * batch:
@@ -455,10 +452,7 @@ def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
             additions += 1
         if not plan.ops:
             break
-        kept = run.offer(plan, f"add batch of {len(plan.ops)}",
-                         feature_step=False)
-        if trace is not None:
-            trace.append(("keep" if kept else "rollback", serialize(run.tree)))
+        run.offer(plan, f"add batch of {len(plan.ops)}", feature_step=False)
 
     return run.result(BUDGET_EXHAUSTED, additions=additions,
                       score_after_modification=score_after_modification,

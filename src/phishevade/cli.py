@@ -39,7 +39,7 @@ from .classifier import (
 from .collision import LEGIT, Corpus, harvest_candidates, invert_hashes, load_corpus, load_manifest
 from .dom import DomTree, ParseError, load_page, serialize, walk_elements
 from . import features as F
-from .features import Feature, UrlError, extract_all_features
+from .features import Feature, PageTally, UrlError, extract_all_features
 from .mutation import (
     DELETABLE_KINDS,
     FeatureAbsent,
@@ -96,6 +96,8 @@ class Config:
             raise ValueError("pelican.layer_accept must be in (0, 1]")
         if self.pelican_lookahead < 1 or self.pelican_k < 0:
             raise ValueError("pelican.lookahead must be >= 1 and pelican.k >= 0")
+        if not self.pelican_h_hours >= 0.0:   # also rejects NaN
+            raise ValueError("pelican.h_hours must be >= 0")
         if self.batch < 1 or self.budget < 0:
             raise ValueError("batch must be >= 1 and budget >= 0")
 
@@ -313,33 +315,36 @@ def generate_fixture_pages(corpus: Corpus, model: Classifier, lo: float,
 
         # deletion fixpoint over the model's deletable features
         for _ in range(20):
-            fmap = extract_all_features(tree)
+            tally = PageTally(tree.source_url)
+            fmap = extract_all_features(tree, tally)
             deleted = False
             for feat in sorted(model_features):
                 if fmap.get(feat, 0.0) == 0.0:
                     continue
                 try:
-                    plan = plan_delete_feature(tree, feat, t, avoid)
+                    plan = plan_delete_feature(tree, feat, t, avoid, tally)
                 except (UnsupportedMutation, FeatureAbsent):
                     continue
                 if plan.ops:
-                    tree = plan.tree
+                    tree, tally = plan.tree, plan.tally
                     deleted = True
             if not deleted:
                 break
 
+        tally = PageTally(tree.source_url)
+        fmap = extract_all_features(tree, tally)
         candidates = sorted(
             f for f in model_features
-            if Feature.parse(f) is not None
-            and Feature.parse(f).kind in UNDELETABLE_ADDABLE_KINDS
-            and extract_all_features(tree).get(f, 0.0) == 0.0)
+            if (feature := Feature.parse(f)) is not None
+            and feature.kind in UNDELETABLE_ADDABLE_KINDS
+            and fmap.get(f, 0.0) == 0.0)
         chosen = None
         for size in range(0, len(candidates) + 1):
             for combo in combinations(candidates, size):
-                candidate_tree = plan_add_rule(tree, combo, t).tree
-                value = score(model, extract_all_features(candidate_tree))
+                plan = plan_add_rule(tree, combo, t, tally)
+                value = score(model, plan.fmap)
                 if lo <= value < hi:
-                    chosen = (candidate_tree, value)
+                    chosen = (plan.tree, value)
                     break
             if chosen:
                 break

@@ -13,18 +13,19 @@ by maximum-weight assignment.
   unknown page cannot lower it.  A bounded layer-skip absorbs inserted
   wrapper layers, falling back to same-index pairing.
 
-Both measures fill a layer pair's similarity blocks from one kernel.  The
-unknown tree's hashes get integer ids (its vocabulary, built once per
-signature, so a store scan builds it at most once); a stored hash outside
-it cannot intersect and drops out.  Joining the two layers' (element, id)
-incidences gives every intersection size ``|a & b|`` as an exact integer,
-and the block values are array divisions of those integers by ``|a|``
-(personalized) or by ``|a| + |b| - |a & b|`` (baseline).  These are the same IEEE divisions
-of the same integers as ``len(a & b) / len(a)`` on the sets, so every block,
-and every assignment over it, is bit-identical to comparing the element
-pairs one by one.  Each signature keeps its layers in tag order, so a
-same-tag block is a slice; the assignment still runs per block in sorted
-tag order, except that a one-row or one-column block takes its maximum.
+Both measures fill a layer pair's similarity blocks from one kernel.  Each
+signature keeps its layers in tag order, so a same-tag block is a slice, and
+each layer maps each attribute hash to the rows holding it, and in a separate
+map each text hash.  A hash shared by the two layers meets each stored
+row holding it with each unknown column holding it; tallying the meetings
+per cell gives every intersection size ``|a & b|`` as an exact integer, and
+the block values are array divisions of those integers by ``|a|``
+(personalized) or by ``|a| + |b| - |a & b|`` (baseline).  These are the
+same IEEE divisions of the same integers as ``len(a & b) / len(a)`` on the
+sets, so every block, and every assignment over it, is bit-identical to
+comparing the element pairs one by one.  The assignment runs per block in
+sorted tag order, except that a one-row or one-column block takes its
+maximum.
 
 A store scan compares few entries in full.  Entries are visited in store
 order, and each first gets an upper bound on its personalized similarity,
@@ -39,7 +40,7 @@ signature keeps a table of a constant base and one weight per hash, and
 the bound is the base plus the weights of the shared hashes.  An entry is
 compared only when its bound plus ``BOUND_SLACK`` (which absorbs the
 different summation order) is above the best value so far and reaches the
-floor, and the unknown tree's vocabulary is built only once an entry is
+floor, and the unknown tree's layers are built only once an entry is
 compared.  The scan thus returns what comparing every entry in index order
 returns, the largest value and the first entry reaching it, whenever that
 value reaches the floor, and ``(0.0, None)`` otherwise.
@@ -95,34 +96,31 @@ class _Layer:
     """One signature layer in tag order, built once per signature.
 
     The same-tag elements are the contiguous rows ``spans[tag]``, in page
-    order within the tag, so every same-tag block is a slice.  ``attrs``
-    and ``texts`` list each element's hashes in row order; for each hash,
-    attributes first, ``elements`` gives its element and ``rows`` its row in
-    the stacked (attributes, texts) count matrix of :meth:`_Comparison.counts`.
+    order within the tag, so every same-tag block is a slice.
+    ``attr_rows`` maps each attribute hash to the rows holding it, and
+    ``text_rows`` each text hash; the two stay apart, since a text equal to
+    ``name=value`` hashes like that attribute.
     """
 
-    __slots__ = ("size", "spans", "sizes", "divisors", "empty", "attrs",
-                 "texts", "elements", "rows")
+    __slots__ = ("size", "spans", "sizes", "divisors", "empty", "attr_rows",
+                 "text_rows")
 
     def __init__(self, elements):
         ordered = sorted(elements, key=attrgetter("tag"))   # stable
-        size = self.size = len(ordered)
+        self.size = len(ordered)
         self.spans = {}
+        self.attr_rows, self.text_rows = {}, {}
         for row, e in enumerate(ordered):
             self.spans.setdefault(e.tag, [row, row])[1] = row + 1
-        attr_sizes = [len(e.attr_hashes) for e in ordered]
-        text_sizes = [len(e.text_hashes) for e in ordered]
+            for h in e.attr_hashes:
+                self.attr_rows.setdefault(h, []).append(row)
+            for h in e.text_hashes:
+                self.text_rows.setdefault(h, []).append(row)
         # set sizes stacked like the count rows: attributes, then texts
-        self.sizes = np.array(attr_sizes + text_sizes, dtype=float)
+        self.sizes = np.array([len(e.attr_hashes) for e in ordered]
+                              + [len(e.text_hashes) for e in ordered], dtype=float)
         self.divisors = np.maximum(self.sizes, 1.0)[:, None]
         self.empty = (self.sizes == 0.0)[:, None]
-        self.attrs = [h for e in ordered for h in e.attr_hashes]
-        self.texts = [h for e in ordered for h in e.text_hashes]
-        index = np.arange(size)
-        self.elements = np.concatenate((np.repeat(index, attr_sizes),
-                                        np.repeat(index, text_sizes)))
-        self.rows = self.elements.copy()
-        self.rows[len(self.attrs):] += size
 
 
 @dataclass(frozen=True)
@@ -134,10 +132,6 @@ class TreeSignature:
     @cached_property
     def _layers(self) -> tuple[_Layer, ...]:
         return tuple(_Layer(layer) for layer in self.layers)
-
-    @cached_property
-    def _vocabulary(self) -> "_Vocabulary":
-        return _Vocabulary(self._layers)
 
     @cached_property
     def _hashes(self) -> tuple[frozenset[str], frozenset[str]]:
@@ -186,76 +180,30 @@ def _coerce(tree_or_sig) -> TreeSignature:
     return signature_of(tree_or_sig)
 
 
-class _Vocabulary:
-    """Integer ids for the hashes of the unknown tree of a comparison,
-    built when the first stored tree is compared with it in full.
+def _counts(stored: _Layer, unknown: _Layer) -> np.ndarray:
+    """The exact intersection sizes of every (stored element, unknown
+    element) pair: ``|A_s & A_u|`` in the first n rows, ``|T_s & T_u|`` in
+    the next n, rows and columns in each layer's tag order.
 
-    Attribute and text hashes get disjoint ids.  ``layers[j]`` is layer j's
-    (hash id, element) incidence sorted by id.
+    Each hash the two layers share puts every stored row holding it against
+    every unknown column holding it, and the meetings are tallied per cell.
+    A hash held once on each side meets in one cell; a hash held more often
+    meets in a block of cells, built as one array, so many identical
+    elements cost one array operation, not one Python step per cell.
     """
-
-    __slots__ = ("attr_ids", "text_ids", "layers")
-
-    def __init__(self, layers: tuple[_Layer, ...]):
-        self.attr_ids, self.text_ids = {}, {}
-        for layer in layers:
-            for h in layer.attrs:
-                self.attr_ids.setdefault(h, len(self.attr_ids))
-        for layer in layers:
-            for h in layer.texts:
-                self.text_ids.setdefault(h, len(self.attr_ids) + len(self.text_ids))
-        self.layers = []
-        for layer in layers:
-            ids = self.ids_of(layer)
-            order = ids.argsort()
-            self.layers.append((ids[order], layer.elements[order]))
-
-    def ids_of(self, layer: _Layer) -> np.ndarray:
-        """Each hash's id, or -1 for a hash the tree does not have."""
-        attr_get, text_get = self.attr_ids.get, self.text_ids.get
-        return np.array([attr_get(h, -1) for h in layer.attrs]
-                        + [text_get(h, -1) for h in layer.texts], dtype=np.intp)
-
-
-class _Comparison:
-    """A stored tree against an unknown tree, in the unknown's vocabulary."""
-
-    def __init__(self, stored: TreeSignature, unknown: TreeSignature):
-        self.stored = stored._layers
-        self.unknown = unknown._layers
-        self.vocabulary = unknown._vocabulary
-        self._shared = {}
-
-    def _shared_hashes(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(row, id) of every hash of stored layer i that the unknown tree
-        has; a hash it lacks cannot intersect."""
-        if i not in self._shared:
-            layer = self.stored[i]
-            ids = self.vocabulary.ids_of(layer)
-            known = ids >= 0
-            self._shared[i] = (layer.rows[known], ids[known])
-        return self._shared[i]
-
-    def counts(self, i: int, j: int) -> np.ndarray:
-        """The exact intersection sizes of every (stored element of layer
-        i, unknown element of layer j): ``|A_s & A_u|`` in the first n rows,
-        ``|T_s & T_u|`` in the next n, columns in the unknown's tag order.
-
-        The product of the two layers' hash incidences, as a join: each
-        shared hash of a stored element meets every unknown element in
-        layer j holding it, and the meetings are tallied per cell.
-        """
-        rows, ids = self._shared_hashes(i)
-        n, width = self.stored[i].size, self.unknown[j].size
-        sorted_ids, elements = self.vocabulary.layers[j]
-        # reps[k]: how many elements of layer j hold the k-th shared hash;
-        # picks: their positions in sorted_ids, hash by hash
-        lo = sorted_ids.searchsorted(ids, "left")
-        reps = sorted_ids.searchsorted(ids, "right") - lo
-        picks = (lo - reps.cumsum() + reps).repeat(reps)
-        picks += np.arange(picks.size)
-        cells = (rows * width).repeat(reps) + elements[picks]
-        return np.bincount(cells, minlength=2 * n * width).reshape(2 * n, width)
+    n, m = stored.size, unknown.size
+    cells, blocks = [], []
+    for offset, rows_of, cols_of in ((0, stored.attr_rows, unknown.attr_rows),
+                                     (n, stored.text_rows, unknown.text_rows)):
+        for h in rows_of.keys() & cols_of.keys():
+            rows, cols = rows_of[h], cols_of[h]
+            if len(rows) == len(cols) == 1:
+                cells.append((rows[0] + offset) * m + cols[0])
+            else:
+                starts = np.multiply(rows, m) + offset * m
+                blocks.append(np.add.outer(starts, cols).ravel())
+    cells = np.concatenate([np.array(cells, dtype=np.intp), *blocks])
+    return np.bincount(cells, minlength=2 * n * m).reshape(2 * n, m)
 
 
 def _match(values: np.ndarray, left: _Layer, right: _Layer,
@@ -296,13 +244,12 @@ def _jaccard(shared: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndar
     return shared / np.maximum(union, 1.0) + (union == 0.0)
 
 
-def _baseline_layer(pair: _Comparison, i: int) -> float:
-    left, right = pair.stored[i], pair.unknown[i]
+def _baseline_layer(left: _Layer, right: _Layer) -> float:
     tags = _common_tags(left, right)
     comm, matched = 0.0, 0
     if tags:
         n, m = left.size, right.size
-        shared = pair.counts(i, i)
+        shared = _counts(left, right)
         values = (_jaccard(shared[:n], left.sizes[:n], right.sizes[:m])
                   + _jaccard(shared[n:], left.sizes[n:], right.sizes[m:])) / 2.0
         comm, matched = _match(values, left, right, tags)
@@ -310,8 +257,7 @@ def _baseline_layer(pair: _Comparison, i: int) -> float:
     return comm / union if union else 1.0
 
 
-def _pelican_layer(pair: _Comparison, i: int, j: int) -> float:
-    stored, unknown = pair.stored[i], pair.unknown[j]
+def _pelican_layer(stored: _Layer, unknown: _Layer) -> float:
     n = stored.size
     if not n:
         return 1.0
@@ -319,7 +265,7 @@ def _pelican_layer(pair: _Comparison, i: int, j: int) -> float:
     if not tags:
         return 0.0
     # |a & b| / |a|, and 1 where a is empty
-    ratios = pair.counts(i, j) / stored.divisors + stored.empty
+    ratios = _counts(stored, unknown) / stored.divisors + stored.empty
     values = (ratios[:n] + ratios[n:]) / 2.0
     comm, _ = _match(values, stored, unknown, tags)
     return comm / n
@@ -332,10 +278,9 @@ def tree_similarity_baseline(a, b) -> float:
     m = max(len(sig_a.layers), len(sig_b.layers))
     if m == 0:
         return 1.0
-    pair = _Comparison(sig_a, sig_b)
     total = 0.0
-    for i in range(min(len(sig_a.layers), len(sig_b.layers))):
-        total += _baseline_layer(pair, i)
+    for left, right in zip(sig_a._layers, sig_b._layers):
+        total += _baseline_layer(left, right)
     return total / m
 
 
@@ -352,13 +297,13 @@ def tree_similarity_pelican(stored, unknown, layer_accept: float = 0.5,
     m = len(sig_p.layers)
     if m == 0:
         return 1.0
-    pair = _Comparison(sig_p, sig_u)
+    unknown_layers = sig_u._layers
     total = 0.0
     cursor = 0
-    for i in range(m):
+    for i, layer in enumerate(sig_p._layers):
         hit = None
-        for j in range(cursor, min(cursor + lookahead, len(sig_u.layers))):
-            value = _pelican_layer(pair, i, j)
+        for j in range(cursor, min(cursor + lookahead, len(unknown_layers))):
+            value = _pelican_layer(layer, unknown_layers[j])
             if value >= layer_accept:
                 hit = (j, value)
                 break
@@ -366,8 +311,8 @@ def tree_similarity_pelican(stored, unknown, layer_accept: float = 0.5,
             total += hit[1]
             cursor = hit[0] + 1
         else:
-            if i < len(sig_u.layers):
-                total += _pelican_layer(pair, i, i)
+            if i < len(unknown_layers):
+                total += _pelican_layer(layer, unknown_layers[i])
             cursor = max(cursor, i + 1)
     return total / m
 

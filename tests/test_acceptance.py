@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import functools
+import os
 import random
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import time
 
 import pytest
 
+import phishevade
 from phishevade.attacks import (
     EXHAUSTED,
     black_box,
@@ -469,6 +471,10 @@ def test_c11_cli_determinism(tmp_path):
     seed_path = tmp_path / "seed.html"
     seed_path.write_text(serialize(seed))
 
+    # the child imports the package this test imported, installed or not
+    package_root = os.path.dirname(os.path.dirname(phishevade.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     outputs = []
     for run_dir in ("one", "two"):
         out = tmp_path / run_dir
@@ -477,7 +483,7 @@ def test_c11_cli_determinism(tmp_path):
              "--model", str(model_path), "--level", "black",
              "--pool", str(pool_path), "--seed", "42",
              "--url", seed.source_url, "--out", str(out)],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append((
             (out / "seed.black.report.json").read_bytes(),

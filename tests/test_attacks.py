@@ -7,6 +7,7 @@ from phishevade.attacks import (
     EXHAUSTED,
     SUCCESS,
     RuleAlreadyHit,
+    _Run,
     black_box,
     black_knowledge,
     grey_box,
@@ -310,7 +311,7 @@ def test_black_phase1_only_success():
     assert result.score_after_modification < 0.5
 
 
-def test_black_addition_phase_with_rollback():
+def test_black_addition_phase_with_rollback(monkeypatch):
     # positives undeletable, negatives reachable only through the pool
     clf = make_classifier([
         rule("p1", {"PageHasForms"}, 0.6),
@@ -320,22 +321,31 @@ def test_black_addition_phase_with_rollback():
         rule("n3", {"PageHasCheckInputs"}, -0.35),
     ], bias=-0.1)
     page = build_page(bare_form=True, scripts=2)
+    # every rolled-back offer leaves the current tree byte-identical to the
+    # tree after the previous offer
+    current = [serialize(page)]
+    rolled_back = []
+    offer = _Run.offer
+
+    def checked(run, candidate, label, feature_step=True):
+        kept = offer(run, candidate, label, feature_step)
+        html = serialize(run.tree)
+        if not kept:
+            assert html == current[-1]
+            rolled_back.append(label)
+        current.append(html)
+        return kept
+
+    monkeypatch.setattr(_Run, "offer", checked)
     oracle = ScoreOracle(clf)
     before = oracle.query_count
-    trace = []
     result = black_box(black_knowledge(oracle), page, suite_pool(),
-                       batch=3, budget=500, rng_seed=7, trace=trace)
+                       batch=3, budget=500, rng_seed=7)
     assert result.success
     assert result.additions > 0
     assert result.score_after_modification >= 0.5
     assert result.queries == oracle.query_count - before
-    # every rollback restores the checkpoint tree byte-identically
-    last_checkpoint = None
-    for event, html in trace:
-        if event == "checkpoint":
-            last_checkpoint = html
-        elif event == "rollback":
-            assert html == last_checkpoint
+    assert any(label.startswith("add batch") for label in rolled_back)
     scores = [s.score for s in result.trajectory]
     assert all(b < a for a, b in zip(scores, scores[1:]))
 

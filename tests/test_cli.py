@@ -366,6 +366,22 @@ def test_defend_twice_gives_the_same_verdicts_and_store(workdir, capsys):
         ["phishing_by_classifier", "evasion_detected"]
 
 
+@pytest.mark.parametrize("h_hours", ["nan", "-1"])
+def test_defend_with_an_invalid_store_horizon_exits_2(workdir, capsys, h_hours):
+    store_path = workdir["dir"] / "store.json"
+    defend = ["defend", workdir["seed"], "--model", workdir["model"],
+              "--url", workdir["seed_url"], "--store", str(store_path),
+              "--now", "1000"]
+    assert run(defend) == 0
+    capsys.readouterr()
+    stored = store_path.read_bytes()
+    config = workdir["dir"] / "bad.conf"
+    config.write_text(f"pelican.h_hours={h_hours}\n")
+    assert run([*defend, "--config", str(config)]) == 2
+    assert "pelican.h_hours" in capsys.readouterr().err
+    assert store_path.read_bytes() == stored
+
+
 # -- infer --------------------------------------------------------------------------
 
 def _write_corpus_manifest(path):

@@ -329,33 +329,34 @@ def test_reloaded_store_gives_the_same_similarities(tmp_path, paypal_page, bank_
 
 
 @pytest.fixture
-def built_vocabularies(monkeypatch) -> list:
-    """The layers each unknown-page vocabulary is built from, in build order."""
+def built_layers(monkeypatch) -> list:
+    """The elements of each ``_Layer`` built, in build order."""
     calls = []
-    vocabulary = pelican._Vocabulary
+    layer = pelican._Layer
 
-    def counting(layers):
-        calls.append(layers)
-        return vocabulary(layers)
+    def counting(elements):
+        calls.append(elements)
+        return layer(elements)
 
-    monkeypatch.setattr(pelican, "_Vocabulary", counting)
+    monkeypatch.setattr(pelican, "_Layer", counting)
     return calls
 
 
-def test_scan_builds_the_unknown_vocabulary_once(built_vocabularies, paypal_page):
+def test_scan_builds_the_unknown_layers_once(built_layers, paypal_page):
     store = PhishStore(k=10)
     for i in range(5):
         store.insert(build_page(terms=[f"w{i}"], secure_links=i), now=float(i))
-    unknown = signature_of(paypal_page)
-    store.max_similarity(unknown)
-    assert built_vocabularies == [unknown._layers]
-    store.max_similarity(signature_of(paypal_page))
-    assert len(built_vocabularies) == 2
+    for _ in range(2):
+        unknown = signature_of(paypal_page)
+        store.max_similarity(unknown)
+        assert [elements for elements in built_layers
+                if any(elements is layer for layer in unknown.layers)] \
+            == list(unknown.layers)
 
 
-def test_pruned_scan_builds_no_vocabulary(built_vocabularies):
+def test_pruned_scan_builds_no_layers(built_layers):
     """Every entry's bound is below the floor, so no entry is compared and
-    the unknown page gets neither layers nor a vocabulary."""
+    no layers are built, for the unknown page or for an entry."""
     store = PhishStore(k=20, entries=[StoreEntry(_site(f"site{i}", 1 + i % 5), 0.0)
                                       for i in range(6)])
     unknown = _site("probe", 3)
@@ -363,8 +364,8 @@ def test_pruned_scan_builds_no_vocabulary(built_vocabularies):
     assert all(pelican._bound(e.signature, unknown) + pelican.BOUND_SLACK < floor
                for e in store.entries)
     assert store.max_similarity(unknown, floor=floor) == (0.0, None)
-    assert built_vocabularies == []
-    assert "_layers" not in vars(unknown) and "_vocabulary" not in vars(unknown)
+    assert built_layers == []
+    assert "_layers" not in vars(unknown)
 
 
 # -- tree similarity ---------------------------------------------------------------
