@@ -11,18 +11,19 @@ below the threshold, differing in what they know about the classifier:
 * black: nothing but the score oracle; modifies every modifiable node one at
   a time, then randomly adds harvested invisible elements in batches.
 
-The three share one skeleton, ``_Run``: it holds the current tree with its
-feature tally, feature map and queried score, and each attack only builds
-candidate plans and offers them.  A candidate is a ``MutationPlan`` built on
-the current tree and tally (the planners return their plan), never a
-replay, and it is scored from the tally it carries, ``plan.fmap``: the page
-is extracted in full only once per attack, at the start.  An offered
-candidate is scored once; the white attack keeps every candidate,
-grey and black keep one only when its score drops (a dropped black batch is
-the rollback).  Each kept candidate appends a trajectory step and adds to
-``mutated_rules`` the counted rules whose gated value product changed; white
-and black count the classifier's non-zero weight rules, grey its known
-rules.
+The three share one skeleton, ``_Run``: it holds one ``MutationPlan``, the
+attack's only copy of the page with its feature tally, plus the current
+feature map and queried score, and each attack only pushes candidate ops
+onto that plan (directly or through the planners) and offers them.  The
+candidate is every op pushed since the last offer, scored from the plan's
+tally, ``plan.fmap``: the page is extracted in full only once per attack,
+at the start.  An offered candidate is scored once; the white attack keeps
+every candidate, grey and black keep one only when its score drops, and a
+rejected candidate is undone in place (a dropped black batch is the
+rollback), so ``plan.ops`` holds exactly the kept ops.  Each kept candidate
+appends a trajectory step and adds to ``mutated_rules`` the counted rules
+whose gated value product changed; white and black count the classifier's
+non-zero weight rules, grey its known rules.
 
 Influence values are exact score differences, so accepted white-box steps
 are the one-step-lookahead optimum.
@@ -197,8 +198,9 @@ def _classifier_products(clf: Classifier):
 
 
 class _Run:
-    """One attack in progress: the current tree with its tally, feature map
-    and queried score, the trajectory and the counters.
+    """One attack in progress: the working plan over the attack's copy of
+    the page, the feature map and queried score of the kept ops, the
+    trajectory and the counters.
 
     ``products`` maps a feature map to the gated rule products whose
     changes count as mutated rules.  With ``keep_all`` every offered
@@ -213,9 +215,10 @@ class _Run:
         self._keep_all = keep_all
         self._started = time.perf_counter()
         self._queries_before = self._oracle.query_count
-        self.tree = page
-        self.tally = PageTally(page.source_url)
-        self.fmap = extract_all_features(page, self.tally)
+        tally = PageTally(page.source_url)
+        self.fmap = extract_all_features(page, tally)
+        self.plan = MutationPlan.on(page, tally)
+        self._kept = 0                # len(plan.ops) after the last keep
         self.score = self._oracle.score_map(self.fmap)
         self._products = products(self.fmap)
         self.trajectory = [TrajectoryStep(0, "initial", self.score)]
@@ -225,20 +228,21 @@ class _Run:
     def done(self) -> bool:
         return self.score < self._tau
 
-    def offer(self, candidate: MutationPlan, label: str,
-              feature_step: bool = True) -> bool:
-        """Score ``candidate`` from its tally and make its tree the current
-        one if the keep rule allows; ``feature_step`` counts it as a mutated
-        feature."""
-        fmap = candidate.fmap
+    def offer(self, label: str, feature_step: bool = True) -> bool:
+        """Score the candidate, the ops pushed onto ``plan`` since the last
+        offer, from the plan's tally; keep it if the keep rule allows, else
+        undo it.  ``feature_step`` counts a kept one as a mutated feature."""
+        plan = self.plan
+        fmap = plan.fmap
         score = self._oracle.score_map(fmap)
         if not (self._keep_all or score < self.score):
+            plan.undo(self._kept)
             return False
         products = self._products_of(fmap)
         self.mutated_rules += sum(1 for rule_id, before in self._products.items()
                                   if products[rule_id] != before)
         self.mutated_features += feature_step
-        self.tree, self.tally = candidate.tree, candidate.tally
+        self._kept = len(plan.ops)
         self.fmap, self.score = fmap, score
         self._products = products
         self.trajectory.append(TrajectoryStep(len(self.trajectory), label, score))
@@ -250,7 +254,7 @@ class _Run:
         return AttackResult(
             success=status == SUCCESS,
             status=status,
-            final_page=self.tree,
+            final_page=self.plan.tree,
             trajectory=self.trajectory,
             mutated_features=self.mutated_features,
             mutated_rules=self.mutated_rules,
@@ -310,9 +314,8 @@ def white_box(knowledge: Knowledge, page: DomTree,
             if delta < 0:
                 additions[rule.id] = (delta, rule)
 
-        plan: MutationPlan | None = None
-        op_label = ""
-        while plan is None:
+        op_label = None
+        while op_label is None:
             best_del = min(deletions.items(), key=lambda kv: (-kv[1], kv[0]),
                            default=None)
             best_add = min(additions.items(), key=lambda kv: (kv[1][0], kv[0]),
@@ -321,8 +324,7 @@ def white_box(knowledge: Knowledge, page: DomTree,
                              or best_del[1] >= -best_add[1][0]):
                 feat = best_del[0]
                 try:
-                    plan = plan_delete_feature(run.tree, feat, t, avoid_terms,
-                                               run.tally)
+                    plan_delete_feature(run.plan, feat, t, avoid_terms)
                     op_label = f"delete {feat}"
                 except _PLAN_FAILURES:
                     banned_deletions.add(feat)
@@ -330,16 +332,16 @@ def white_box(knowledge: Knowledge, page: DomTree,
             elif best_add:
                 rule = best_add[1][1]
                 try:
-                    plan = plan_add_rule(run.tree, rule.features, t, run.tally)
+                    plan_add_rule(run.plan, rule.features, t)
                     op_label = f"add rule {rule.id}"
                 except _PLAN_FAILURES:
                     banned_additions.add(rule.id)
                     del additions[rule.id]
             else:
                 break
-        if plan is None:
+        if op_label is None:
             break
-        run.offer(plan, op_label)
+        run.offer(op_label)
 
     return run.result(EXHAUSTED)
 
@@ -370,10 +372,10 @@ def grey_box(knowledge: Knowledge, page: DomTree) -> AttackResult:
         if run.fmap.get(feat, 0.0) == 0.0:
             continue
         try:
-            plan = plan_delete_feature(run.tree, feat, t, avoid_terms, run.tally)
+            plan_delete_feature(run.plan, feat, t, avoid_terms)
         except _PLAN_FAILURES:
             continue
-        run.offer(plan, f"delete {feat}")
+        run.offer(f"delete {feat}")
 
     for rule_id, feats in sorted(rules):
         if run.done:
@@ -381,10 +383,10 @@ def grey_box(knowledge: Knowledge, page: DomTree) -> AttackResult:
         if not unsatisfied(feats, run.fmap, t):
             continue
         try:
-            plan = plan_add_rule(run.tree, feats, t, run.tally)
+            plan_add_rule(run.plan, feats, t)
         except _PLAN_FAILURES:
             continue
-        run.offer(plan, f"add rule {rule_id}")
+        run.offer(f"add rule {rule_id}")
 
     return run.result(EXHAUSTED)
 
@@ -418,6 +420,7 @@ def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
     """
     # the classifier is used for reporting only: rule flips do not guide
     run = _Run(knowledge, page, _classifier_products(knowledge.oracle.classifier))
+    plan = run.plan
     rng = random.Random(rng_seed)
 
     for kind, path, arg in _modification_candidates(page):
@@ -425,23 +428,21 @@ def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
             break
         try:
             if kind == "attr":
-                op = modify_attribute(run.tree, path, arg)
+                op = modify_attribute(plan.tree, path, arg)
                 label = f"modify {arg} at {list(path)}"
             else:
-                op = modify_text(run.tree, path, arg)
+                op = modify_text(plan.tree, path, arg)
                 label = f"split term {arg!r}"
         except (UnsupportedMutation, TermNotFound, PathError):
             continue
-        plan = MutationPlan.on(run.tree, run.tally)
         plan.push(op)
-        run.offer(plan, label)
+        run.offer(label)
 
     score_after_modification = run.score
     additions = 0
     while pool and not run.done and additions < budget:
-        plan = MutationPlan.on(run.tree, run.tally)
-        draws = 0
-        while len(plan.ops) < batch and additions < budget and draws < 10 * batch:
+        pushed = draws = 0
+        while pushed < batch and additions < budget and draws < 10 * batch:
             draws += 1
             spec = pool[rng.randrange(len(pool))]
             try:
@@ -449,10 +450,11 @@ def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
             except UnsupportedMutation:
                 continue
             plan.push(op)
+            pushed += 1
             additions += 1
-        if not plan.ops:
+        if not pushed:
             break
-        run.offer(plan, f"add batch of {len(plan.ops)}", feature_step=False)
+        run.offer(f"add batch of {pushed}", feature_step=False)
 
     return run.result(BUDGET_EXHAUSTED, additions=additions,
                       score_after_modification=score_after_modification,

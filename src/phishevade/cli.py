@@ -39,10 +39,11 @@ from .classifier import (
 from .collision import LEGIT, Corpus, harvest_candidates, invert_hashes, load_corpus, load_manifest
 from .dom import DomTree, ParseError, load_page, serialize, walk_elements
 from . import features as F
-from .features import Feature, PageTally, UrlError, extract_all_features
+from .features import Feature, UrlError, extract_all_features
 from .mutation import (
     DELETABLE_KINDS,
     FeatureAbsent,
+    MutationPlan,
     UnsupportedMutation,
     load_pool,
     plan_add_rule,
@@ -293,7 +294,7 @@ def generate_fixture_pages(corpus: Corpus, model: Classifier, lo: float,
     [lo, hi): rewrite form actions to the collector URL, delete every
     model-relevant deletable feature, then add undeletable features until
     the score lands in the bucket."""
-    from itertools import combinations
+    from itertools import chain, combinations
 
     usable = [p for p in corpus.pages if p.label == LEGIT
               and any(el.tag == "form" for _, el in walk_elements(p.tree))]
@@ -312,47 +313,39 @@ def generate_fixture_pages(corpus: Corpus, model: Classifier, lo: float,
         for _, el in walk_elements(tree):
             if el.tag == "form":
                 el.set_attr("action", action_url)
+        plan = MutationPlan.on(tree)
 
         # deletion fixpoint over the model's deletable features
         for _ in range(20):
-            tally = PageTally(tree.source_url)
-            fmap = extract_all_features(tree, tally)
-            deleted = False
+            fmap, before = plan.fmap, len(plan.ops)
             for feat in sorted(model_features):
                 if fmap.get(feat, 0.0) == 0.0:
                     continue
                 try:
-                    plan = plan_delete_feature(tree, feat, t, avoid, tally)
+                    plan_delete_feature(plan, feat, t, avoid)
                 except (UnsupportedMutation, FeatureAbsent):
                     continue
-                if plan.ops:
-                    tree, tally = plan.tree, plan.tally
-                    deleted = True
-            if not deleted:
+            if len(plan.ops) == before:
                 break
 
-        tally = PageTally(tree.source_url)
-        fmap = extract_all_features(tree, tally)
+        fmap, deleted = plan.fmap, len(plan.ops)
         candidates = sorted(
             f for f in model_features
             if (feature := Feature.parse(f)) is not None
             and feature.kind in UNDELETABLE_ADDABLE_KINDS
             and fmap.get(f, 0.0) == 0.0)
-        chosen = None
-        for size in range(0, len(candidates) + 1):
-            for combo in combinations(candidates, size):
-                plan = plan_add_rule(tree, combo, t, tally)
-                value = score(model, plan.fmap)
-                if lo <= value < hi:
-                    chosen = (plan.tree, value)
-                    break
-            if chosen:
+        for combo in chain.from_iterable(combinations(candidates, size)
+                                         for size in range(len(candidates) + 1)):
+            plan_add_rule(plan, combo, t)
+            value = score(model, plan.fmap)
+            if lo <= value < hi:
+                out.append((base.url, plan.tree, value))
                 break
-        if chosen is None:
+            plan.undo(deleted)
+        else:
             raise Unreachable(
                 f"no undeletable-feature combination reaches [{lo}, {hi}) "
                 f"for {base.url}")
-        out.append((base.url, chosen[0], chosen[1]))
     return out
 
 

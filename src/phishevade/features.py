@@ -17,7 +17,7 @@ from the folded counts, and the URL features.  ``extract_page_features`` and
 ``extract_all_features`` fold a whole page; because each contribution is
 local, an edit to one node updates a tally by removing the node's old
 contribution and adding its new one, which is how ``mutation.MutationPlan``
-carries a page's tally along with its tree.
+carries a page's tally along with its tree and undoes an edit in both.
 """
 
 from __future__ import annotations

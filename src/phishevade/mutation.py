@@ -10,20 +10,27 @@ Three node operations cover every feature-level edit:
 * ``add_invisible_element`` appends a ``display:none`` element under body,
   carrying feature-bearing attributes or text.
 
-``plan_delete_feature`` and ``plan_add_rule`` build the feature-level plans
-used by the attacks.  A plan owns one copy of the page and of its feature
-tally (``features.PageTally``) and applies each op to both as it is pushed,
-so ``plan.tree`` is the candidate page and ``plan.fmap`` its feature map,
-with no walk over the page; ``apply`` replays a plan onto a fresh copy, the
-reference for tests.  Node paths index children (an attribute is addressed
-by its element's path plus its name), so paths stay valid across attribute
-rewrites and appended additions.
+A ``MutationPlan`` made with ``MutationPlan.on`` is a working page: its one
+copy of the page and of its feature tally (``features.PageTally``), and an
+undo journal.  ``push`` applies an op to both in place and records its
+inverse, so ``plan.tree`` is the mutated page and ``plan.fmap`` its feature
+map, with no walk over the page; ``undo(mark)`` reverts every op after the
+first ``mark``, last first.  An attack copies the page once and undoes the
+candidates it rejects instead of copying the page for each one.
+``plan_delete_feature`` and ``plan_add_rule`` push the feature-level edits
+onto the plan they are given and never copy; one that fails undoes what it
+pushed, so a failed planner leaves the plan as it was.  ``apply`` replays a
+plan's ops onto a fresh copy, the reference for tests.  Node paths index
+children (an attribute is addressed by its element's path plus its name),
+so paths stay valid across attribute rewrites and appended additions.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
@@ -132,12 +139,14 @@ class NodeOp:
 
 @dataclass
 class MutationPlan:
-    """NodeOps in application order; a plan made with :meth:`on` also holds
-    ``tree``, its copy of the page with every pushed op applied, and
-    ``tally``, the tally of ``tree``."""
+    """NodeOps in application order.  A plan made with :meth:`on` also holds
+    ``tree``, its copy of the page with every op in ``ops`` applied,
+    ``tally``, the tally of ``tree``, and the inverse of each op."""
     ops: list[NodeOp] = field(default_factory=list)
     tree: DomTree | None = None
     tally: PageTally | None = None
+    _inverses: list[Callable[[], None]] = field(
+        default_factory=list, init=False, repr=False, compare=False)
 
     @classmethod
     def on(cls, tree: DomTree, tally: PageTally | None = None) -> MutationPlan:
@@ -157,10 +166,30 @@ class MutationPlan:
         return self.tally.fmap()
 
     def push(self, op: NodeOp) -> None:
-        """Apply ``op`` to the plan's tree, update the tally from the one
-        node it changes or appends, and record it."""
-        _apply_in_place(self.tree, op, self.tally)
+        """Apply ``op`` to the plan's tree in place, update the tally from
+        the one node it changes or appends, and record the op and its
+        inverse."""
+        self._inverses.append(_apply_in_place(self.tree, op, self.tally))
         self.ops.append(op)
+
+    def undo(self, mark: int) -> None:
+        """Revert every op after the first ``mark``, last first, in the tree
+        and the tally, and cut ``ops`` back to ``mark``."""
+        ops, inverses = self.ops, self._inverses
+        while len(ops) > mark:
+            ops.pop()
+            inverses.pop()()
+
+
+@contextmanager
+def _undone_on_failure(plan: MutationPlan):
+    """Undo what the block pushed onto ``plan`` if it raises."""
+    mark = len(plan.ops)
+    try:
+        yield
+    except BaseException:
+        plan.undo(mark)
+        raise
 
 
 @dataclass(frozen=True)
@@ -306,15 +335,19 @@ def add_invisible_element(tree: DomTree, spec: ElementSpec) -> NodeOp:
 
 # -- applying ops -----------------------------------------------------------
 
-def _apply_in_place(tree: DomTree, op: NodeOp, tally: PageTally) -> None:
+def _apply_in_place(tree: DomTree, op: NodeOp,
+                    tally: PageTally) -> Callable[[], None]:
     """Apply ``op`` to ``tree`` and keep ``tally`` its tally: the changed
-    node's old contribution is removed and its new one added."""
+    node's old contribution is removed and its new one added.  Returns the
+    op's inverse, which reverts both."""
     if op.kind == "modify_attribute":
         el = _element_at(tree, op.target)
         attr = op.payload["attr"]
         if el.get_attr(attr) is None:
             raise PathError(f"attribute {attr!r} vanished at {op.target}")
         tally.add_element(el, -1)
+        old_attrs = el.attrs
+        el.attrs = dict(old_attrs)
         el.remove_attr(attr)
         if op.payload["style"]:
             existing = el.get_attr("style")
@@ -325,6 +358,11 @@ def _apply_in_place(tree: DomTree, op: NodeOp, tally: PageTally) -> None:
         handler = el.get_attr(event) or ""
         el.set_attr(event, handler + op.payload["assignment"])
         tally.add_element(el)
+
+        def inverse() -> None:
+            tally.add_element(el, -1)
+            el.attrs = old_attrs
+            tally.add_element(el)
     elif op.kind == "modify_text":
         try:
             node = node_at(tree, op.target)
@@ -334,11 +372,17 @@ def _apply_in_place(tree: DomTree, op: NodeOp, tally: PageTally) -> None:
         if node.node_type != TEXT or offset > len(node.value):
             raise PathError(f"text target {op.target} no longer resolves")
         counted = not in_raw_text(tree, op.target)
+        old_value = node.value
+        node.value = old_value[:offset] + ZERO_WIDTH_SPACE + old_value[offset:]
         if counted:
-            tally.add_text(node.value, -1)
-        node.value = node.value[:offset] + ZERO_WIDTH_SPACE + node.value[offset:]
-        if counted:
+            tally.add_text(old_value, -1)
             tally.add_text(node.value)
+
+        def inverse() -> None:
+            if counted:
+                tally.add_text(node.value, -1)
+                tally.add_text(old_value)
+            node.value = old_value
     elif op.kind == "add_invisible_element":
         parent = _element_at(tree, op.target)
         el = DomNode(ELEMENT, tag=op.payload["tag"])
@@ -356,10 +400,19 @@ def _apply_in_place(tree: DomTree, op: NodeOp, tally: PageTally) -> None:
             el.children.append(DomNode.text(text))
         parent.children.append(el)
         tally.add_element(el)
-        if text and not in_raw_text(tree, op.target + (len(parent.children) - 1, 0)):
+        counted = bool(text) and not in_raw_text(
+            tree, op.target + (len(parent.children) - 1, 0))
+        if counted:
             tally.add_text(text)
+
+        def inverse() -> None:
+            tally.add_element(el, -1)
+            if counted:
+                tally.add_text(text, -1)
+            parent.children.pop()
     else:
         raise ValueError(f"unknown op kind {op.kind!r}")
+    return inverse
 
 
 def apply(tree: DomTree, plan: MutationPlan) -> DomTree:
@@ -414,14 +467,12 @@ def _boost_added(num: int, den: int, threshold: float) -> int:
     return n
 
 
-def plan_delete_feature(tree: DomTree, canonical: str,
+def plan_delete_feature(plan: MutationPlan, canonical: str,
                         freq_detect_threshold: float = 0.05,
-                        avoid_terms: set[str] | None = None,
-                        tally: PageTally | None = None) -> MutationPlan:
-    """Build a plan that zeroes ``canonical`` (or, for frequency features,
-    drives it below the detection threshold) on the page; ``plan.tree`` is
-    the mutated page.  ``tally`` is the page's tally when the caller holds
-    it (see :meth:`MutationPlan.on`)."""
+                        avoid_terms: set[str] | None = None) -> None:
+    """Push onto ``plan`` the ops that zero ``canonical`` (or, for frequency
+    features, drive it below the detection threshold) on ``plan.tree``.  On
+    failure nothing stays pushed."""
     check_freq_detect_threshold(freq_detect_threshold)
     feature = Feature.parse(canonical)
     if feature is None:
@@ -430,42 +481,41 @@ def plan_delete_feature(tree: DomTree, canonical: str,
         raise UnsupportedMutation("URL features cannot be deleted: URLs are never mutated")
     if feature.kind not in DELETABLE_KINDS:
         raise UnsupportedMutation(f"{feature.kind} cannot be deleted")
-    plan = MutationPlan.on(tree, tally)
     if canonical not in plan.tally.page_fmap():
         raise FeatureAbsent(canonical)
 
     work, push = plan.tree, plan.push
     kind, payload = feature.kind, feature.payload
-    if kind == F.PAGE_TERM:
-        # break every token occurrence of the term, node by node; a split
-        # leaves two shorter fragments, so it never recreates the term
-        for path, node in walk_text_nodes(work):
-            while any(t == payload for t, _, _ in term_spans(node.value)):
-                push(modify_text(work, path, payload, avoid_terms))
-    elif kind in (F.PAGE_HAS_TEXT_INPUTS, F.PAGE_HAS_PSWD_INPUTS):
-        wanted = "text" if kind == F.PAGE_HAS_TEXT_INPUTS else "password"
-        for path, el in list(walk_elements(work)):
-            if el.tag == "input" and (el.get_attr("type") or "").lower() == wanted:
-                push(modify_attribute(work, path, "type"))
-    elif kind == F.PAGE_ACTION_URL:
-        for path, el in list(walk_elements(work)):
-            if el.tag == "form" and el.get_attr("action") == payload:
-                push(modify_attribute(work, path, "action"))
-    elif kind == F.PAGE_LINK_DOMAIN:
-        base_domain = plan.tally.base_domain
-        for path, el in list(walk_elements(work)):
-            href = el.get_attr("href") if el.tag == "a" else None
-            if href is not None and resolve_reference(
-                    href, work.source_url, base_domain)[0] == payload:
-                push(modify_attribute(work, path, "href"))
-    elif kind in F.FREQUENCY_KINDS:
-        # dilute with internal, insecure references
-        tag, attr = _FREQUENCY_CARRIERS[kind]
-        num, den = plan.tally.counts.fraction(kind)
-        spec = ElementSpec(tag, ((attr, _internal_url(work)),))
-        for _ in range(_dilution_added(num, den, freq_detect_threshold)):
-            push(add_invisible_element(work, spec))
-    return plan
+    with _undone_on_failure(plan):
+        if kind == F.PAGE_TERM:
+            # break every token occurrence of the term, node by node; a split
+            # leaves two shorter fragments, so it never recreates the term
+            for path, node in walk_text_nodes(work):
+                while any(t == payload for t, _, _ in term_spans(node.value)):
+                    push(modify_text(work, path, payload, avoid_terms))
+        elif kind in (F.PAGE_HAS_TEXT_INPUTS, F.PAGE_HAS_PSWD_INPUTS):
+            wanted = "text" if kind == F.PAGE_HAS_TEXT_INPUTS else "password"
+            for path, el in list(walk_elements(work)):
+                if el.tag == "input" and (el.get_attr("type") or "").lower() == wanted:
+                    push(modify_attribute(work, path, "type"))
+        elif kind == F.PAGE_ACTION_URL:
+            for path, el in list(walk_elements(work)):
+                if el.tag == "form" and el.get_attr("action") == payload:
+                    push(modify_attribute(work, path, "action"))
+        elif kind == F.PAGE_LINK_DOMAIN:
+            base_domain = plan.tally.base_domain
+            for path, el in list(walk_elements(work)):
+                href = el.get_attr("href") if el.tag == "a" else None
+                if href is not None and resolve_reference(
+                        href, work.source_url, base_domain)[0] == payload:
+                    push(modify_attribute(work, path, "href"))
+        elif kind in F.FREQUENCY_KINDS:
+            # dilute with internal, insecure references
+            tag, attr = _FREQUENCY_CARRIERS[kind]
+            num, den = plan.tally.counts.fraction(kind)
+            spec = ElementSpec(tag, ((attr, _internal_url(work)),))
+            for _ in range(_dilution_added(num, den, freq_detect_threshold)):
+                push(add_invisible_element(work, spec))
 
 
 def _spec_for_feature(plan: MutationPlan, feature: Feature,
@@ -511,12 +561,11 @@ def _spec_for_feature(plan: MutationPlan, feature: Feature,
     raise UnsupportedMutation(f"{kind} cannot be added")
 
 
-def plan_add_rule(tree: DomTree, rule_features,
-                  freq_detect_threshold: float = 0.05,
-                  tally: PageTally | None = None) -> MutationPlan:
-    """Build a plan that makes every feature of a rule satisfied, so the
-    rule hits on ``plan.tree``; ``tally`` as for
-    :func:`plan_delete_feature`."""
+def plan_add_rule(plan: MutationPlan, rule_features,
+                  freq_detect_threshold: float = 0.05) -> None:
+    """Push onto ``plan`` the invisible additions that make every feature of
+    a rule satisfied, so the rule hits on ``plan.tree``.  On failure
+    nothing stays pushed."""
     check_freq_detect_threshold(freq_detect_threshold)
     parsed = []
     for canonical in sorted(rule_features):
@@ -533,27 +582,27 @@ def plan_add_rule(tree: DomTree, rule_features,
     link_ratios = {F.PAGE_EXTERNAL_LINKS_FREQ, F.PAGE_SECURE_LINKS_FREQ}
     both_link_ratios = freq_detect_threshold > 0.5 \
         and link_ratios <= {feature.kind for _, feature in parsed}
-    plan = MutationPlan.on(tree, tally)
-    for _ in range(10):
-        unsat = unsatisfied(rule_features, plan.fmap, freq_detect_threshold)
-        missing = [(c, f) for c, f in parsed if c in unsat]
-        if not missing:
-            return plan
-        if both_link_ratios and any(f.kind in link_ratios for _, f in missing):
-            counts = plan.tally.counts
-            if counts.external_links + counts.secure_links \
-                    < 2 * freq_detect_threshold * counts.links:
-                raise UnsupportedMutation(
-                    "external and secure link ratios cannot both reach "
-                    f"{freq_detect_threshold} on this page")
-        for canonical, feature in missing:
-            if feature.kind in F.URL_KINDS:
-                raise UrlFeatureUnaddable(canonical)
-            for spec in _spec_for_feature(plan, feature, freq_detect_threshold):
-                plan.push(add_invisible_element(plan.tree, spec))
-    raise UnsupportedMutation(
-        "rule features keep interfering; could not satisfy all of "
-        + ", ".join(sorted(rule_features)))
+    with _undone_on_failure(plan):
+        for _ in range(10):
+            unsat = unsatisfied(rule_features, plan.fmap, freq_detect_threshold)
+            missing = [(c, f) for c, f in parsed if c in unsat]
+            if not missing:
+                return
+            if both_link_ratios and any(f.kind in link_ratios for _, f in missing):
+                counts = plan.tally.counts
+                if counts.external_links + counts.secure_links \
+                        < 2 * freq_detect_threshold * counts.links:
+                    raise UnsupportedMutation(
+                        "external and secure link ratios cannot both reach "
+                        f"{freq_detect_threshold} on this page")
+            for canonical, feature in missing:
+                if feature.kind in F.URL_KINDS:
+                    raise UrlFeatureUnaddable(canonical)
+                for spec in _spec_for_feature(plan, feature, freq_detect_threshold):
+                    plan.push(add_invisible_element(plan.tree, spec))
+        raise UnsupportedMutation(
+            "rule features keep interfering; could not satisfy all of "
+            + ", ".join(sorted(rule_features)))
 
 
 # -- preservation check -------------------------------------------------------

@@ -357,11 +357,18 @@ class StoreEntry:
 
 @dataclass
 class PhishStore:
-    """Recent detected phishing signatures, bounded by count and age."""
+    """Recent detected phishing signatures, bounded by count (``k``) and
+    age (``h_hours``); either bound below 0, or NaN, raises ``ValueError``."""
 
     k: int = 50
     h_hours: float = 24.0
     entries: list[StoreEntry] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not self.k >= 0:
+            raise ValueError("store capacity k must be >= 0")
+        if not self.h_hours >= 0.0:   # also rejects NaN
+            raise ValueError("store horizon h_hours must be >= 0")
 
     def evict(self, now: float | None = None) -> None:
         now = time.time() if now is None else now

@@ -50,6 +50,15 @@ def copied_trees(monkeypatch) -> list[DomTree]:
     return calls
 
 
+def planned(planner, tree: DomTree, *args, **kwargs):
+    """A ``MutationPlan`` over a copy of ``tree`` with the ops of one
+    planner call pushed onto it."""
+    from phishevade.mutation import MutationPlan
+    plan = MutationPlan.on(tree)
+    planner(plan, *args, **kwargs)
+    return plan
+
+
 def build_page_html(terms=(), secure_links=0, insecure_external_links=0,
                     internal_links=0, actions=(), input_types=(), imgs=(),
                     scripts=0, bare_form=False, filler=0, host="seed.test",

@@ -1,11 +1,15 @@
 """Reference definition of page feature extraction.
 
-One direct walk over the elements and one over the text nodes fill the
-feature map and the element tally.  The program folds per-node
-contributions into a ``PageTally`` instead, and keeps it up to date as a
-plan edits the page; ``tests/test_features.py`` and
-``tests/test_mutation.py`` check that both give the same maps.
+One direct walk over the elements and one over the text nodes count the
+features each node gives (one per element feature and per term occurrence)
+and fill the element tally; the feature map keeps the counted features.
+The program folds per-node contributions into a ``PageTally`` instead, and
+keeps it up to date as a plan edits the page and undoes edits;
+``tests/test_features.py`` and ``tests/test_mutation.py`` check that both
+give the same maps and counts.
 """
+
+from collections import Counter
 
 from phishevade.dom import walk_elements, walk_text_nodes
 from phishevade.features import (
@@ -32,8 +36,8 @@ _FREQUENCY_TALLIES = {
 
 
 def _element_walk(tree):
-    """The element features and the element tally, in one walk."""
-    fmap = {}
+    """The element features, counted, and the element tally, in one walk."""
+    found = Counter()
     counts = PageCounts()
     base_url = tree.source_url
     base_domain = registrable_domain(base_url)
@@ -49,14 +53,14 @@ def _element_walk(tree):
             if domain is not None:
                 counts.external_links += 1
                 if domain:
-                    fmap[f"PageLinkDomain={domain}"] = 1.0
+                    found[f"PageLinkDomain={domain}"] += 1
         elif tag == "form":
-            fmap["PageHasForms"] = 1.0
+            found["PageHasForms"] += 1
             action = el.attrs.get("action")
             if action is None:
                 continue
             if action:
-                fmap[f"PageActionURL={action}"] = 1.0
+                found[f"PageActionURL={action}"] += 1
             counts.actions += 1
             if resolve_reference(action, base_url, base_domain)[0] is not None:
                 counts.other_actions += 1
@@ -69,10 +73,10 @@ def _element_walk(tree):
         elif tag == "input":
             feature = _INPUT_FEATURES.get((el.attrs.get("type") or "").lower())
             if feature:
-                fmap[feature] = 1.0
+                found[feature] += 1
         elif tag == "script":
             counts.scripts += 1
-    return fmap, counts
+    return found, counts
 
 
 def page_counts(tree):
@@ -80,9 +84,24 @@ def page_counts(tree):
     return _element_walk(tree)[1]
 
 
+def _fold(tree):
+    """The element walk's counted features plus every term occurrence, and
+    the element tally."""
+    found, counts = _element_walk(tree)
+    for _, node in walk_text_nodes(tree):
+        found.update(f"PageTerm={term}" for term in terms_of(node.value))
+    return found, counts
+
+
+def feature_counts(tree):
+    """How many times the page's nodes give each feature."""
+    return _fold(tree)[0]
+
+
 def extract_page_features(tree):
     """The page-level feature map."""
-    fmap, counts = _element_walk(tree)
+    found, counts = _fold(tree)
+    fmap = dict.fromkeys(found, 1.0)
     if counts.scripts > 1:
         fmap["PageNumScriptTags>1"] = 1.0
     if counts.scripts > 6:
@@ -90,9 +109,6 @@ def extract_page_features(tree):
     for kind, (num, den) in _FREQUENCY_TALLIES.items():
         if getattr(counts, num):
             fmap[kind] = getattr(counts, num) / getattr(counts, den)
-    for _, node in walk_text_nodes(tree):
-        for term in terms_of(node.value):
-            fmap[f"PageTerm={term}"] = 1.0
     return fmap
 
 

@@ -19,7 +19,7 @@ from phishevade.attacks import (
 )
 from phishevade.classifier import ScoreOracle, raw_score, rule_hit
 from phishevade.dom import serialize
-from phishevade.features import extract_all_features
+from phishevade.features import PageTally, extract_all_features
 from phishevade.mutation import (
     ElementSpec,
     FeatureAbsent,
@@ -32,6 +32,7 @@ from phishevade.mutation import (
 from conftest import (
     build_page,
     make_classifier,
+    planned,
     rule,
     suite_model,
     suite_pool,
@@ -212,23 +213,34 @@ def test_white_suite_matches_lookahead_oracle():
             expected = f"delete {arg}" if kind == "delete" else f"add rule {arg}"
             assert step.op == expected
             if kind == "delete":
-                plan = plan_delete_feature(tree, arg,
-                                           clf.freq_detect_threshold, avoid)
+                plan = planned(plan_delete_feature, tree, arg,
+                               clf.freq_detect_threshold, avoid)
             else:
-                plan = plan_add_rule(tree, clf.rule(arg).features,
-                                     clf.freq_detect_threshold)
+                plan = planned(plan_add_rule, tree, clf.rule(arg).features,
+                               clf.freq_detect_threshold)
             tree = apply(tree, plan)
         assert serialize(tree) == serialize(result.final_page)
 
 
-def test_white_copies_the_page_once_per_candidate(copied_trees):
-    """Each offered candidate is its plan's own tree: one copy, no replay."""
+def test_attacks_copy_the_page_once(copied_trees):
+    """Each attack copies the seed page once, whatever it offers, and
+    leaves the seed page as it was."""
     clf = suite_model()
+    grey = [(r.id, r.features) for r in clf.rules]
+    attacks = [
+        lambda page: white_box(white_knowledge(clf, ScoreOracle(clf)), page),
+        lambda page: grey_box(grey_knowledge(grey, ScoreOracle(clf)), page),
+        lambda page: black_box(black_knowledge(ScoreOracle(clf)), page,
+                               suite_pool(), rng_seed=3),
+    ]
     for _, page in suite_seed_pages(per_bucket=1):
-        copied_trees.clear()
-        result = white_box(white_knowledge(clf, ScoreOracle(clf)), page)
-        assert result.success
-        assert len(copied_trees) == len(result.trajectory) - 1 >= 1
+        before = serialize(page)
+        for attack in attacks:
+            copied_trees.clear()
+            result = attack(page)
+            assert len(result.trajectory) >= 2
+            assert copied_trees == [page]
+            assert serialize(page) == before
 
 
 def test_white_rules_vs_features_accounting():
@@ -321,19 +333,25 @@ def test_black_addition_phase_with_rollback(monkeypatch):
         rule("n3", {"PageHasCheckInputs"}, -0.35),
     ], bias=-0.1)
     page = build_page(bare_form=True, scripts=2)
-    # every rolled-back offer leaves the current tree byte-identical to the
-    # tree after the previous offer
-    current = [serialize(page)]
+    # every rejected offer leaves the working page byte-identical to the page
+    # after the previous offer, and its tally equal to that page's tally
+    def state(tree, tally):
+        return serialize(tree), dict(tally.features), tally.counts.copy()
+
+    tally = PageTally(page.source_url)
+    extract_all_features(page, tally)
+    current = [state(page, tally)]
     rolled_back = []
     offer = _Run.offer
 
-    def checked(run, candidate, label, feature_step=True):
-        kept = offer(run, candidate, label, feature_step)
-        html = serialize(run.tree)
+    def checked(run, label, feature_step=True):
+        kept = offer(run, label, feature_step)
+        now = state(run.plan.tree, run.plan.tally)
         if not kept:
-            assert html == current[-1]
+            assert now == current[-1]
+            assert run.plan.fmap == run.fmap
             rolled_back.append(label)
-        current.append(html)
+        current.append(now)
         return kept
 
     monkeypatch.setattr(_Run, "offer", checked)

@@ -669,6 +669,25 @@ def test_gen_fixtures_lands_in_bucket(tmp_path):
         assert 'action="http://collect.phish-pad.invalid/post"' in html
 
 
+def test_gen_fixtures_writes_the_pinned_bytes(tmp_path):
+    # three pages that take deletions, term splits and added combinations;
+    # the expected files are the output of the copy-per-candidate search
+    model = make_classifier([rule(*args) for args in GEN_MODEL_RULES], bias=-0.3)
+    model_path = tmp_path / "gen-model.json"
+    save_model(model, model_path)
+    corpus_path = tmp_path / "legit.jsonl"
+    _legit_corpus_manifest(corpus_path)
+    out = tmp_path / "gen"
+    assert run(["gen-fixtures", "--corpus", str(corpus_path),
+                "--model", str(model_path), "--range", "0.9,1.0",
+                "--count", "3", "--out", str(out)]) == 0
+    pinned = fixture_path("gen_fixtures")
+    assert sorted(os.listdir(out)) == sorted(os.listdir(pinned))
+    for name in os.listdir(pinned):
+        with open(os.path.join(pinned, name), "rb") as fh:
+            assert (out / name).read_bytes() == fh.read(), name
+
+
 def test_gen_fixtures_unreachable_exits_4(tmp_path):
     model = make_classifier([rule(*args) for args in GEN_MODEL_RULES], bias=-0.3)
     model_path = tmp_path / "gen-model.json"

@@ -29,7 +29,7 @@ from phishevade.mutation import (
 )
 
 import dom_oracle
-from conftest import PAYPAL_URL, fixture_path
+from conftest import PAYPAL_URL, fixture_path, planned
 from test_features import SOUP
 
 
@@ -416,10 +416,10 @@ def test_iterative_walks_match_the_recursive_reference(pieces, styled, data, bod
     for feature in ["PageTerm=login", "PageHasTextInputs", "PageHasPswdInputs",
                     "PageExternalLinksFreq"]:
         try:
-            others.append(plan_delete_feature(tree, feature).tree)
+            others.append(planned(plan_delete_feature, tree, feature).tree)
         except (LookupError, ValueError):
             pass
-    others.append(plan_add_rule(tree, {"PageTerm=new", "PageHasForms"}).tree)
+    others.append(planned(plan_add_rule, tree, {"PageTerm=new", "PageHasForms"}).tree)
     # void and raw-text elements that carry text, which only additions make
     additions = MutationPlan.on(tree)
     for spec in [ElementSpec("input", (("type", "text"),), "typed"),

@@ -47,9 +47,16 @@ from phishevade.mutation import (
     save_pool,
 )
 
-from conftest import build_page, build_page_html, make_classifier, rule
+from conftest import (
+    build_page,
+    build_page_html,
+    make_classifier,
+    planned,
+    rule,
+    suite_seed_pages,
+)
 from features_oracle import extract_all_features as oracle_extract_all_features
-from features_oracle import page_counts
+from features_oracle import feature_counts, page_counts
 from test_features import SOUP
 
 
@@ -112,7 +119,7 @@ def test_attribute_rewrite_with_stylesheet_preserves_projection():
         '<html><head><style>input[type=password]{width:120px}</style></head>'
         '<body><input type="password" name="pass"></body></html>',
         "http://seed.test/")
-    plan = plan_delete_feature(tree, "PageHasPswdInputs")
+    plan = planned(plan_delete_feature, tree, "PageHasPswdInputs")
     out = apply(tree, plan)
     report = preservation_check(tree, out)
     assert report.passed, report.problems
@@ -219,18 +226,18 @@ def test_invisible_text_term_appears_but_projection_unchanged():
 def test_delete_page_has_forms_unsupported():
     tree = build_page(bare_form=True)
     with pytest.raises(UnsupportedMutation):
-        plan_delete_feature(tree, "PageHasForms")
+        planned(plan_delete_feature, tree, "PageHasForms")
 
 
 def test_delete_absent_feature():
     tree = build_page(terms=["x"])
     with pytest.raises(FeatureAbsent):
-        plan_delete_feature(tree, "PageHasPswdInputs")
+        planned(plan_delete_feature, tree, "PageHasPswdInputs")
 
 
 def test_delete_password_inputs_uses_onfocus_rewrite():
     tree = build_page(input_types=["password"])
-    plan = plan_delete_feature(tree, "PageHasPswdInputs")
+    plan = planned(plan_delete_feature, tree, "PageHasPswdInputs")
     out = apply(tree, plan)
     assert "PageHasPswdInputs" not in extract_page_features(out)
     assert "onfocus=\"this.type='password';\"" in serialize(out)
@@ -240,8 +247,8 @@ def test_delete_external_links_freq_dilution_arithmetic():
     # 2 external / 4 total at threshold 0.05: 37 internal links give 2/41 < 0.05
     tree = build_page(insecure_external_links=2, internal_links=2)
     assert extract_page_features(tree)["PageExternalLinksFreq"] == 0.5
-    plan = plan_delete_feature(tree, "PageExternalLinksFreq",
-                               freq_detect_threshold=0.05)
+    plan = planned(plan_delete_feature, tree, "PageExternalLinksFreq",
+                   freq_detect_threshold=0.05)
     assert len(plan.ops) == 37
     out = apply(tree, plan)
     fmap = extract_page_features(out)
@@ -253,7 +260,7 @@ def test_delete_external_links_freq_dilution_arithmetic():
 def test_delete_term_breaks_every_occurrence():
     tree = parse_html("<html><body><p>pay pay</p><div>pay again</div>"
                       "</body></html>", "http://seed.test/")
-    plan = plan_delete_feature(tree, "PageTerm=pay")
+    plan = planned(plan_delete_feature, tree, "PageTerm=pay")
     out = apply(tree, plan)
     assert "PageTerm=pay" not in extract_page_features(out)
     assert len(plan.ops) == 3
@@ -261,8 +268,8 @@ def test_delete_term_breaks_every_occurrence():
 
 def test_delete_action_url_rewrites_form():
     tree = build_page(actions=["http://collector.evil.example/post"])
-    plan = plan_delete_feature(
-        tree, "PageActionURL=http://collector.evil.example/post")
+    plan = planned(plan_delete_feature, tree,
+                   "PageActionURL=http://collector.evil.example/post")
     out = apply(tree, plan)
     fmap = extract_page_features(out)
     assert "PageActionURL=http://collector.evil.example/post" not in fmap
@@ -275,7 +282,7 @@ def test_delete_action_url_rewrites_form():
 def test_delete_url_feature_unsupported():
     tree = build_page(terms=["x"])
     with pytest.raises(UnsupportedMutation):
-        plan_delete_feature(tree, "UrlPathToken=page")
+        planned(plan_delete_feature, tree, "UrlPathToken=page")
 
 
 # -- plan_add_rule -------------------------------------------------------------------
@@ -283,7 +290,7 @@ def test_delete_url_feature_unsupported():
 def test_add_single_term_rule():
     tree = build_page(terms=["hello"])
     r = rule("r", {"PageTerm=secure"}, -1.0)
-    plan = plan_add_rule(tree, r.features)
+    plan = planned(plan_add_rule, tree, r.features)
     assert len(plan.ops) == 1
     out = apply(tree, plan)
     assert rule_hit(r, extract_page_features(out))
@@ -292,12 +299,12 @@ def test_add_single_term_rule():
 def test_add_url_feature_unaddable():
     tree = build_page(terms=["hello"])
     with pytest.raises(UrlFeatureUnaddable):
-        plan_add_rule(tree, {"UrlTld=org"})
+        planned(plan_add_rule, tree, {"UrlTld=org"})
 
 
 def test_add_url_feature_already_satisfied_is_fine():
     tree = build_page(terms=["hello"])          # url http://seed.test/page
-    plan = plan_add_rule(tree, {"UrlPathToken=page", "PageTerm=bank"})
+    plan = planned(plan_add_rule, tree, {"UrlPathToken=page", "PageTerm=bank"})
     out = apply(tree, plan)
     fmap = extract_all_features(out)
     assert fmap["PageTerm=bank"] == 1.0 and fmap["UrlPathToken=page"] == 1.0
@@ -311,7 +318,7 @@ def test_add_rule_score_delta_matches_brute_force():
     ])
     tree = build_page(terms=["hello"])
     before = raw_score(clf, extract_all_features(tree))
-    plan = plan_add_rule(tree, clf.rule("target").features)
+    plan = planned(plan_add_rule, tree, clf.rule("target").features)
     out = apply(tree, plan)
     after = raw_score(clf, extract_all_features(out))
     assert after - before == pytest.approx(-2.5, abs=1e-12)
@@ -319,8 +326,8 @@ def test_add_rule_score_delta_matches_brute_force():
 
 def test_add_frequency_feature_reaches_detection_threshold():
     tree = build_page(internal_links=5)
-    plan = plan_add_rule(tree, {"PageImgOtherDomainFreq"},
-                         freq_detect_threshold=0.5)
+    plan = planned(plan_add_rule, tree, {"PageImgOtherDomainFreq"},
+                   freq_detect_threshold=0.5)
     out = apply(tree, plan)
     assert extract_page_features(out)["PageImgOtherDomainFreq"] >= 0.5
 
@@ -333,13 +340,13 @@ def test_add_frequency_feature_fails_at_once_when_padding_cannot_count(feature):
     # would only grow the denominator, by a factor of ten per round at t=0.9
     tree = parse_html(build_page_html(terms=["hello"], internal_links=2), "")
     with pytest.raises(UnsupportedMutation, match="does not count"):
-        plan_add_rule(tree, {feature}, freq_detect_threshold=0.9)
+        planned(plan_add_rule, tree, {feature}, freq_detect_threshold=0.9)
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0, 1.5])
 @pytest.mark.parametrize("planner", [
-    lambda tree, t: plan_delete_feature(tree, "PageExternalLinksFreq", t),
-    lambda tree, t: plan_add_rule(tree, {"PageExternalLinksFreq"}, t),
+    lambda tree, t: planned(plan_delete_feature, tree, "PageExternalLinksFreq", t),
+    lambda tree, t: planned(plan_add_rule, tree, {"PageExternalLinksFreq"}, t),
 ], ids=["delete", "add"])
 def test_planners_reject_frequency_threshold_outside_unit_interval(planner, t):
     # t = 0 divided by zero while diluting the external-link ratio
@@ -360,13 +367,13 @@ def test_add_both_link_ratios_above_one_half_fails_at_once():
     tree = parse_html(TWO_INTERNAL_LINKS, "http://seed.test/page")
     started = time.perf_counter()
     with pytest.raises(UnsupportedMutation, match="cannot both reach"):
-        plan_add_rule(tree, LINK_RATIOS, freq_detect_threshold=0.9)
+        planned(plan_add_rule, tree, LINK_RATIOS, freq_detect_threshold=0.9)
     assert time.perf_counter() - started < 1.0
 
 
 def test_add_both_link_ratios_at_or_below_one_half_still_plans():
     tree = parse_html(TWO_INTERNAL_LINKS, "http://seed.test/page")
-    counts = page_counts(plan_add_rule(tree, LINK_RATIOS, 0.3).tree)
+    counts = page_counts(planned(plan_add_rule, tree, LINK_RATIOS, 0.3).tree)
     assert (counts.links, counts.external_links, counts.secure_links) == (6, 2, 2)
 
 
@@ -375,7 +382,7 @@ def test_add_both_link_ratios_at_or_below_one_half_still_plans():
 def test_apply_leaves_original_untouched():
     tree = build_page(terms=["hello"])
     before = serialize(tree)
-    plan = plan_add_rule(tree, {"PageTerm=new"})
+    plan = planned(plan_add_rule, tree, {"PageTerm=new"})
     apply(tree, plan)
     assert serialize(tree) == before
 
@@ -392,8 +399,8 @@ def test_apply_path_error():
 def test_no_url_drift_across_plans():
     tree = build_page(terms=["hello"], insecure_external_links=2,
                       internal_links=2)
-    for plan in [plan_delete_feature(tree, "PageTerm=hello"),
-                 plan_add_rule(tree, {"PageTerm=x"})]:
+    for plan in [planned(plan_delete_feature, tree, "PageTerm=hello"),
+                 planned(plan_add_rule, tree, {"PageTerm=x"})]:
         assert apply(tree, plan).source_url == tree.source_url
 
 
@@ -425,13 +432,13 @@ def test_plan_tree_is_the_replay_of_its_ops(pieces, data, url, t):
     plans = []
     for feat in sorted(f for f in extract_all_features(tree) if deletable_feature(f)):
         try:
-            plans.append(plan_delete_feature(tree, feat, t, avoid))
+            plans.append(planned(plan_delete_feature, tree, feat, t, avoid))
         except _PLAN_FAILURES:
             pass
     for feats in data.draw(st.lists(st.sets(st.sampled_from(RULE_FEATURES),
                                             min_size=1, max_size=3), max_size=4)):
         try:
-            plans.append(plan_add_rule(tree, feats, t))
+            plans.append(planned(plan_add_rule, tree, feats, t))
         except _PLAN_FAILURES:
             pass
     for plan in plans:
@@ -441,16 +448,18 @@ def test_plan_tree_is_the_replay_of_its_ops(pieces, data, url, t):
     assert serialize(tree) == before
 
 
-def test_each_planner_copies_the_page_once(copied_trees):
+def test_planners_push_onto_the_plan_without_copying(copied_trees):
     tree = build_page(terms=["pay", "pay"], input_types=["password"],
                       insecure_external_links=2, internal_links=2)
-    for make in [lambda: plan_delete_feature(tree, "PageTerm=pay"),
-                 lambda: plan_delete_feature(tree, "PageHasPswdInputs"),
-                 lambda: plan_delete_feature(tree, "PageExternalLinksFreq"),
-                 lambda: plan_add_rule(tree, {"PageTerm=new", "PageHasRadioInputs"})]:
+    for planner, args in [(plan_delete_feature, ("PageTerm=pay",)),
+                          (plan_delete_feature, ("PageHasPswdInputs",)),
+                          (plan_delete_feature, ("PageExternalLinksFreq",)),
+                          (plan_add_rule, ({"PageTerm=new", "PageHasRadioInputs"},))]:
+        plan = MutationPlan.on(tree)
+        work = plan.tree
         copied_trees.clear()
-        plan = make()
-        assert plan.ops and copied_trees == [tree]
+        planner(plan, *args)
+        assert plan.ops and copied_trees == [] and plan.tree is work
 
 
 def _reextract_term_ops(tree, term, avoid_terms):
@@ -478,9 +487,9 @@ def test_term_deletion_splits_node_by_node_like_the_reextract_loop(avoid):
         expected = _reextract_term_ops(tree, "pay", avoid)
     except UnsupportedMutation:
         with pytest.raises(UnsupportedMutation):
-            plan_delete_feature(tree, "PageTerm=pay", avoid_terms=avoid)
+            planned(plan_delete_feature, tree, "PageTerm=pay", avoid_terms=avoid)
         return
-    plan = plan_delete_feature(tree, "PageTerm=pay", avoid_terms=avoid)
+    plan = planned(plan_delete_feature, tree, "PageTerm=pay", avoid_terms=avoid)
     assert len(expected) == 6
     assert plan.ops == expected
     assert "PageTerm=pay" not in extract_page_features(plan.tree)
@@ -556,12 +565,13 @@ def _black_op(draw, tree):
        t=st.floats(min_value=0.05, max_value=0.9))
 def test_plan_fmap_is_the_extraction_of_its_tree_after_every_push(
         pieces, body, data, url, t):
-    """Chains of planner and black-box plans, each built on the tree and
-    tally the previous one left, keep ``plan.fmap`` equal to the reference
-    extraction of ``plan.tree``; pages with and without a body."""
+    """Planner and black-box ops pushed onto one plan keep ``plan.fmap``
+    equal to the reference extraction of ``plan.tree``; pages with and
+    without a body."""
     tree = parse_html(("<html><body>" if body else "") + "".join(pieces), url)
     tally = PageTally(url)
     assert extract_all_features(tree, tally) == oracle_extract_all_features(tree)
+    plan = MutationPlan.on(tree, tally)
     draw = data.draw
     avoid = draw(st.sets(st.sampled_from(["lo", "gin", "ver", "ify"])))
     with checked_pushes():
@@ -569,24 +579,21 @@ def test_plan_fmap_is_the_extraction_of_its_tree_after_every_push(
             step = draw(st.sampled_from(["delete", "add", "black"]))
             try:
                 if step == "delete":
-                    present = sorted(f for f in tally.fmap() if deletable_feature(f))
-                    if not present:
-                        continue
-                    plan = plan_delete_feature(tree, draw(st.sampled_from(present)),
-                                               t, avoid, tally)
+                    present = sorted(f for f in plan.fmap if deletable_feature(f))
+                    if present:
+                        plan_delete_feature(plan, draw(st.sampled_from(present)),
+                                            t, avoid)
                 elif step == "add":
                     feats = draw(st.sets(st.sampled_from(RULE_FEATURES),
                                          min_size=1, max_size=3))
-                    plan = plan_add_rule(tree, feats, t, tally)
+                    plan_add_rule(plan, feats, t)
                 else:
-                    plan = MutationPlan.on(tree, tally)
                     for _ in range(draw(st.integers(1, 3), label="ops")):
                         plan.push(_black_op(draw, plan.tree))
             except _PLAN_FAILURES:
-                continue
-            tree, tally = plan.tree, plan.tally
-    assert tally.fmap() == oracle_extract_all_features(tree)
-    assert extract_all_features(tree) == oracle_extract_all_features(tree)
+                pass
+    assert plan.fmap == oracle_extract_all_features(plan.tree)
+    assert extract_all_features(plan.tree) == oracle_extract_all_features(plan.tree)
 
 
 def test_plan_fmap_follows_rewrites_and_additions_that_extraction_skips():
@@ -617,6 +624,86 @@ def test_plan_fmap_follows_rewrites_and_additions_that_extraction_skips():
         plan.push(add_invisible_element(plan.tree, EDGE_POOL[-2]))
     assert plan.tree.root.children[-1].tag == "div"
     assert {"PageTerm=hello", "PageTerm=login", "PageTerm=bank"} <= set(plan.fmap)
+
+
+# -- the undo journal --------------------------------------------------------------------
+
+SUITE_PAGES = [page for _, page in suite_seed_pages(per_bucket=1)]
+
+
+def _plan_state(plan):
+    return (list(plan.ops), serialize(plan.tree), dict(plan.tally.features),
+            plan.tally.counts.copy())
+
+
+def _assert_plan_is_its_replay(plan, page):
+    """``plan.tree`` is the replay of ``plan.ops`` onto ``page``, and its
+    tally is the reference fold of that tree."""
+    assert serialize(plan.tree) == serialize(apply(page, MutationPlan(list(plan.ops))))
+    assert dict(plan.tally.features) == dict(feature_counts(plan.tree))
+    assert plan.tally.counts == page_counts(plan.tree)
+    assert plan.fmap == oracle_extract_all_features(plan.tree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(suite=st.sampled_from(range(len(SUITE_PAGES))), pieces=SOUP,
+       random_page=st.booleans(), data=st.data(),
+       url=st.sampled_from(["", "http://seed.test/page", "https://shop.co.uk/cart"]),
+       t=st.sampled_from([0.05, 0.3, 0.6]))
+def test_undo_takes_tree_and_tally_back_to_the_replay_of_the_kept_ops(
+        suite, pieces, random_page, data, url, t):
+    """Pushes, planner calls and undos to random marks, on suite pages and
+    random pages: after every step the plan is the replay of its ops, a
+    failed planner leaves it as it was, ``undo(0)`` gives back the input
+    page, and the input page is never touched."""
+    page = parse_html("<html><body>" + "".join(pieces), url) if random_page \
+        else SUITE_PAGES[suite]
+    before = serialize(page)
+    draw = data.draw
+    plan = MutationPlan.on(page)
+    for _ in range(draw(st.integers(1, 10), label="steps")):
+        step = draw(st.sampled_from(["push", "undo", "delete", "add"]))
+        state = _plan_state(plan)
+        try:
+            if step == "push":
+                plan.push(_black_op(draw, plan.tree))
+            elif step == "undo":
+                plan.undo(draw(st.integers(0, len(plan.ops)), label="mark"))
+            elif step == "delete":
+                present = sorted(f for f in plan.fmap if deletable_feature(f))
+                if present:
+                    plan_delete_feature(plan, draw(st.sampled_from(present)), t)
+            else:
+                plan_add_rule(plan, draw(st.sets(st.sampled_from(RULE_FEATURES),
+                                                 min_size=1, max_size=3)), t)
+        except _PLAN_FAILURES:
+            assert _plan_state(plan) == state
+        _assert_plan_is_its_replay(plan, page)
+    plan.undo(0)
+    assert plan.ops == [] and serialize(plan.tree) == before
+    _assert_plan_is_its_replay(plan, page)
+    assert serialize(page) == before
+
+
+def test_a_planner_that_fails_midway_leaves_the_plan_as_it_was():
+    tree = build_page(terms=["hello"])
+    plan = MutationPlan.on(tree)
+    plan.push(add_invisible_element(plan.tree, ElementSpec("div", (), "kept")))
+    state = _plan_state(plan)
+    pushed = []
+    push = MutationPlan.push
+
+    def recording(self, op):
+        pushed.append(op)
+        push(self, op)
+
+    # the PageTerm div goes in before the URL feature turns out unaddable
+    with mock.patch.object(MutationPlan, "push", recording), \
+            pytest.raises(UrlFeatureUnaddable):
+        plan_add_rule(plan, {"PageTerm=zzz", "UrlDomain=other.test"})
+    assert [op.payload["text"] for op in pushed] == ["zzz"]
+    assert _plan_state(plan) == state
+    _assert_plan_is_its_replay(plan, tree)
 
 
 # -- preservation check ----------------------------------------------------------------
@@ -653,7 +740,7 @@ def test_every_planner_output_preserves(paypal_page):
     checked = 0
     for feature in deletable:
         try:
-            plan = plan_delete_feature(paypal_page, feature)
+            plan = planned(plan_delete_feature, paypal_page, feature)
         except (UnsupportedMutation, FeatureAbsent):
             continue
         out = apply(paypal_page, plan)
@@ -663,7 +750,7 @@ def test_every_planner_output_preserves(paypal_page):
     assert checked >= 5
     for feats in [{"PageTerm=verify"}, {"PageHasRadioInputs"},
                   {"PageNumScriptTags>6"}, {"PageLinkDomain=offsite-pages.net"}]:
-        out = apply(paypal_page, plan_add_rule(paypal_page, feats))
+        out = apply(paypal_page, planned(plan_add_rule, paypal_page, feats))
         assert preservation_check(paypal_page, out).passed
 
 

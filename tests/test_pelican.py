@@ -471,6 +471,19 @@ def test_store_age_eviction():
     assert store.entries[0].timestamp == 2 * 3600.0
 
 
+@pytest.mark.parametrize("bounds", [{"h_hours": float("nan")}, {"h_hours": -1.0},
+                                    {"k": -1}], ids=["h-nan", "h-negative", "k-negative"])
+def test_store_rejects_an_invalid_horizon_or_size(bounds, tmp_path):
+    # a NaN or negative horizon silently emptied the store on the first
+    # insert, and k = -1 raised IndexError from evict
+    with pytest.raises(ValueError, match="must be >= 0"):
+        PhishStore(**bounds)
+    path = tmp_path / "store.json"
+    save_store(PhishStore(), path)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        load_store(path, **bounds)
+
+
 def test_store_matches_history_replay_oracle():
     rng = random.Random(31)
     k, h_hours = 5, 24.0
