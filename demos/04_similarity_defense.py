@@ -30,7 +30,6 @@ seed = parse_html(SEED, "http://dilute.test/page")
 oracle = ScoreOracle(model)
 result = run_attack(grey_knowledge([(r.id, r.features) for r in model.rules],
                                    oracle), seed)
-added = sum(1 for op in []) or None
 print(f"grey-box attack: {result.status}, "
       f"score {result.trajectory[0].score:.3f} -> {result.trajectory[-1].score:.3f}")
 print("the deletion diluted the link ratio by adding invisible internal links\n")

@@ -1,5 +1,9 @@
 """Workbench for rule-based phishing classifiers: evasion attacks,
-hashed-feature collision inference, and a layered similarity defense."""
+hashed-feature collision inference, and a layered similarity defense.
+
+The Pelican names load ``pelican``, and with it numpy and SciPy, on first
+use, so that importing the package for anything else does not pay for them.
+"""
 
 from .attacks import (
     AttackResult,
@@ -59,13 +63,17 @@ from .mutation import (
     plan_delete_feature,
     preservation_check,
 )
-from .pelican import (
-    PhishStore,
-    Verdict,
-    pipeline,
-    signature_of,
-    tree_similarity_baseline,
-    tree_similarity_pelican,
-)
+
+_PELICAN_NAMES = frozenset({
+    "PhishStore", "Verdict", "pipeline", "signature_of",
+    "tree_similarity_baseline", "tree_similarity_pelican",
+})
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _PELICAN_NAMES:
+        from . import pelican
+        return getattr(pelican, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

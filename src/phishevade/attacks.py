@@ -12,21 +12,24 @@ below the threshold, differing in what they know about the classifier:
   a time, then randomly adds harvested invisible elements in batches.
 
 The three share one skeleton, ``_Run``: it holds one ``MutationPlan``, the
-attack's only copy of the page with its feature tally, plus the current
-feature map and queried score, and each attack only pushes candidate ops
-onto that plan (directly or through the planners) and offers them.  The
-candidate is every op pushed since the last offer, scored from the plan's
-tally, ``plan.fmap``: the page is extracted in full only once per attack,
-at the start.  An offered candidate is scored once; the white attack keeps
-every candidate, grey and black keep one only when its score drops, and a
-rejected candidate is undone in place (a dropped black batch is the
-rollback), so ``plan.ops`` holds exactly the kept ops.  Each kept candidate
-appends a trajectory step and adds to ``mutated_rules`` the counted rules
-whose gated value product changed; white and black count the classifier's
-non-zero weight rules, grey its known rules.
+attack's only copy of the page with its feature tally, plus the feature map
+and queried score of the kept ops, and each attack only pushes candidate
+ops onto that plan (directly or through the planners) and offers them.  The
+candidate is every op pushed since the last offer.  It is scored once, by
+``ScoreOracle.score_tally`` on the plan's tally, which re-evaluates only the
+rules filed under the features the candidate's ops changed: the page is
+extracted in full only once per attack, at the start, and a candidate's
+feature map, ``plan.fmap``, is built only when the candidate is kept.  The
+white attack keeps every candidate, grey and black keep one only when its
+score drops, and a rejected candidate is undone in place (a dropped black
+batch is the rollback), so ``plan.ops`` holds exactly the kept ops.  Each
+kept candidate appends a trajectory step and adds to ``mutated_rules`` the
+counted rules whose gated value product changed; white and black count the
+classifier's non-zero weight rules, grey its known rules.
 
 Influence values are exact score differences, so accepted white-box steps
-are the one-step-lookahead optimum.
+are the one-step-lookahead optimum.  They read only the rules that
+``Classifier.rules_by_feature`` files under the features involved.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ from .classifier import (
     ClassificationRule,
     Classifier,
     ScoreOracle,
+    feature_index,
+    hit_contribution,
     prepare_map,
     rule_contribution,
-    rule_hit,
     unsatisfied,
 )
 from .dom import DomTree, walk_elements, walk_text_nodes
@@ -145,14 +149,16 @@ class AttackResult:
 def influence_feature(classifier: Classifier, fmap: FeatureValueMap,
                       feature: str) -> float:
     """Exact raw-score drop from zeroing ``feature``: the summed
-    contributions of the currently hit rules that rely on it."""
+    contributions of the currently hit rules that rely on it, in rule
+    order."""
     if fmap.get(feature, 0.0) == 0.0:
         raise FeatureAbsent(feature)
-    t = classifier.freq_detect_threshold
+    rules, t = classifier.rules, classifier.freq_detect_threshold
     total = 0.0
-    for rule in classifier.rules:
-        if feature in rule.features and rule_hit(rule, fmap, t):
-            total += rule_contribution(rule, fmap)
+    for i in classifier.rules_by_feature.get(feature, ()):
+        contribution = hit_contribution(rules[i], fmap, t)
+        if contribution is not None:
+            total += contribution
     return total
 
 
@@ -162,15 +168,18 @@ def influence_rule(classifier: Classifier, fmap: FeatureValueMap,
 
     Counts every rule the addition flips to hit, i.e. rules whose
     unsatisfied features are covered by the added set (subset rules are the
-    common case), with added features valued at 1.
+    common case), with added features valued at 1.  Such a rule shares a
+    feature with ``rule``, so only those are read, in rule order.
     """
     t = classifier.freq_detect_threshold
     added = unsatisfied(rule.features, fmap, t)
     if not added:
         raise RuleAlreadyHit(rule.id)
     post = {**fmap, **dict.fromkeys(added, 1.0)}
+    index, rules = classifier.rules_by_feature, classifier.rules
     total = 0.0
-    for other in classifier.rules:
+    for i in sorted({i for feat in rule.features for i in index.get(feat, ())}):
+        other = rules[i]
         missing = unsatisfied(other.features, fmap, t)
         if missing and missing <= rule.features:
             total += rule_contribution(other, post)
@@ -179,21 +188,28 @@ def influence_rule(classifier: Classifier, fmap: FeatureValueMap,
 
 # -- the shared attack skeleton ---------------------------------------------------
 
-def _rule_products(rules, fmap: FeatureValueMap,
-                   freq_detect_threshold: float) -> dict[str, float]:
-    """Gated value product per ``(id, features)`` rule: the product of its
-    feature values when every feature is satisfied, else 0.  A rule counts
-    as mutated when this changes, covering both hit flips and
-    frequency-value drift."""
-    return {rule_id: 0.0 if unsatisfied(feats, fmap, freq_detect_threshold)
-            else math.prod(fmap[feat] for feat in feats)
-            for rule_id, feats in rules}
+def _rule_products(rules, by_feature, fmap: FeatureValueMap,
+                   freq_detect_threshold: float) -> dict[int, float]:
+    """Gated value product per rule, keyed by its position in ``rules``, a
+    list of feature sets (None for a rule that is not counted) indexed by
+    ``by_feature``: the product of its feature values when every feature
+    is satisfied, else 0.  A rule counts as mutated when this changes,
+    covering both hit flips and frequency-value drift.  Only rules filed
+    under a feature of ``fmap`` can be satisfied; the others are left out,
+    their product being 0."""
+    out = {}
+    for i in {i for feat in fmap for i in by_feature.get(feat, ())}:
+        feats = rules[i]
+        if feats is not None and not unsatisfied(feats, fmap, freq_detect_threshold):
+            out[i] = math.prod(fmap[feat] for feat in feats)
+    return out
 
 
 def _classifier_products(clf: Classifier):
     """Rule products over the classifier's non-zero-weight rules."""
-    counted = [(r.id, r.features) for r in clf.rules if r.weight != 0.0]
-    return lambda fmap: _rule_products(counted, prepare_map(clf, fmap),
+    counted = [r.features if r.weight != 0.0 else None for r in clf.rules]
+    return lambda fmap: _rule_products(counted, clf.rules_by_feature,
+                                       prepare_map(clf, fmap),
                                        clf.freq_detect_threshold)
 
 
@@ -203,8 +219,9 @@ class _Run:
     trajectory and the counters.
 
     ``products`` maps a feature map to the gated rule products whose
-    changes count as mutated rules.  With ``keep_all`` every offered
-    candidate is kept; otherwise only one whose score drops.
+    changes count as mutated rules (a rule left out has product 0).  With
+    ``keep_all`` every offered candidate is kept; otherwise only one whose
+    score drops.
     """
 
     def __init__(self, knowledge: Knowledge, page: DomTree, products,
@@ -219,7 +236,7 @@ class _Run:
         self.fmap = extract_all_features(page, tally)
         self.plan = MutationPlan.on(page, tally)
         self._kept = 0                # len(plan.ops) after the last keep
-        self.score = self._oracle.score_map(self.fmap)
+        self.score = self._oracle.score_tally(self.plan.tally)
         self._products = products(self.fmap)
         self.trajectory = [TrajectoryStep(0, "initial", self.score)]
         self.mutated_features = self.mutated_rules = 0
@@ -233,14 +250,14 @@ class _Run:
         offer, from the plan's tally; keep it if the keep rule allows, else
         undo it.  ``feature_step`` counts a kept one as a mutated feature."""
         plan = self.plan
-        fmap = plan.fmap
-        score = self._oracle.score_map(fmap)
+        score = self._oracle.score_tally(plan.tally)
         if not (self._keep_all or score < self.score):
             plan.undo(self._kept)
             return False
-        products = self._products_of(fmap)
-        self.mutated_rules += sum(1 for rule_id, before in self._products.items()
-                                  if products[rule_id] != before)
+        fmap = plan.fmap
+        before, products = self._products, self._products_of(fmap)
+        self.mutated_rules += sum(1 for i in before.keys() | products.keys()
+                                  if before.get(i, 0.0) != products.get(i, 0.0))
         self.mutated_features += feature_step
         self._kept = len(plan.ops)
         self.fmap, self.score = fmap, score
@@ -295,9 +312,8 @@ def white_box(knowledge: Knowledge, page: DomTree,
         fmap = run.fmap
         deletions: dict[str, float] = {}
         for feat in positive_features:
-            if feat in banned_deletions or not deletable_feature(feat):
-                continue
-            if fmap.get(feat, 0.0) == 0.0:
+            if fmap.get(feat, 0.0) == 0.0 or feat in banned_deletions \
+                    or not deletable_feature(feat):
                 continue
             delta = influence_feature(clf, fmap, feat)
             if delta > 0:
@@ -354,7 +370,10 @@ def grey_box(knowledge: Knowledge, page: DomTree) -> AttackResult:
     does the same for additions of known rules the page does not hit."""
     t = knowledge.freq_detect_threshold
     rules = knowledge.rules or []
-    run = _Run(knowledge, page, lambda fmap: _rule_products(rules, fmap, t))
+    feature_sets = [feats for _, feats in rules]
+    by_feature = feature_index(feature_sets)
+    run = _Run(knowledge, page,
+               lambda fmap: _rule_products(feature_sets, by_feature, fmap, t))
     avoid_terms = split_avoid_terms(f for _, feats in rules for f in feats)
 
     reliance: dict[str, int] = {}

@@ -10,6 +10,13 @@ reaches the threshold.
 
 Models may carry hashed feature names (64-hex SHA-256 digests); extraction
 output is then hashed before hit testing.
+
+``score`` evaluates every rule on a feature map.  An attack instead scores
+its working page through ``ScoreOracle.score_tally``: a score state bound to
+the page's ``PageTally`` re-evaluates, on each query, only the rules that
+``Classifier.rules_by_feature`` files under the features the tally's edits
+changed, and adds the hit rules' contributions in rule order, so its score
+is bit for bit the one ``score`` gives on the tally's feature map.
 """
 
 from __future__ import annotations
@@ -17,11 +24,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import features as F
 from .dom import DomTree
-from .features import FeatureValueMap, extract_all_features, hash_feature
+from .features import FeatureValueMap, PageTally, extract_all_features, hash_feature
 
 HEX64 = re.compile(r"^[0-9a-f]{64}$")
 
@@ -113,6 +121,22 @@ class Classifier:
                 return r
         raise UnknownRuleError(rule_id)
 
+    @cached_property
+    def rules_by_feature(self) -> dict[str, tuple[int, ...]]:
+        """Each feature (a digest in a hashed model) -> the ascending
+        indices in ``rules`` of the rules that hold it."""
+        return feature_index(r.features for r in self.rules)
+
+
+def feature_index(feature_sets) -> dict[str, tuple[int, ...]]:
+    """Each feature of the sets -> the ascending positions of the sets that
+    hold it."""
+    index: dict[str, list[int]] = {}
+    for i, feats in enumerate(feature_sets):
+        for feat in feats:
+            index.setdefault(feat, []).append(i)
+    return {feat: tuple(positions) for feat, positions in index.items()}
+
 
 def check_freq_detect_threshold(t: float) -> None:
     """Raise ``ValueError`` unless the frequency detection threshold is in
@@ -130,17 +154,19 @@ def logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
+def _unmet(feat: str, value: float, freq_detect_threshold: float) -> bool:
+    """Whether a feature with this value is not satisfied: it is valued
+    zero, or it is a frequency feature (plain or hashed) below the
+    detection threshold."""
+    return value == 0.0 or (feat in _FREQ_FEATURES and value < freq_detect_threshold)
+
+
 def unsatisfied(features, fmap: FeatureValueMap,
                 freq_detect_threshold: float) -> set[str]:
-    """The features that are not satisfied on ``fmap``: those valued zero
-    (or absent), and frequency features (plain or hashed) below the
-    detection threshold."""
-    out = set()
-    for feat in features:
-        value = fmap.get(feat, 0.0)
-        if value == 0.0 or (feat in _FREQ_FEATURES and value < freq_detect_threshold):
-            out.add(feat)
-    return out
+    """The features that are not satisfied on ``fmap`` (absent ones are
+    valued zero)."""
+    return {feat for feat in features
+            if _unmet(feat, fmap.get(feat, 0.0), freq_detect_threshold)}
 
 
 def rule_hit(rule: ClassificationRule, fmap: FeatureValueMap,
@@ -163,13 +189,27 @@ def rule_contribution(rule: ClassificationRule, fmap: FeatureValueMap) -> float:
     return product
 
 
+def hit_contribution(rule: ClassificationRule, fmap: FeatureValueMap,
+                     freq_detect_threshold: float) -> float | None:
+    """``rule_contribution`` when the rule is hit on ``fmap``, else None;
+    the same products in the same order."""
+    product = rule.weight
+    for feat in rule.features:
+        value = fmap.get(feat, 0.0)
+        if _unmet(feat, value, freq_detect_threshold):
+            return None
+        product *= value
+    return product
+
+
 def raw_score(classifier: Classifier, fmap: FeatureValueMap) -> float:
     fmap = prepare_map(classifier, fmap)
     t = classifier.freq_detect_threshold
     x = classifier.bias
     for rule in classifier.rules:
-        if rule_hit(rule, fmap, t):
-            x += rule_contribution(rule, fmap)
+        contribution = hit_contribution(rule, fmap, t)
+        if contribution is not None:
+            x += contribution
     return x
 
 
@@ -221,6 +261,80 @@ def prune(classifier: Classifier, rule_ids) -> Classifier:
     return replace(classifier, rules=rules)
 
 
+class _Digests(dict):
+    """Canonical feature name -> digest, each name hashed once."""
+
+    def __missing__(self, name: str) -> str:
+        digest = self[name] = hash_feature(name)
+        return digest
+
+
+class _TallyScore:
+    """The raw score of a classifier on the page a ``PageTally`` folds,
+    kept up to date from what the tally's edits changed.
+
+    ``_values`` is the tally's feature map with the classifier's keys
+    (digests for a hashed model, each name hashed once) and ``_hits`` the
+    contribution of each hit rule by rule index.  A read re-evaluates the
+    rules filed under the tally's ``changed`` features and, when its
+    counts moved, under the ``COUNT_KINDS`` whose value changed."""
+
+    def __init__(self, classifier: Classifier, tally: PageTally):
+        self.classifier, self.tally = classifier, tally
+        self._index = index = classifier.rules_by_feature
+        self._digests = _Digests() if classifier.hashed else None
+        tally.changed.clear()
+        self._counts = tally.counts.copy()
+        self._values = {self._key(name): value
+                        for name, value in tally.fmap().items()}
+        self._hits: dict[int, float] = {}
+        # a rule none of whose features is on the page is not hit
+        self._evaluate({i for key in self._values for i in index.get(key, ())})
+
+    def _key(self, name: str) -> str:
+        return name if self._digests is None else self._digests[name]
+
+    def _evaluate(self, dirty) -> None:
+        rules, values, hits = self.classifier.rules, self._values, self._hits
+        t = self.classifier.freq_detect_threshold
+        for i in dirty:
+            contribution = hit_contribution(rules[i], values, t)
+            if contribution is None:
+                hits.pop(i, None)
+            else:
+                hits[i] = contribution
+
+    def raw(self) -> float:
+        tally, values, index = self.tally, self._values, self._index
+        dirty: set[int] = set()
+        if tally.counts != self._counts:
+            self._counts = tally.counts.copy()
+            counted = tally.count_fmap()
+            for name in F.COUNT_KINDS:
+                key, value = self._key(name), counted.get(name, 0.0)
+                if values.get(key, 0.0) != value:
+                    if value:
+                        values[key] = value
+                    else:
+                        del values[key]
+                    dirty.update(index.get(key, ()))
+        features = tally.features
+        for name in tally.changed:
+            key = self._key(name)
+            if name in features:
+                values[key] = 1.0
+            else:
+                values.pop(key, None)
+            dirty.update(index.get(key, ()))
+        tally.changed.clear()
+        self._evaluate(dirty)
+        hits = self._hits
+        x = self.classifier.bias
+        for i in sorted(hits):      # raw_score's additions, in its order
+            x += hits[i]
+        return x
+
+
 @dataclass
 class ScoreOracle:
     """Query-counting wrapper around a classifier.
@@ -230,6 +344,8 @@ class ScoreOracle:
 
     classifier: Classifier
     query_count: int = 0
+    _state: _TallyScore | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def score_map(self, fmap: FeatureValueMap) -> float:
         self.query_count += 1
@@ -237,6 +353,17 @@ class ScoreOracle:
 
     def score_page(self, page: DomTree) -> float:
         return self.score_map(extract_all_features(page))
+
+    def score_tally(self, tally: PageTally) -> float:
+        """``score_map(tally.fmap())``, one query.  Successive calls on one
+        tally re-evaluate only the rules that its edits since the last call
+        touch; a call on another tally starts over."""
+        self.query_count += 1
+        state = self._state
+        if state is None or state.tally is not tally \
+                or state.classifier is not self.classifier:
+            state = self._state = _TallyScore(self.classifier, tally)
+        return logistic(state.raw())
 
 
 # -- model files -----------------------------------------------------------

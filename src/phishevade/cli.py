@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from . import attacks, collision, pelican
+from . import attacks, collision
 from .classifier import (
     Classifier,
     HashFormatError,
@@ -240,6 +240,8 @@ def _load_url_set(path) -> set[str]:
 
 
 def cmd_defend(args) -> int:
+    from . import pelican   # numpy and SciPy load for this command only
+
     config = _config_from_args(args)
     model = _load_model_with_overrides(args.model, config)
     page = load_page(args.page, args.url or _default_url(args.page))

@@ -17,7 +17,13 @@ from the folded counts, and the URL features.  ``extract_page_features`` and
 ``extract_all_features`` fold a whole page; because each contribution is
 local, an edit to one node updates a tally by removing the node's old
 contribution and adding its new one, which is how ``mutation.MutationPlan``
-carries a page's tally along with its tree and undoes an edit in both.
+carries a page's tally along with its tree and undoes an edit in both.  A
+zero-width split of a text node is more local still: ``split_text`` trades
+one count of the term that spans the split for one count of each fragment,
+without tokenizing the node again.  Every edit records in ``changed`` the
+features whose presence it flipped, so that a reader that tracks the tally
+(``classifier.ScoreOracle.score_tally``) re-reads only those and, when
+``counts`` moved, the ``COUNT_KINDS``.
 """
 
 from __future__ import annotations
@@ -68,6 +74,8 @@ PAGE_WILDCARD_KINDS = frozenset({PAGE_ACTION_URL, PAGE_LINK_DOMAIN, PAGE_TERM})
 URL_KINDS = frozenset({URL_TLD, URL_DOMAIN, URL_OTHER_HOST_TOKEN, URL_PATH_TOKEN})
 WILDCARD_KINDS = PAGE_WILDCARD_KINDS | URL_KINDS
 ALL_KINDS = BOOLEAN_KINDS | FREQUENCY_KINDS | WILDCARD_KINDS
+# The features read from a tally's counts rather than its counted features.
+COUNT_KINDS = FREQUENCY_KINDS | {PAGE_NUM_SCRIPTS_GT1, PAGE_NUM_SCRIPTS_GT6}
 
 FeatureValueMap = dict[str, float]
 
@@ -217,15 +225,21 @@ class PageTally:
     features the nodes contribute (only positive counts are kept),
     ``counts`` is the folded :class:`PageCounts`, and the URL features of
     ``url`` complete :meth:`fmap`.  Start with an empty tally for the page's
-    URL and fold the page into it with :func:`extract_page_features`."""
+    URL and fold the page into it with :func:`extract_page_features`.
 
-    __slots__ = ("url", "base_domain", "features", "counts", "_url_fmap")
+    ``changed`` collects every feature whose presence in ``features`` an
+    edit flipped; a reader that tracks the tally clears it after each read.
+    The whole-page fold of the terms does not record them."""
+
+    __slots__ = ("url", "base_domain", "features", "counts", "changed",
+                 "_url_fmap")
 
     def __init__(self, url: str):
         self.url = url
         self.base_domain = registrable_domain(url)
         self.features: Counter[str] = Counter()
         self.counts = PageCounts()
+        self.changed: set[str] = set()
         self._url_fmap: FeatureValueMap | None = None
 
     def copy(self) -> PageTally:
@@ -234,6 +248,7 @@ class PageTally:
         new.url, new.base_domain = self.url, self.base_domain
         new.features = self.features.copy()
         new.counts = self.counts.copy()
+        new.changed = set(self.changed)
         new._url_fmap = self._url_fmap
         return new
 
@@ -243,6 +258,8 @@ class PageTally:
             self.features[feature] = n
         else:
             del self.features[feature]
+        if not n or n == sign:      # absent after the edit, or before it
+            self.changed.add(feature)
 
     def add_element(self, el: DomNode, sign: int = 1) -> None:
         """Add (``sign`` 1) or remove (``sign`` -1) the contribution of one
@@ -292,20 +309,32 @@ class PageTally:
             counts.scripts += sign
 
     def add_text(self, text: str, sign: int = 1) -> None:
-        """Add or remove the terms of counted text: one text node, or
-        several joined by whitespace.  Term extraction sees the raw text:
-        zero-width characters are token delimiters, not stripped."""
-        terms = map(_TERM_PREFIX.__add__, terms_of(text))
-        if sign > 0:
-            self.features.update(terms)
-        else:
-            for term in terms:
-                self._count(term, -1)
+        """Add or remove the terms of one counted text node.  Term
+        extraction sees the raw text: zero-width characters are token
+        delimiters, not stripped."""
+        for term in terms_of(text):
+            self._count(_TERM_PREFIX + term, sign)
 
-    def page_fmap(self) -> FeatureValueMap:
-        """The page feature map: value 1 for each counted feature, the
-        script flags, and each frequency ratio whose numerator is not 0."""
-        fmap = dict.fromkeys(self.features, 1.0)
+    def split_text(self, text: str, offset: int, sign: int = 1) -> None:
+        """Count (``sign`` 1) or uncount (``sign`` -1) a delimiter inserted
+        into the counted text ``text`` at ``offset``: the term that spans
+        the offset gives way to its two fragments.  At a term boundary, or
+        inside a run of delimiters, no term changes."""
+        tail = _TERM_SPLIT.match(text, offset)
+        # the term's head, read backwards from the offset
+        head = _TERM_SPLIT.match(text[offset - 1::-1]) if tail and offset else None
+        if head is None:
+            return
+        cut = head.end()
+        term = text[offset - cut:tail.end()]
+        self._count(_TERM_PREFIX + term, -sign)
+        self._count(_TERM_PREFIX + term[:cut], sign)
+        self._count(_TERM_PREFIX + term[cut:], sign)
+
+    def count_fmap(self) -> FeatureValueMap:
+        """The ``COUNT_KINDS`` features of ``counts``: the script flags, and
+        each frequency ratio whose numerator is not 0."""
+        fmap = {}
         counts = self.counts
         if counts.scripts > 1:
             fmap[PAGE_NUM_SCRIPTS_GT1] = 1.0
@@ -315,6 +344,13 @@ class PageTally:
             n = getattr(counts, num)
             if n:
                 fmap[kind] = n / getattr(counts, den)
+        return fmap
+
+    def page_fmap(self) -> FeatureValueMap:
+        """The page feature map: value 1 for each counted feature, and the
+        features of :meth:`count_fmap`."""
+        fmap = dict.fromkeys(self.features, 1.0)
+        fmap.update(self.count_fmap())
         return fmap
 
     def fmap(self) -> FeatureValueMap:
@@ -345,7 +381,8 @@ def extract_page_features(tree: DomTree,
             add_element(el)
     # whitespace delimits terms, so the joined text holds exactly the
     # terms of all counted text nodes, and one tokenizer call folds them
-    tally.add_text(" ".join([node.value for _, node in walk_text_nodes(tree)]))
+    text = " ".join([node.value for _, node in walk_text_nodes(tree)])
+    tally.features.update(map(_TERM_PREFIX.__add__, terms_of(text)))
     return tally.page_fmap()
 
 

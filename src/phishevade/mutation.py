@@ -14,7 +14,8 @@ A ``MutationPlan`` made with ``MutationPlan.on`` is a working page: its one
 copy of the page and of its feature tally (``features.PageTally``), and an
 undo journal.  ``push`` applies an op to both in place and records its
 inverse, so ``plan.tree`` is the mutated page and ``plan.fmap`` its feature
-map, with no walk over the page; ``undo(mark)`` reverts every op after the
+map, with no walk over the page (a term split only trades the split term
+for its two fragments in the tally); ``undo(mark)`` reverts every op after the
 first ``mark``, last first.  An attack copies the page once and undoes the
 candidates it rejects instead of copying the page for each one.
 ``plan_delete_feature`` and ``plan_add_rule`` push the feature-level edits
@@ -375,13 +376,11 @@ def _apply_in_place(tree: DomTree, op: NodeOp,
         old_value = node.value
         node.value = old_value[:offset] + ZERO_WIDTH_SPACE + old_value[offset:]
         if counted:
-            tally.add_text(old_value, -1)
-            tally.add_text(node.value)
+            tally.split_text(old_value, offset)
 
         def inverse() -> None:
             if counted:
-                tally.add_text(node.value, -1)
-                tally.add_text(old_value)
+                tally.split_text(old_value, offset, -1)
             node.value = old_value
     elif op.kind == "add_invisible_element":
         parent = _element_at(tree, op.target)

@@ -17,7 +17,13 @@ from phishevade.attacks import (
     white_box,
     white_knowledge,
 )
-from phishevade.classifier import ScoreOracle, raw_score, rule_hit
+from phishevade.classifier import (
+    ScoreOracle,
+    raw_score,
+    rule_contribution,
+    rule_hit,
+    unsatisfied,
+)
 from phishevade.dom import serialize
 from phishevade.features import PageTally, extract_all_features
 from phishevade.mutation import (
@@ -125,6 +131,44 @@ def test_influence_matches_brute_force_on_random_fixtures():
                 continue
             assert influence_rule(clf, fmap, r) == pytest.approx(
                 brute_delta_rule(clf, fmap, r), abs=1e-12)
+
+
+def full_scan_influence_feature(clf, fmap, feat):
+    """``influence_feature`` read over every rule of the model."""
+    total = 0.0
+    for r in clf.rules:
+        if feat in r.features and rule_hit(r, fmap, clf.freq_detect_threshold):
+            total += rule_contribution(r, fmap)
+    return total
+
+
+def full_scan_influence_rule(clf, fmap, added):
+    """``influence_rule`` read over every rule of the model."""
+    t = clf.freq_detect_threshold
+    post = {**fmap, **dict.fromkeys(unsatisfied(added.features, fmap, t), 1.0)}
+    total = 0.0
+    for r in clf.rules:
+        missing = unsatisfied(r.features, fmap, t)
+        if missing and missing <= added.features:
+            total += rule_contribution(r, post)
+    return total
+
+
+def test_influence_from_the_index_is_the_full_scan_bit_for_bit():
+    """The index-driven influence sums add the same terms in the same order
+    as a scan over every rule, on models with up to 40 rules sharing
+    features."""
+    rng = random.Random(16)
+    for _ in range(60):
+        clf, fmap = _random_fixture(rng, n_rules=rng.randrange(1, 40),
+                                    n_features=rng.randrange(4, 14))
+        for feat in fmap:
+            assert influence_feature(clf, fmap, feat) == \
+                full_scan_influence_feature(clf, fmap, feat)
+        for r in clf.rules:
+            if not rule_hit(r, fmap, clf.freq_detect_threshold):
+                assert influence_rule(clf, fmap, r) == \
+                    full_scan_influence_rule(clf, fmap, r)
 
 
 # -- white-box -------------------------------------------------------------------
@@ -401,6 +445,36 @@ def test_black_suite_success():
 
 
 # -- cross-cutting invariants ------------------------------------------------------
+
+def test_inert_filler_rules_change_no_attack():
+    """1,000 rules whose features occur on no page (weight 0.01) change no
+    attack's trajectory, counters, queries or final page, at any level."""
+    from dataclasses import replace
+
+    clf = suite_model()
+    filler = tuple(rule(f"zf{i:04d}", {f"PageTerm=inertfiller{i:04d}"}, 0.01)
+                   for i in range(1000))
+    padded = replace(clf, rules=clf.rules + filler)
+
+    def attacks(model, page):
+        grey = [(r.id, r.features) for r in model.rules]
+        return [
+            white_box(white_knowledge(model, ScoreOracle(model)), page),
+            grey_box(grey_knowledge(grey, ScoreOracle(model)), page),
+            black_box(black_knowledge(ScoreOracle(model)), page, suite_pool(),
+                      rng_seed=9),
+        ]
+
+    for _, page in suite_seed_pages(per_bucket=2):
+        for alone, with_filler in zip(attacks(clf, page), attacks(padded, page)):
+            assert alone.success
+            assert with_filler.trajectory == alone.trajectory
+            assert with_filler.queries == alone.queries
+            assert (with_filler.mutated_features, with_filler.mutated_rules,
+                    with_filler.additions) == \
+                (alone.mutated_features, alone.mutated_rules, alone.additions)
+            assert serialize(with_filler.final_page) == serialize(alone.final_page)
+
 
 def test_attack_invariants_on_random_models_and_pages():
     """Monotone trajectories, preservation, URL stability, rule/feature

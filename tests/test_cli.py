@@ -382,6 +382,45 @@ def test_defend_with_an_invalid_store_horizon_exits_2(workdir, capsys, h_hours):
     assert store_path.read_bytes() == stored
 
 
+# -- start-up cost -------------------------------------------------------------------
+
+# Runs the CLI in a fresh interpreter and prints its exit code and which of
+# numpy and SciPy it loaded.
+_LOADED_AFTER_MAIN = (
+    "import json, sys\n"
+    "from phishevade.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "loaded = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+    "print(json.dumps([code, loaded]))\n")
+
+
+def _cli_in_fresh_interpreter(argv):
+    import subprocess
+    import sys
+
+    import phishevade
+    package_root = os.path.dirname(os.path.dirname(phishevade.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_only_defend_loads_numpy_and_scipy(workdir):
+    page = ["--model", workdir["model"], "--url", workdir["seed_url"]]
+    assert _cli_in_fresh_interpreter(["score", workdir["seed"], *page]) == [0, []]
+    assert _cli_in_fresh_interpreter(
+        ["attack", workdir["seed"], *page, "--level", "black", "--pool", workdir["pool"],
+         "--seed", "42", "--out", str(workdir["dir"] / "out")]) == [0, []]
+    store = str(workdir["dir"] / "store.json")
+    assert _cli_in_fresh_interpreter(
+        ["defend", workdir["seed"], *page, "--store", store, "--now", "1000"]) \
+        == [0, ["numpy", "scipy"]]
+    assert load_store(store).entries
+
+
 # -- infer --------------------------------------------------------------------------
 
 def _write_corpus_manifest(path):

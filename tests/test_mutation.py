@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phishevade.classifier import raw_score, rule_hit
+from phishevade.classifier import ScoreOracle, raw_score, rule_hit, score
 from phishevade.dom import (
     ELEMENT,
     TEXT,
     isomorphic,
+    node_at,
     parse_html,
     serialize,
     walk_elements,
@@ -20,6 +21,7 @@ from phishevade.features import (
     PageTally,
     extract_all_features,
     extract_page_features,
+    hash_feature,
     term_spans,
     terms_of,
 )
@@ -28,6 +30,7 @@ from phishevade.mutation import (
     ElementSpec,
     FeatureAbsent,
     MutationPlan,
+    NodeOp,
     PathError,
     TermNotFound,
     UnsupportedMutation,
@@ -704,6 +707,214 @@ def test_a_planner_that_fails_midway_leaves_the_plan_as_it_was():
     assert [op.payload["text"] for op in pushed] == ["zzz"]
     assert _plan_state(plan) == state
     _assert_plan_is_its_replay(plan, tree)
+
+
+# -- local term splits and the score of a working page --------------------------------
+
+def _assert_tally_is_the_fold(plan, flipped_from=None):
+    """The plan's tally is the reference fold of its tree; with
+    ``flipped_from``, the features counted before the last edit, every
+    feature whose presence the edit flipped is in ``changed``."""
+    tally = plan.tally
+    assert dict(tally.features) == dict(feature_counts(plan.tree))
+    assert tally.counts == page_counts(plan.tree)
+    assert plan.fmap == oracle_extract_all_features(plan.tree)
+    if flipped_from is not None:
+        assert flipped_from ^ set(tally.features) <= tally.changed
+
+
+SPLIT_TEXT = st.lists(st.sampled_from(
+    ["ab", "abab", "login", "x", " ", "  ", "\u200b", "\u200c", "\ufeff", "\n"]),
+    min_size=1, max_size=8).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=SPLIT_TEXT, tag=st.sampled_from(["p", "script", "style"]), data=st.data())
+def test_a_term_split_trades_the_spanning_term_for_its_fragments(text, tag, data):
+    """Zero-width splits at any offset (inside a term, at its ends, inside
+    delimiter runs) of counted text holding repeated terms and zero-width
+    characters, and of script or style text: after every push and undo the
+    tally is the reference fold."""
+    page = parse_html(f"<html><body><p>ab login</p><{tag}>{text}</{tag}>"
+                      f"<p>{text}</p></body></html>", "http://seed.test/page")
+    plan = MutationPlan.on(page)
+    nodes = [path for path, node in _text_nodes(plan.tree) if node.value.strip("\n")]
+    for _ in range(data.draw(st.integers(1, 6), label="splits")):
+        path = data.draw(st.sampled_from(nodes), label="node")
+        offset = data.draw(st.integers(0, len(node_at(plan.tree, path).value)),
+                           label="offset")
+        before = set(plan.tally.features)
+        plan.push(NodeOp("modify_text", path, {"term": "", "offset": offset}))
+        _assert_tally_is_the_fold(plan, before)
+    while plan.ops:
+        before = set(plan.tally.features)
+        plan.undo(len(plan.ops) - 1)
+        _assert_tally_is_the_fold(plan, before)
+    assert serialize(plan.tree) == serialize(page)
+
+
+@pytest.mark.parametrize("text, tag, offset, terms", [
+    ("ab ab", "p", 0, {"ab": 2}),                              # term start
+    ("ab ab", "p", 2, {"ab": 2}),                              # term end
+    ("ab  ab", "p", 3, {"ab": 2}),                             # between spaces
+    ("abab abab", "p", 2, {"ab": 2, "abab": 1}),               # repeated term
+    ("lo\u200bgin login", "p", 10, {"lo": 1, "gin": 1, "log": 1, "in": 1}),
+    ("lo\u200bgin login", "p", 1, {"l": 1, "o": 1, "gin": 1, "login": 1}),
+    ("lo\u200bgin", "p", 3, {"lo": 1, "gin": 1}),             # beside a zero width
+    ("login now", "script", 2, {}),                            # not counted
+])
+def test_term_split_cases(text, tag, offset, terms):
+    plan = MutationPlan.on(parse_html(f"<html><body><{tag}>{text}</{tag}></body></html>",
+                                      "http://seed.test/"))
+    path = next(p for p, n in _text_nodes(plan.tree) if n.value == text)
+    before = dict(plan.tally.features)
+    plan.push(NodeOp("modify_text", path, {"term": "", "offset": offset}))
+    assert dict(plan.tally.features) == {f"PageTerm={t}": n for t, n in terms.items()}
+    _assert_tally_is_the_fold(plan)
+    plan.undo(0)
+    assert dict(plan.tally.features) == before
+
+
+SCORED_FEATURES = RULE_FEATURES + [
+    "PageTerm=now", "PageTerm=verify", "PageTerm=account", "PageTerm=help",
+    "PageTerm=lo", "PageTerm=gin", "PageTerm=ver", "PageTerm=ify",
+    "PageTerm=filler00", "PageTerm=signin", "PageTerm=privacy",
+    "PageLinkDomain=example.com", "PageActionURL=", "UrlTld=test",
+    "UrlDomain=seed.test", "UrlPathToken=cart",
+]
+
+
+@st.composite
+def scored_models(draw):
+    """A plain or hashed classifier over features that pages here can hold."""
+    hashed = draw(st.booleans())
+    weights = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda w: w != 0.0) \
+        | st.just(0.0)
+    rules = []
+    for i, (feats, weight) in enumerate(draw(st.lists(st.tuples(
+            st.sets(st.sampled_from(SCORED_FEATURES), min_size=1, max_size=3),
+            weights), max_size=14), label="rules")):
+        if hashed:
+            feats = {hash_feature(f) for f in feats}
+        rules.append(rule(f"r{i:02d}", feats, weight))
+    return make_classifier(rules, bias=draw(st.floats(-2.0, 2.0)), hashed=hashed,
+                           freq_detect_threshold=draw(st.sampled_from([0.05, 0.3, 0.6])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(clf=scored_models(), suite=st.sampled_from(range(len(SUITE_PAGES))),
+       pieces=SOUP, random_page=st.booleans(), data=st.data(),
+       url=st.sampled_from(["", "http://seed.test/page", "https://shop.co.uk/cart"]))
+def test_the_tally_score_is_the_full_score_after_every_push_and_undo(
+        clf, suite, pieces, random_page, data, url):
+    """``score_tally`` on a working page, read after every push, planner
+    call and undo (and after reading another tally in between), equals
+    ``score(clf, plan.fmap)`` bit for bit, one query per read; plain and
+    hashed models."""
+    page = parse_html("<html><body>" + "".join(pieces), url) if random_page \
+        else SUITE_PAGES[suite]
+    plan = MutationPlan.on(page)
+    oracle = ScoreOracle(clf)
+    draw = data.draw
+    t = clf.freq_detect_threshold
+
+    def read(tally):
+        queries = oracle.query_count
+        assert oracle.score_tally(tally) == score(clf, tally.fmap())
+        assert oracle.query_count == queries + 1
+
+    read(plan.tally)
+    for _ in range(draw(st.integers(1, 12), label="steps")):
+        step = draw(st.sampled_from(["push", "push", "undo", "delete", "add", "other"]))
+        try:
+            if step == "push":
+                plan.push(_black_op(draw, plan.tree))
+            elif step == "undo":
+                plan.undo(draw(st.integers(0, len(plan.ops)), label="mark"))
+            elif step == "delete":
+                present = sorted(f for f in plan.fmap if deletable_feature(f))
+                if present:
+                    plan_delete_feature(plan, draw(st.sampled_from(present)), t)
+            elif step == "add":
+                plan_add_rule(plan, draw(st.sets(st.sampled_from(RULE_FEATURES),
+                                                 min_size=1, max_size=3)), t)
+            else:
+                read(plan.tally.copy())
+        except _PLAN_FAILURES:
+            pass
+        read(plan.tally)
+
+
+def test_a_push_that_touches_no_indexed_feature_evaluates_no_rule(monkeypatch):
+    """Once a tally's state is built, a read re-evaluates only the rules
+    filed under the features that flipped or the count features whose value
+    moved."""
+    from phishevade import classifier as C
+    evaluated = []
+    hit_contribution = C.hit_contribution
+
+    def counting(rule_, fmap, t):
+        evaluated.append(rule_.id)
+        return hit_contribution(rule_, fmap, t)
+
+    monkeypatch.setattr(C, "hit_contribution", counting)
+    clf = make_classifier([
+        rule("p1", {"PageTerm=signin"}, 0.9),
+        rule("p2", {"PageExternalLinksFreq", "PageHasForms"}, 0.4),
+        rule("n1", {"PageTerm=privacy"}, -0.8),
+        rule("n2", {"PageTerm=privacy", "PageHasForms"}, -0.2),
+    ])
+    plan = MutationPlan.on(build_page(terms=["signin", "lantern"], internal_links=2))
+    oracle = ScoreOracle(clf)
+    oracle.score_tally(plan.tally)
+    evaluated.clear()
+
+    lantern = next(p for p, n in _text_nodes(plan.tree) if n.value == "lantern")
+    plan.push(modify_text(plan.tree, lantern, "lantern"))                  # lant|ern
+    plan.push(add_invisible_element(plan.tree, ElementSpec("div", (), "meadow")))
+    # one more link, but no external one: no count feature changes value
+    plan.push(add_invisible_element(plan.tree, ElementSpec("a", (("href", "/x"),))))
+    before = oracle.score_tally(plan.tally)
+    assert evaluated == []
+
+    plan.push(add_invisible_element(plan.tree, ElementSpec("div", (), "privacy")))
+    after = oracle.score_tally(plan.tally)
+    assert sorted(evaluated) == ["n1", "n2"]
+    assert after < before and after == score(clf, plan.fmap)
+    evaluated.clear()
+    plan.push(add_invisible_element(
+        plan.tree, ElementSpec("a", (("href", "http://elsewhere.example.com/"),))))
+    oracle.score_tally(plan.tally)
+    assert evaluated == ["p2"]
+
+
+def test_a_hashed_state_hashes_each_name_once(monkeypatch):
+    from phishevade import classifier as C
+    hashed = []
+    monkeypatch.setattr(C, "hash_feature",
+                        lambda name: hashed.append(name) or hash_feature(name))
+    clf = make_classifier([rule("p1", {hash_feature("PageTerm=signin")}, 0.9),
+                           rule("n1", {hash_feature("PageTerm=privacy")}, -0.8)],
+                          hashed=True)
+
+    def reference():
+        """``score(clf, plan.fmap)``, with the names it hashes not recorded."""
+        mark = len(hashed)
+        value = score(clf, plan.fmap)
+        del hashed[mark:]
+        return value
+
+    plan = MutationPlan.on(build_page(terms=["signin"]))
+    oracle = ScoreOracle(clf)
+    first = oracle.score_tally(plan.tally)
+    assert sorted(hashed) == sorted(plan.fmap)
+    hashed.clear()
+    for _ in range(3):
+        plan.push(add_invisible_element(plan.tree, ElementSpec("div", (), "privacy")))
+        assert oracle.score_tally(plan.tally) == reference() < first
+        plan.undo(0)
+        assert oracle.score_tally(plan.tally) == first == reference()
+    assert hashed == ["PageTerm=privacy"]
 
 
 # -- preservation check ----------------------------------------------------------------
