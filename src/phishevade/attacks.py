@@ -4,10 +4,11 @@ modify-then-add with rollback.
 All three mutate a detected page until the oracle's decision score falls
 below the threshold, differing in what they know about the classifier:
 
-* white: full model (rules and weights); each step greedily picks the
-  feature deletion or rule addition with the largest exact score influence.
+* white: full model (rules and weights); each step ranks the feature
+  deletions and rule additions in one list by exact score influence and
+  keeps the first that plans.
 * grey: rule feature sets but no weights; tentatively deletes features of
-  hit rules, then tentatively adds absent rules.
+  the rules the page hits, then tentatively adds the rules it does not.
 * black: nothing but the score oracle; modifies every modifiable node one at
   a time, then randomly adds harvested invisible elements in batches.
 
@@ -25,7 +26,10 @@ score drops, and a rejected candidate is undone in place (a dropped black
 batch is the rollback), so ``plan.ops`` holds exactly the kept ops.  Each
 kept candidate appends a trajectory step and adds to ``mutated_rules`` the
 counted rules whose gated value product changed; white and black count the
-classifier's non-zero weight rules, grey its known rules.
+classifier's non-zero weight rules, grey its known rules.  ``run.hits``
+holds those products for the kept page, keyed by rule position, so its
+keys are the counted rules the kept page hits: grey reads its deletion
+candidates and the rules it need not add from it.
 
 Influence values are exact score differences, so accepted white-box steps
 are the one-step-lookahead optimum.  They read only the rules that
@@ -38,6 +42,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .classifier import (
@@ -47,11 +52,10 @@ from .classifier import (
     feature_index,
     hit_contribution,
     prepare_map,
-    rule_contribution,
     unsatisfied,
 )
 from .dom import DomTree, walk_elements, walk_text_nodes
-from .features import FeatureValueMap, PageTally, extract_all_features, term_spans
+from .features import FeatureValueMap, PageTally, extract_all_features, terms_of
 from .mutation import (
     MODIFIABLE_ATTRS,
     ElementSpec,
@@ -98,7 +102,13 @@ def white_knowledge(model: Classifier, oracle: ScoreOracle) -> Knowledge:
 
 def grey_knowledge(rules, oracle: ScoreOracle, threshold: float = 0.5,
                    freq_detect_threshold: float = 0.05) -> Knowledge:
-    return Knowledge(GREY, oracle, rules=list(rules), threshold=threshold,
+    """Grey knowledge of ``(id, features)`` pairs; a rule with no features
+    raises ``ValueError``, as it does in a model."""
+    rules = list(rules)
+    for rule_id, feats in rules:
+        if not feats:
+            raise ValueError(f"rule {rule_id!r} has no features")
+    return Knowledge(GREY, oracle, rules=rules, threshold=threshold,
                      freq_detect_threshold=freq_detect_threshold)
 
 
@@ -179,10 +189,9 @@ def influence_rule(classifier: Classifier, fmap: FeatureValueMap,
     index, rules = classifier.rules_by_feature, classifier.rules
     total = 0.0
     for i in sorted({i for feat in rule.features for i in index.get(feat, ())}):
-        other = rules[i]
-        missing = unsatisfied(other.features, fmap, t)
+        missing = unsatisfied(rules[i].features, fmap, t)
         if missing and missing <= rule.features:
-            total += rule_contribution(other, post)
+            total += hit_contribution(rules[i], post, t)   # hit on post
     return total
 
 
@@ -219,9 +228,10 @@ class _Run:
     trajectory and the counters.
 
     ``products`` maps a feature map to the gated rule products whose
-    changes count as mutated rules (a rule left out has product 0).  With
-    ``keep_all`` every offered candidate is kept; otherwise only one whose
-    score drops.
+    changes count as mutated rules (a rule left out has product 0);
+    ``hits`` holds them for the kept page, so its keys are the positions
+    of the counted rules that page hits.  With ``keep_all`` every offered
+    candidate is kept; otherwise only one whose score drops.
     """
 
     def __init__(self, knowledge: Knowledge, page: DomTree, products,
@@ -237,7 +247,7 @@ class _Run:
         self.plan = MutationPlan.on(page, tally)
         self._kept = 0                # len(plan.ops) after the last keep
         self.score = self._oracle.score_tally(self.plan.tally)
-        self._products = products(self.fmap)
+        self.hits = products(self.fmap)
         self.trajectory = [TrajectoryStep(0, "initial", self.score)]
         self.mutated_features = self.mutated_rules = 0
 
@@ -255,13 +265,12 @@ class _Run:
             plan.undo(self._kept)
             return False
         fmap = plan.fmap
-        before, products = self._products, self._products_of(fmap)
-        self.mutated_rules += sum(1 for i in before.keys() | products.keys()
-                                  if before.get(i, 0.0) != products.get(i, 0.0))
+        before, hits = self.hits, self._products_of(fmap)
+        self.mutated_rules += sum(1 for i in before.keys() | hits.keys()
+                                  if before.get(i, 0.0) != hits.get(i, 0.0))
         self.mutated_features += feature_step
         self._kept = len(plan.ops)
-        self.fmap, self.score = fmap, score
-        self._products = products
+        self.fmap, self.score, self.hits = fmap, score, hits
         self.trajectory.append(TrajectoryStep(len(self.trajectory), label, score))
         return True
 
@@ -289,10 +298,14 @@ _PLAN_FAILURES = (UnsupportedMutation, TermNotFound, FeatureAbsent,
 
 def white_box(knowledge: Knowledge, page: DomTree,
               only_rules: set[str] | None = None) -> AttackResult:
-    """Greedy two-step loop: delete the positive-rule feature with maximal
-    influence while it dominates every addable negative rule; otherwise add
-    the negative rule with minimal (most negative) influence; stop when the
-    score drops below the threshold or neither step applies."""
+    """Greedy loop: each step ranks the deletions of present positive-rule
+    features with positive influence and the additions of negative rules
+    with negative influence, and keeps the first that plans.  A deletion is
+    ranked ``(-influence, 0, label)`` and an addition ``(influence, 1,
+    label)``, so the largest score drop comes first and a deletion wins a
+    tie; a candidate that fails to plan is banned for the rest of the
+    attack.  Stops when the score drops below the threshold or nothing
+    plans."""
     clf = knowledge.model
     t = clf.freq_detect_threshold
     run = _Run(knowledge, page, _classifier_products(clf), keep_all=True)
@@ -301,63 +314,43 @@ def white_box(knowledge: Knowledge, page: DomTree,
              if only_rules is None or r.id in only_rules]
     positive = [r for r in rules if r.weight > 0]
     negative = [r for r in rules if r.weight < 0]
-    positive_features = sorted({f for r in positive for f in r.features})
+    deletable = sorted({f for r in positive for f in r.features
+                        if deletable_feature(f)})
+    addable = {f for r in negative for f in r.features if addable_feature(f)}
     avoid_terms = split_avoid_terms(f for r in positive for f in r.features)
-    banned_deletions: set[str] = set()
-    banned_additions: set[str] = set()
+    banned: set[str] = set()
     feature_universe = {f for r in rules for f in r.features}
     max_steps = max(50, 4 * (len(rules) + len(feature_universe)))
 
     while not run.done and len(run.trajectory) <= max_steps:
         fmap = run.fmap
-        deletions: dict[str, float] = {}
-        for feat in positive_features:
-            if fmap.get(feat, 0.0) == 0.0 or feat in banned_deletions \
-                    or not deletable_feature(feat):
-                continue
-            delta = influence_feature(clf, fmap, feat)
-            if delta > 0:
-                deletions[feat] = delta
-
-        additions: dict[str, tuple[float, ClassificationRule]] = {}
+        ranked = []
+        for feat in deletable:
+            label = f"delete {feat}"
+            if fmap.get(feat, 0.0) != 0.0 and label not in banned:
+                delta = influence_feature(clf, fmap, feat)
+                if delta > 0:
+                    ranked.append(((-delta, 0, label), partial(
+                        plan_delete_feature, run.plan, feat, t, avoid_terms)))
         for rule in negative:
-            if rule.id in banned_additions:
-                continue
+            label = f"add rule {rule.id}"
             unsat = unsatisfied(rule.features, fmap, t)
-            if not unsat or not all(addable_feature(f) for f in unsat):
+            if unsat and unsat <= addable and label not in banned:
+                delta = influence_rule(clf, fmap, rule)
+                if delta < 0:
+                    ranked.append(((delta, 1, label), partial(
+                        plan_add_rule, run.plan, rule.features, t)))
+        ranked.sort(key=lambda candidate: candidate[0])
+        for (_, _, label), push in ranked:
+            try:
+                push()
+            except _PLAN_FAILURES:
+                banned.add(label)
                 continue
-            delta = influence_rule(clf, fmap, rule)
-            if delta < 0:
-                additions[rule.id] = (delta, rule)
-
-        op_label = None
-        while op_label is None:
-            best_del = min(deletions.items(), key=lambda kv: (-kv[1], kv[0]),
-                           default=None)
-            best_add = min(additions.items(), key=lambda kv: (kv[1][0], kv[0]),
-                           default=None)
-            if best_del and (best_add is None
-                             or best_del[1] >= -best_add[1][0]):
-                feat = best_del[0]
-                try:
-                    plan_delete_feature(run.plan, feat, t, avoid_terms)
-                    op_label = f"delete {feat}"
-                except _PLAN_FAILURES:
-                    banned_deletions.add(feat)
-                    del deletions[feat]
-            elif best_add:
-                rule = best_add[1][1]
-                try:
-                    plan_add_rule(run.plan, rule.features, t)
-                    op_label = f"add rule {rule.id}"
-                except _PLAN_FAILURES:
-                    banned_additions.add(rule.id)
-                    del additions[rule.id]
-            else:
-                break
-        if op_label is None:
+            run.offer(label)
             break
-        run.offer(op_label)
+        else:
+            break
 
     return run.result(EXHAUSTED)
 
@@ -376,15 +369,10 @@ def grey_box(knowledge: Knowledge, page: DomTree) -> AttackResult:
                lambda fmap: _rule_products(feature_sets, by_feature, fmap, t))
     avoid_terms = split_avoid_terms(f for _, feats in rules for f in feats)
 
-    reliance: dict[str, int] = {}
-    for _, feats in rules:
-        for feat in feats:
-            reliance[feat] = reliance.get(feat, 0) + 1
-    candidates = sorted(
-        {f for _, feats in rules if not unsatisfied(feats, run.fmap, t)
-         for f in feats if deletable_feature(f)},
-        key=lambda f: (-reliance[f], f))
-
+    # the most relied-on features first
+    candidates = sorted({f for i in run.hits for f in feature_sets[i]
+                         if deletable_feature(f)},
+                        key=lambda f: (-len(by_feature[f]), f))
     for feat in candidates:
         if run.done:
             break
@@ -396,11 +384,12 @@ def grey_box(knowledge: Knowledge, page: DomTree) -> AttackResult:
             continue
         run.offer(f"delete {feat}")
 
-    for rule_id, feats in sorted(rules):
+    for i in sorted(range(len(rules)), key=rules.__getitem__):
         if run.done:
             break
-        if not unsatisfied(feats, run.fmap, t):
+        if i in run.hits:
             continue
+        rule_id, feats = rules[i]
         try:
             plan_add_rule(run.plan, feats, t)
         except _PLAN_FAILURES:
@@ -412,22 +401,21 @@ def grey_box(knowledge: Knowledge, page: DomTree) -> AttackResult:
 
 # -- black-box ------------------------------------------------------------------
 
-def _modification_candidates(tree: DomTree) -> list[tuple[str, tuple[int, ...], str]]:
-    candidates: list[tuple[str, tuple[int, ...], str]] = []
+def _modification_candidates(tree: DomTree):
+    """Every node modification of ``tree`` as ``(label, planner, path,
+    arg)``: each modifiable attribute, then each distinct term of two or
+    more characters per text node, in document order."""
     for path, el in walk_elements(tree):
         entry = MODIFIABLE_ATTRS.get(el.tag)
         if not entry:
             continue
         for name in el.attrs:
             if name in entry[0]:
-                candidates.append(("attr", path, name))
+                yield f"modify {name} at {list(path)}", modify_attribute, path, name
     for path, node in walk_text_nodes(tree):
-        seen: set[str] = set()
-        for term, _, _ in term_spans(node.value):
-            if len(term) >= 2 and term not in seen:
-                seen.add(term)
-                candidates.append(("text", path, term))
-    return candidates
+        for term in dict.fromkeys(terms_of(node.value)):
+            if len(term) >= 2:
+                yield f"split term {term!r}", modify_text, path, term
 
 
 def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
@@ -442,17 +430,12 @@ def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
     plan = run.plan
     rng = random.Random(rng_seed)
 
-    for kind, path, arg in _modification_candidates(page):
+    for label, planner, path, arg in _modification_candidates(page):
         if run.done:
             break
         try:
-            if kind == "attr":
-                op = modify_attribute(plan.tree, path, arg)
-                label = f"modify {arg} at {list(path)}"
-            else:
-                op = modify_text(plan.tree, path, arg)
-                label = f"split term {arg!r}"
-        except (UnsupportedMutation, TermNotFound, PathError):
+            op = planner(plan.tree, path, arg)
+        except _PLAN_FAILURES:
             continue
         plan.push(op)
         run.offer(label)

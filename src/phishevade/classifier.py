@@ -182,17 +182,10 @@ def prepare_map(classifier: Classifier, fmap: FeatureValueMap) -> FeatureValueMa
     return {hash_feature(k): v for k, v in fmap.items()}
 
 
-def rule_contribution(rule: ClassificationRule, fmap: FeatureValueMap) -> float:
-    product = rule.weight
-    for feat in rule.features:
-        product *= fmap.get(feat, 0.0)
-    return product
-
-
 def hit_contribution(rule: ClassificationRule, fmap: FeatureValueMap,
                      freq_detect_threshold: float) -> float | None:
-    """``rule_contribution`` when the rule is hit on ``fmap``, else None;
-    the same products in the same order."""
+    """The rule's weight times its feature values, in feature order, when
+    the rule is hit on ``fmap``, else None."""
     product = rule.weight
     for feat in rule.features:
         value = fmap.get(feat, 0.0)
@@ -398,7 +391,8 @@ def _require(doc: dict, key: str):
 
 def _read_model_file(path) -> tuple[dict, list[tuple[dict, str, frozenset[str]]]]:
     """The model document and its rules as ``(entry, id, features)``, with
-    the shape of the document and of every rule checked."""
+    the shape of the document and of every rule checked; a rule with no
+    features raises :class:`SchemaError`."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = decode_json(fh.read(), "model file")
     if not isinstance(doc, dict):
@@ -415,6 +409,8 @@ def _read_model_file(path) -> tuple[dict, list[tuple[dict, str, frozenset[str]]]
         if not isinstance(feats, list) or not all(isinstance(f, str) for f in feats):
             raise SchemaError(f"rule {clip(repr(rule_id))}: "
                               "'features' must be a list of strings")
+        if not feats:
+            raise SchemaError(f"rule {clip(repr(rule_id))} has no features")
         rules.append((entry, rule_id, frozenset(feats)))
     return doc, rules
 

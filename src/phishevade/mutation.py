@@ -237,13 +237,14 @@ def styles_for_attribute(tree: DomTree, tag: str, attr: str, value: str) -> dict
     return decls
 
 
-def _element_at(tree: DomTree, path: tuple[int, ...]) -> DomNode:
+def _resolve(tree: DomTree, path: tuple[int, ...], node_type: str) -> DomNode:
+    """The node of ``node_type`` at ``path``; else :class:`PathError`."""
     try:
         node = node_at(tree, path)
     except IndexError as exc:
         raise PathError(str(exc)) from exc
-    if node.node_type != ELEMENT:
-        raise PathError(f"path {path} is not an element")
+    if node.node_type != node_type:
+        raise PathError(f"no {node_type} node at path {path}")
     return node
 
 
@@ -251,7 +252,7 @@ def modify_attribute(tree: DomTree, path: tuple[int, ...], attr: str) -> NodeOp:
     """Plan the removal of ``attr`` on the element at ``path``, restoring the
     same attribute/value through the element's event handler and inlining
     stylesheet rules keyed on the attribute."""
-    el = _element_at(tree, path)
+    el = _resolve(tree, path, ELEMENT)
     value = el.get_attr(attr)
     if value is None:
         raise PathError(f"element at {path} has no attribute {attr!r}")
@@ -289,12 +290,7 @@ def modify_text(tree: DomTree, path: tuple[int, ...], term: str,
     ``avoid_terms`` the split point shifts by one until both fragments are
     clean, or the operation is abandoned.
     """
-    try:
-        node = node_at(tree, path)
-    except IndexError as exc:
-        raise PathError(str(exc)) from exc
-    if node.node_type != TEXT:
-        raise PathError(f"path {path} is not a text node")
+    node = _resolve(tree, path, TEXT)
     span = next(((s, e) for t, s, e in term_spans(node.value) if t == term), None)
     if span is None:
         raise TermNotFound(f"{term!r} is not a token of the text node")
@@ -342,7 +338,7 @@ def _apply_in_place(tree: DomTree, op: NodeOp,
     node's old contribution is removed and its new one added.  Returns the
     op's inverse, which reverts both."""
     if op.kind == "modify_attribute":
-        el = _element_at(tree, op.target)
+        el = _resolve(tree, op.target, ELEMENT)
         attr = op.payload["attr"]
         if el.get_attr(attr) is None:
             raise PathError(f"attribute {attr!r} vanished at {op.target}")
@@ -365,12 +361,9 @@ def _apply_in_place(tree: DomTree, op: NodeOp,
             el.attrs = old_attrs
             tally.add_element(el)
     elif op.kind == "modify_text":
-        try:
-            node = node_at(tree, op.target)
-        except IndexError as exc:
-            raise PathError(str(exc)) from exc
+        node = _resolve(tree, op.target, TEXT)
         offset = op.payload["offset"]
-        if node.node_type != TEXT or offset > len(node.value):
+        if offset > len(node.value):
             raise PathError(f"text target {op.target} no longer resolves")
         counted = not in_raw_text(tree, op.target)
         old_value = node.value
@@ -383,7 +376,7 @@ def _apply_in_place(tree: DomTree, op: NodeOp,
                 tally.split_text(old_value, offset, -1)
             node.value = old_value
     elif op.kind == "add_invisible_element":
-        parent = _element_at(tree, op.target)
+        parent = _resolve(tree, op.target, ELEMENT)
         el = DomNode(ELEMENT, tag=op.payload["tag"])
         style = None
         for name, value in op.payload["attrs"].items():
@@ -488,9 +481,12 @@ def plan_delete_feature(plan: MutationPlan, canonical: str,
     with _undone_on_failure(plan):
         if kind == F.PAGE_TERM:
             # break every token occurrence of the term, node by node; a split
-            # leaves two shorter fragments, so it never recreates the term
+            # leaves two shorter fragments, so it never recreates the term.
+            # A token is a substring of its node: most nodes are skipped
+            # without tokenizing them
             for path, node in walk_text_nodes(work):
-                while any(t == payload for t, _, _ in term_spans(node.value)):
+                while payload in node.value and any(
+                        t == payload for t, _, _ in term_spans(node.value)):
                     push(modify_text(work, path, payload, avoid_terms))
         elif kind in (F.PAGE_HAS_TEXT_INPUTS, F.PAGE_HAS_PSWD_INPUTS):
             wanted = "text" if kind == F.PAGE_HAS_TEXT_INPUTS else "password"

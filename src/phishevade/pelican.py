@@ -355,6 +355,17 @@ class StoreEntry:
     timestamp: float
 
 
+def _clock(now: float | None) -> float:
+    """The store's clock: ``now``, or the current time when it is None.  A
+    non-finite ``now`` raises ``ValueError``: no entry's age compares
+    against NaN or an infinity, so every entry would be evicted or kept."""
+    if now is None:
+        return time.time()
+    if not math.isfinite(now):
+        raise ValueError(f"store clock must be a finite time, not {now!r}")
+    return now
+
+
 @dataclass
 class PhishStore:
     """Recent detected phishing signatures, bounded by count (``k``) and
@@ -371,14 +382,14 @@ class PhishStore:
             raise ValueError("store horizon h_hours must be >= 0")
 
     def evict(self, now: float | None = None) -> None:
-        now = time.time() if now is None else now
+        now = _clock(now)
         horizon = self.h_hours * 3600.0
         self.entries = [e for e in self.entries if now - e.timestamp <= horizon]
         while len(self.entries) > self.k:
             self.entries.pop(0)
 
     def insert(self, tree_or_sig, now: float | None = None) -> None:
-        now = time.time() if now is None else now
+        now = _clock(now)
         self.entries.append(StoreEntry(_coerce(tree_or_sig), now))
         self.evict(now)
 

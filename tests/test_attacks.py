@@ -1,12 +1,20 @@
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from phishevade import attacks
 from phishevade.attacks import (
+    _PLAN_FAILURES,
     BUDGET_EXHAUSTED,
     EXHAUSTED,
     SUCCESS,
     RuleAlreadyHit,
+    _classifier_products,
+    _rule_products,
     _Run,
     black_box,
     black_knowledge,
@@ -19,8 +27,8 @@ from phishevade.attacks import (
 )
 from phishevade.classifier import (
     ScoreOracle,
+    feature_index,
     raw_score,
-    rule_contribution,
     rule_hit,
     unsatisfied,
 )
@@ -29,10 +37,13 @@ from phishevade.features import PageTally, extract_all_features
 from phishevade.mutation import (
     ElementSpec,
     FeatureAbsent,
+    addable_feature,
     apply,
+    deletable_feature,
     plan_add_rule,
     plan_delete_feature,
     preservation_check,
+    split_avoid_terms,
 )
 
 from conftest import (
@@ -131,6 +142,14 @@ def test_influence_matches_brute_force_on_random_fixtures():
                 continue
             assert influence_rule(clf, fmap, r) == pytest.approx(
                 brute_delta_rule(clf, fmap, r), abs=1e-12)
+
+
+def rule_contribution(r, fmap):
+    """The rule's weight times its feature values, hit or not."""
+    product = r.weight
+    for feat in r.features:
+        product *= fmap.get(feat, 0.0)
+    return product
 
 
 def full_scan_influence_feature(clf, fmap, feat):
@@ -318,6 +337,13 @@ def _grey(clf):
     return [(r.id, r.features) for r in clf.rules]
 
 
+def test_grey_knowledge_rejects_a_rule_with_no_features():
+    clf = suite_model()
+    rules = _grey(clf) + [("empty", frozenset())]
+    with pytest.raises(ValueError, match="'empty' has no features"):
+        grey_knowledge(rules, ScoreOracle(clf))
+
+
 def test_grey_succeeds_with_deletions_only():
     clf = make_classifier([rule("p1", {"PageTerm=signin"}, 0.9),
                            rule("p2", {"PageHasPswdInputs"}, 1.1)], bias=-0.5)
@@ -442,6 +468,246 @@ def test_black_suite_success():
         result = black_box(black_knowledge(ScoreOracle(clf)), page, pool,
                            rng_seed=11)
         assert result.success, bucket
+
+
+# -- the selection loops against their two-table references ------------------------
+
+def reference_white_box(knowledge, page, only_rules=None):
+    """White-box selection from two candidate tables and two ban sets:
+    each step takes the best deletion unless the best addition lowers the
+    score strictly more, and drops a candidate that fails to plan."""
+    clf = knowledge.model
+    t = clf.freq_detect_threshold
+    run = _Run(knowledge, page, _classifier_products(clf), keep_all=True)
+    rules = [r for r in clf.rules if only_rules is None or r.id in only_rules]
+    positive = [r for r in rules if r.weight > 0]
+    negative = [r for r in rules if r.weight < 0]
+    positive_features = sorted({f for r in positive for f in r.features})
+    avoid_terms = split_avoid_terms(f for r in positive for f in r.features)
+    banned_deletions, banned_additions = set(), set()
+    feature_universe = {f for r in rules for f in r.features}
+    max_steps = max(50, 4 * (len(rules) + len(feature_universe)))
+    while not run.done and len(run.trajectory) <= max_steps:
+        fmap = run.fmap
+        deletions = {}
+        for feat in positive_features:
+            if fmap.get(feat, 0.0) == 0.0 or feat in banned_deletions \
+                    or not deletable_feature(feat):
+                continue
+            delta = influence_feature(clf, fmap, feat)
+            if delta > 0:
+                deletions[feat] = delta
+        additions = {}
+        for r in negative:
+            if r.id in banned_additions:
+                continue
+            unsat = unsatisfied(r.features, fmap, t)
+            if not unsat or not all(addable_feature(f) for f in unsat):
+                continue
+            delta = influence_rule(clf, fmap, r)
+            if delta < 0:
+                additions[r.id] = (delta, r)
+        op_label = None
+        while op_label is None:
+            best_del = min(deletions.items(), key=lambda kv: (-kv[1], kv[0]),
+                           default=None)
+            best_add = min(additions.items(), key=lambda kv: (kv[1][0], kv[0]),
+                           default=None)
+            if best_del and (best_add is None or best_del[1] >= -best_add[1][0]):
+                feat = best_del[0]
+                try:
+                    attacks.plan_delete_feature(run.plan, feat, t, avoid_terms)
+                    op_label = f"delete {feat}"
+                except _PLAN_FAILURES:
+                    banned_deletions.add(feat)
+                    del deletions[feat]
+            elif best_add:
+                r = best_add[1][1]
+                try:
+                    attacks.plan_add_rule(run.plan, r.features, t)
+                    op_label = f"add rule {r.id}"
+                except _PLAN_FAILURES:
+                    banned_additions.add(r.id)
+                    del additions[r.id]
+            else:
+                break
+        if op_label is None:
+            break
+        run.offer(op_label)
+    return run.result(EXHAUSTED)
+
+
+def reference_grey_box(knowledge, page):
+    """Grey-box loops that count each feature's reliance and test every
+    known rule with ``unsatisfied`` for its deletion candidates and again
+    before each addition."""
+    t = knowledge.freq_detect_threshold
+    rules = knowledge.rules or []
+    feature_sets = [feats for _, feats in rules]
+    by_feature = feature_index(feature_sets)
+    run = _Run(knowledge, page,
+               lambda fmap: _rule_products(feature_sets, by_feature, fmap, t))
+    avoid_terms = split_avoid_terms(f for _, feats in rules for f in feats)
+    reliance = {}
+    for _, feats in rules:
+        for feat in feats:
+            reliance[feat] = reliance.get(feat, 0) + 1
+    candidates = sorted(
+        {f for _, feats in rules if not unsatisfied(feats, run.fmap, t)
+         for f in feats if deletable_feature(f)},
+        key=lambda f: (-reliance[f], f))
+    for feat in candidates:
+        if run.done:
+            break
+        if run.fmap.get(feat, 0.0) == 0.0:
+            continue
+        try:
+            attacks.plan_delete_feature(run.plan, feat, t, avoid_terms)
+        except _PLAN_FAILURES:
+            continue
+        run.offer(f"delete {feat}")
+    for rule_id, feats in sorted(rules):
+        if run.done:
+            break
+        if not unsatisfied(feats, run.fmap, t):
+            continue
+        try:
+            attacks.plan_add_rule(run.plan, feats, t)
+        except _PLAN_FAILURES:
+            continue
+        run.offer(f"add rule {rule_id}")
+    return run.result(EXHAUSTED)
+
+
+@contextmanager
+def planner_calls():
+    """The planner calls the attacks make inside the block, in order, as
+    ``(planner, features, planned)``."""
+    calls = []
+
+    def recorded(planner):
+        def call(plan, features, *args):
+            try:
+                planner(plan, features, *args)
+            except _PLAN_FAILURES:
+                calls.append((planner.__name__, features, False))
+                raise
+            calls.append((planner.__name__, features, True))
+        return call
+
+    with mock.patch.object(attacks, "plan_delete_feature",
+                           recorded(plan_delete_feature)), \
+            mock.patch.object(attacks, "plan_add_rule", recorded(plan_add_rule)):
+        yield calls
+
+
+def _outcome(result):
+    return (result.status, result.trajectory, result.queries,
+            result.mutated_features, result.mutated_rules,
+            serialize(result.final_page))
+
+
+# Features of the random models: "ab" cannot be split when "a" or "b" is a
+# rule term too, a link to the page's own domain cannot be added, the two
+# link ratios cannot both be padded above a threshold of 1/2, and URL
+# features are neither deletable nor addable.
+MODEL_FEATURES = [
+    "PageTerm=signin", "PageTerm=ab", "PageTerm=a", "PageTerm=b",
+    "PageTerm=privacy", "PageTerm=quiet", "PageHasForms", "PageHasTextInputs",
+    "PageHasPswdInputs", "PageHasCheckInputs", "PageNumScriptTags>1",
+    "PageExternalLinksFreq", "PageSecureLinksFreq", "PageImgOtherDomainFreq",
+    "PageLinkDomain=example.com", "PageLinkDomain=seed00.test",
+    "UrlPathToken=page", "UrlDomain=unique-nowhere.test",
+]
+# a few weights, so that influences tie exactly
+WEIGHTS = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
+RULES = st.lists(st.tuples(st.frozensets(st.sampled_from(MODEL_FEATURES),
+                                         min_size=1, max_size=3), WEIGHTS),
+                 min_size=2, max_size=10)
+RANDOM_PAGES = st.builds(
+    build_page, url=st.just("http://seed00.test/page"), host=st.just("seed00.test"),
+    terms=st.lists(st.sampled_from(["signin", "ab", "a", "privacy", "quiet",
+                                    "meadow"]), max_size=5).map(["ab"].__add__),
+    secure_links=st.integers(0, 2), insecure_external_links=st.integers(0, 2),
+    internal_links=st.integers(0, 2),
+    input_types=st.lists(st.sampled_from(["text", "password", "checkbox"]),
+                         max_size=2),
+    imgs=st.lists(st.just("http://pics.stock-farm.example/i.png"), max_size=1),
+    scripts=st.integers(0, 2), bare_form=st.booleans())
+SUITE_PAGES = [page for _, page in suite_seed_pages(per_bucket=1)]
+PAGES = RANDOM_PAGES | st.sampled_from(SUITE_PAGES)
+
+
+def _random_model(rules, bias, t):
+    return make_classifier([rule(f"r{i:02d}", feats, weight)
+                            for i, (feats, weight) in enumerate(rules)],
+                           bias=bias, freq_detect_threshold=t)
+
+
+# the top candidate, deleting "abc", fails to plan and ties with adding r02
+@example(rules=[(frozenset({"PageTerm=abc"}), 1.0),
+                (frozenset({"PageTerm=ab", "PageTerm=bc"}), 0.25),
+                (frozenset({"PageTerm=privacy"}), -1.0),
+                (frozenset({"PageTerm=signin"}), 0.5)],
+         bias=-0.5, t=0.05, page=build_page(url="http://seed00.test/page",
+                                            host="seed00.test",
+                                            terms=["abc", "signin"]),
+         only=None)
+@settings(max_examples=300, deadline=None)
+@given(rules=RULES, bias=st.sampled_from([-0.25, 0.25, 0.75]),
+       t=st.sampled_from([0.05, 0.3, 0.6]), page=PAGES,
+       only=st.none() | st.sets(st.integers(0, 9)))
+def test_white_ranks_candidates_as_the_two_table_loop(rules, bias, t, page, only):
+    """White's single ranked list tries the same planners in the same order
+    and keeps the same candidates as the two-table loop, on random models
+    with tied influences and candidates that fail to plan."""
+    clf = _random_model(rules, bias, t)
+    only_rules = None if only is None else {f"r{i:02d}" for i in only}
+    with planner_calls() as calls:
+        result = white_box(white_knowledge(clf, ScoreOracle(clf)), page,
+                           only_rules)
+    with planner_calls() as reference_calls:
+        reference = reference_white_box(white_knowledge(clf, ScoreOracle(clf)),
+                                        page, only_rules)
+    assert calls == reference_calls
+    assert _outcome(result) == _outcome(reference)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rules=RULES, unknown=RULES, bias=st.sampled_from([-0.25, 0.25, 0.75]),
+       t=st.sampled_from([0.05, 0.3, 0.6]), page=PAGES, data=st.data())
+def test_grey_reads_its_candidates_from_the_hit_table(rules, unknown, bias, t,
+                                                      page, data):
+    """Grey's deletion candidates, their reliance order and the rules its
+    second phase adds, in id order, are those of the ``unsatisfied`` scans,
+    with known rules the oracle does not hold among them."""
+    clf = _random_model(rules, bias, t)
+    known = [(f"r{i:02d}", feats) for i, (feats, _) in enumerate(rules)]
+    known += [(f"u{i:02d}", feats) for i, (feats, _) in enumerate(unknown)]
+    known = data.draw(st.permutations(known), label="known")
+    with planner_calls() as calls:
+        result = grey_box(grey_knowledge(known, ScoreOracle(clf), 0.5, t), page)
+    with planner_calls() as reference_calls:
+        reference = reference_grey_box(
+            grey_knowledge(known, ScoreOracle(clf), 0.5, t), page)
+    assert calls == reference_calls
+    assert _outcome(result) == _outcome(reference)
+
+
+def test_the_white_example_bans_its_top_candidate_and_breaks_a_tie():
+    """The explicit example above exercises what it claims: deleting "abc"
+    fails, and adding r02 then wins its tie with deleting "signin"."""
+    clf = make_classifier([rule("r00", {"PageTerm=abc"}, 1.0),
+                           rule("r01", {"PageTerm=ab", "PageTerm=bc"}, 0.25),
+                           rule("r02", {"PageTerm=privacy"}, -1.0),
+                           rule("r03", {"PageTerm=signin"}, 0.5)], bias=-0.5)
+    page = build_page(url="http://seed00.test/page", host="seed00.test",
+                      terms=["abc", "signin"])
+    with planner_calls() as calls:
+        result = white_box(white_knowledge(clf, ScoreOracle(clf)), page)
+    assert calls[0] == ("plan_delete_feature", "PageTerm=abc", False)
+    assert [s.op for s in result.trajectory[1:]] == \
+        ["add rule r02", "delete PageTerm=signin"]
 
 
 # -- cross-cutting invariants ------------------------------------------------------

@@ -367,6 +367,19 @@ def test_strip_weights_export(tmp_path):
     assert load_rule_features(path) == [("a", frozenset({"PageHasForms"}))]
 
 
+@pytest.mark.parametrize("weighted", [True, False])
+def test_a_rule_with_no_features_is_schema_error(tmp_path, weighted):
+    entry = {"id": "p01", "features": []}
+    if weighted:
+        entry["weight"] = 1.0
+    path = tmp_path / "empty-rule.json"
+    path.write_text(json.dumps({"bias": 0.0, "threshold": 0.5,
+                                "rules": [entry]}))
+    for load in (load_model, load_rule_features):
+        with pytest.raises(SchemaError, match="'p01' has no features"):
+            load(path)
+
+
 def test_hashed_twin_scores_match_plaintext(paypal_page):
     plain = make_classifier([
         rule("r1", {"PageHasPswdInputs", "PageTerm=login"}, 1.4),

@@ -382,6 +382,19 @@ def test_defend_with_an_invalid_store_horizon_exits_2(workdir, capsys, h_hours):
     assert store_path.read_bytes() == stored
 
 
+@pytest.mark.parametrize("now", ["nan", "inf", "-inf"])
+def test_defend_with_a_non_finite_clock_exits_2(workdir, capsys, now):
+    store_path = workdir["dir"] / "store.json"
+    defend = ["defend", workdir["seed"], "--model", workdir["model"],
+              "--url", workdir["seed_url"], "--store", str(store_path)]
+    assert run([*defend, "--now", "1000"]) == 0
+    capsys.readouterr()
+    stored = store_path.read_bytes()
+    assert run([*defend, f"--now={now}"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert store_path.read_bytes() == stored
+
+
 # -- start-up cost -------------------------------------------------------------------
 
 # Runs the CLI in a fresh interpreter and prints its exit code and which of

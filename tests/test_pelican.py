@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -482,6 +483,21 @@ def test_store_rejects_an_invalid_horizon_or_size(bounds, tmp_path):
     save_store(PhishStore(), path)
     with pytest.raises(ValueError, match="must be >= 0"):
         load_store(path, **bounds)
+
+
+@pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "minus-inf"])
+def test_store_rejects_a_non_finite_clock(now):
+    # against a NaN or infinite clock every age test fails or every one
+    # passes: the store would lose all its entries, or keep them and store
+    # a timestamp that load_store rejects
+    store = PhishStore(k=10, h_hours=1.0)
+    store.insert(build_page(terms=["kept"]), now=1000.0)
+    before = list(store.entries)
+    for call in (store.evict, lambda now: store.insert(build_page(), now)):
+        with pytest.raises(ValueError, match="finite"):
+            call(now)
+        assert store.entries == before
 
 
 def test_store_matches_history_replay_oracle():
