@@ -7,8 +7,10 @@ below the threshold, differing in what they know about the classifier:
 * white: full model (rules and weights); each step ranks the feature
   deletions and rule additions in one list by exact score influence and
   keeps the first that plans.
-* grey: rule feature sets but no weights; tentatively deletes features of
-  the rules the page hits, then tentatively adds the rules it does not.
+* grey: rule feature sets but no weights, held as a model of the known
+  rules (each of weight 1, in id order, bias 0); tentatively deletes
+  features of the rules the page hits, then tentatively adds the rules it
+  does not.
 * black: nothing but the score oracle; modifies every modifiable node one at
   a time, then randomly adds harvested invisible elements in batches.
 
@@ -25,11 +27,12 @@ white attack keeps every candidate, grey and black keep one only when its
 score drops, and a rejected candidate is undone in place (a dropped black
 batch is the rollback), so ``plan.ops`` holds exactly the kept ops.  Each
 kept candidate appends a trajectory step and adds to ``mutated_rules`` the
-counted rules whose gated value product changed; white and black count the
-classifier's non-zero weight rules, grey its known rules.  ``run.hits``
-holds those products for the kept page, keyed by rule position, so its
-keys are the counted rules the kept page hits: grey reads its deletion
-candidates and the rules it need not add from it.
+counted rules whose gated value product changed: the non-zero-weight
+rules of ``knowledge.model`` (the classifier for white, the known rules for
+grey) or, for black, which has no model, of the oracle's classifier.
+``run.hits`` holds those products for the kept page, keyed by rule
+position, so its keys are the counted rules the kept page hits: grey reads
+its deletion candidates and the rules it need not add from it.
 
 Influence values are exact score differences, so accepted white-box steps
 are the one-step-lookahead optimum.  They read only the rules that
@@ -49,7 +52,6 @@ from .classifier import (
     ClassificationRule,
     Classifier,
     ScoreOracle,
-    feature_index,
     hit_contribution,
     prepare_map,
     unsatisfied,
@@ -85,31 +87,34 @@ class RuleAlreadyHit(ValueError):
 
 @dataclass
 class Knowledge:
-    """What the attacker knows, plus the score oracle every level may query."""
+    """What the attacker knows, plus the score oracle every level may query.
+
+    ``model`` is what white and grey plan from: the classifier itself for
+    white, a model of the known rules (unit weights, in id order, bias 0)
+    for grey, and None for black."""
 
     level: str
     oracle: ScoreOracle
-    model: Classifier | None = None                      # white only
-    rules: list[tuple[str, frozenset[str]]] | None = None  # grey only
+    model: Classifier | None = None
     threshold: float = 0.5
-    freq_detect_threshold: float = 0.05
 
 
 def white_knowledge(model: Classifier, oracle: ScoreOracle) -> Knowledge:
-    return Knowledge(WHITE, oracle, model=model, threshold=model.threshold,
-                     freq_detect_threshold=model.freq_detect_threshold)
+    return Knowledge(WHITE, oracle, model=model, threshold=model.threshold)
 
 
 def grey_knowledge(rules, oracle: ScoreOracle, threshold: float = 0.5,
                    freq_detect_threshold: float = 0.05) -> Knowledge:
-    """Grey knowledge of ``(id, features)`` pairs; a rule with no features
-    raises ``ValueError``, as it does in a model."""
-    rules = list(rules)
-    for rule_id, feats in rules:
-        if not feats:
-            raise ValueError(f"rule {rule_id!r} has no features")
-    return Knowledge(GREY, oracle, rules=rules, threshold=threshold,
-                     freq_detect_threshold=freq_detect_threshold)
+    """Grey knowledge of ``(id, features)`` pairs: a model of those rules,
+    sorted by id, each with weight 1 (grey knows no weights, and a rule of
+    weight 1 still counts in ``mutated_rules``) and a bias of 0.  A rule with
+    no features, a repeated id or a threshold outside (0, 1) raises
+    ``ValueError``, as it does in a model."""
+    known = sorted((ClassificationRule(rule_id, frozenset(feats), 1.0)
+                    for rule_id, feats in rules), key=lambda r: r.id)
+    model = Classifier(0.0, tuple(known), threshold,
+                       freq_detect_threshold=freq_detect_threshold)
+    return Knowledge(GREY, oracle, model=model, threshold=threshold)
 
 
 def black_knowledge(oracle: ScoreOracle, threshold: float = 0.5) -> Knowledge:
@@ -197,29 +202,21 @@ def influence_rule(classifier: Classifier, fmap: FeatureValueMap,
 
 # -- the shared attack skeleton ---------------------------------------------------
 
-def _rule_products(rules, by_feature, fmap: FeatureValueMap,
-                   freq_detect_threshold: float) -> dict[int, float]:
-    """Gated value product per rule, keyed by its position in ``rules``, a
-    list of feature sets (None for a rule that is not counted) indexed by
-    ``by_feature``: the product of its feature values when every feature
-    is satisfied, else 0.  A rule counts as mutated when this changes,
-    covering both hit flips and frequency-value drift.  Only rules filed
-    under a feature of ``fmap`` can be satisfied; the others are left out,
-    their product being 0."""
+def _rule_products(clf: Classifier, fmap: FeatureValueMap) -> dict[int, float]:
+    """Gated value product per non-zero-weight rule of ``clf``, keyed by its
+    position in ``clf.rules``: the product of its feature values when every
+    feature is satisfied, else 0.  A rule counts as mutated when this
+    changes, covering both hit flips and frequency-value drift.  Only rules
+    filed under a feature of ``fmap`` can be satisfied; the others are left
+    out, their product being 0."""
+    fmap = prepare_map(clf, fmap)
+    rules, t = clf.rules, clf.freq_detect_threshold
     out = {}
-    for i in {i for feat in fmap for i in by_feature.get(feat, ())}:
-        feats = rules[i]
-        if feats is not None and not unsatisfied(feats, fmap, freq_detect_threshold):
-            out[i] = math.prod(fmap[feat] for feat in feats)
+    for i in {i for feat in fmap for i in clf.rules_by_feature.get(feat, ())}:
+        rule = rules[i]
+        if rule.weight != 0.0 and not unsatisfied(rule.features, fmap, t):
+            out[i] = math.prod(fmap[feat] for feat in rule.features)
     return out
-
-
-def _classifier_products(clf: Classifier):
-    """Rule products over the classifier's non-zero-weight rules."""
-    counted = [r.features if r.weight != 0.0 else None for r in clf.rules]
-    return lambda fmap: _rule_products(counted, clf.rules_by_feature,
-                                       prepare_map(clf, fmap),
-                                       clf.freq_detect_threshold)
 
 
 class _Run:
@@ -227,18 +224,19 @@ class _Run:
     the page, the feature map and queried score of the kept ops, the
     trajectory and the counters.
 
-    ``products`` maps a feature map to the gated rule products whose
-    changes count as mutated rules (a rule left out has product 0);
-    ``hits`` holds them for the kept page, so its keys are the positions
-    of the counted rules that page hits.  With ``keep_all`` every offered
-    candidate is kept; otherwise only one whose score drops.
+    The counted rules, whose changes count as mutated rules, are the
+    non-zero-weight rules of ``knowledge.model``, or of the oracle's
+    classifier when the attacker has no model (black).  ``hits`` holds
+    their ``_rule_products`` for the kept page, so its keys are the
+    positions of the counted rules that page hits.  With ``keep_all`` every
+    offered candidate is kept; otherwise only one whose score drops.
     """
 
-    def __init__(self, knowledge: Knowledge, page: DomTree, products,
+    def __init__(self, knowledge: Knowledge, page: DomTree,
                  keep_all: bool = False):
         self._oracle = knowledge.oracle
         self._tau = knowledge.threshold
-        self._products_of = products
+        self._counted = knowledge.model or knowledge.oracle.classifier
         self._keep_all = keep_all
         self._started = time.perf_counter()
         self._queries_before = self._oracle.query_count
@@ -247,7 +245,7 @@ class _Run:
         self.plan = MutationPlan.on(page, tally)
         self._kept = 0                # len(plan.ops) after the last keep
         self.score = self._oracle.score_tally(self.plan.tally)
-        self.hits = products(self.fmap)
+        self.hits = _rule_products(self._counted, self.fmap)
         self.trajectory = [TrajectoryStep(0, "initial", self.score)]
         self.mutated_features = self.mutated_rules = 0
 
@@ -265,7 +263,7 @@ class _Run:
             plan.undo(self._kept)
             return False
         fmap = plan.fmap
-        before, hits = self.hits, self._products_of(fmap)
+        before, hits = self.hits, _rule_products(self._counted, fmap)
         self.mutated_rules += sum(1 for i in before.keys() | hits.keys()
                                   if before.get(i, 0.0) != hits.get(i, 0.0))
         self.mutated_features += feature_step
@@ -308,7 +306,7 @@ def white_box(knowledge: Knowledge, page: DomTree,
     plans."""
     clf = knowledge.model
     t = clf.freq_detect_threshold
-    run = _Run(knowledge, page, _classifier_products(clf), keep_all=True)
+    run = _Run(knowledge, page, keep_all=True)
 
     rules = [r for r in clf.rules
              if only_rules is None or r.id in only_rules]
@@ -360,17 +358,18 @@ def white_box(knowledge: Knowledge, page: DomTree,
 def grey_box(knowledge: Knowledge, page: DomTree) -> AttackResult:
     """Phase 1 tentatively deletes each deletable feature of the known hit
     rules, keeping a deletion only when the queried score drops; phase 2
-    does the same for additions of known rules the page does not hit."""
-    t = knowledge.freq_detect_threshold
-    rules = knowledge.rules or []
-    feature_sets = [feats for _, feats in rules]
-    by_feature = feature_index(feature_sets)
-    run = _Run(knowledge, page,
-               lambda fmap: _rule_products(feature_sets, by_feature, fmap, t))
-    avoid_terms = split_avoid_terms(f for _, feats in rules for f in feats)
+    does the same for additions of the known rules the page does not hit,
+    in id order.  Both read the known rules from ``knowledge.model``: its
+    ``rules_by_feature`` gives each feature's reliance, and ``run.hits``,
+    keyed by rule position, the rules the kept page hits."""
+    clf = knowledge.model
+    t = clf.freq_detect_threshold
+    by_feature = clf.rules_by_feature
+    run = _Run(knowledge, page)
+    avoid_terms = split_avoid_terms(by_feature)
 
     # the most relied-on features first
-    candidates = sorted({f for i in run.hits for f in feature_sets[i]
+    candidates = sorted({f for i in run.hits for f in clf.rules[i].features
                          if deletable_feature(f)},
                         key=lambda f: (-len(by_feature[f]), f))
     for feat in candidates:
@@ -384,17 +383,16 @@ def grey_box(knowledge: Knowledge, page: DomTree) -> AttackResult:
             continue
         run.offer(f"delete {feat}")
 
-    for i in sorted(range(len(rules)), key=rules.__getitem__):
+    for i, rule in enumerate(clf.rules):
         if run.done:
             break
         if i in run.hits:
             continue
-        rule_id, feats = rules[i]
         try:
-            plan_add_rule(run.plan, feats, t)
+            plan_add_rule(run.plan, rule.features, t)
         except _PLAN_FAILURES:
             continue
-        run.offer(f"add rule {rule_id}")
+        run.offer(f"add rule {rule.id}")
 
     return run.result(EXHAUSTED)
 
@@ -425,8 +423,8 @@ def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
     invisible elements drawn from the pool; every ``batch`` additions the
     score is checked and the batch is rolled back unless it improved.
     """
-    # the classifier is used for reporting only: rule flips do not guide
-    run = _Run(knowledge, page, _classifier_products(knowledge.oracle.classifier))
+    # _Run counts the oracle's rules for reporting only: rule flips do not guide
+    run = _Run(knowledge, page)
     plan = run.plan
     rng = random.Random(rng_seed)
 

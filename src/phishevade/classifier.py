@@ -125,17 +125,11 @@ class Classifier:
     def rules_by_feature(self) -> dict[str, tuple[int, ...]]:
         """Each feature (a digest in a hashed model) -> the ascending
         indices in ``rules`` of the rules that hold it."""
-        return feature_index(r.features for r in self.rules)
-
-
-def feature_index(feature_sets) -> dict[str, tuple[int, ...]]:
-    """Each feature of the sets -> the ascending positions of the sets that
-    hold it."""
-    index: dict[str, list[int]] = {}
-    for i, feats in enumerate(feature_sets):
-        for feat in feats:
-            index.setdefault(feat, []).append(i)
-    return {feat: tuple(positions) for feat, positions in index.items()}
+        index: dict[str, list[int]] = {}
+        for i, rule in enumerate(self.rules):
+            for feat in rule.features:
+                index.setdefault(feat, []).append(i)
+        return {feat: tuple(positions) for feat, positions in index.items()}
 
 
 def check_freq_detect_threshold(t: float) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -27,6 +28,7 @@ from .classifier import (
     ScoreOracle,
     UnknownRuleError,
     check_freq_detect_threshold,
+    clip,
     decode_json,
     finite_number,
     find_single_rules,
@@ -352,10 +354,15 @@ def generate_fixture_pages(corpus: Corpus, model: Classifier, lo: float,
 
 
 def cmd_gen_fixtures(args) -> int:
+    lo, hi = (float(v) for v in args.range.split(","))
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"--range must be two finite numbers LO,HI with LO < HI, "
+                         f"not {clip(args.range)}")
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, not {args.count}")
     config = _config_from_args(args)
     model = _load_model_with_overrides(args.model, config)
     corpus = load_corpus(args.corpus)
-    lo, hi = (float(v) for v in args.range.split(","))
     pages = generate_fixture_pages(corpus, model, lo, hi, args.count,
                                    args.action_url)
     os.makedirs(args.out, exist_ok=True)
@@ -384,8 +391,9 @@ def _bucket_label(value: float) -> str:
 def _collect_rows(results_dir) -> list[dict]:
     """One row per attack report in the directory: a JSON object with
     ``steps``; other JSON files are skipped.  A report whose ``steps`` is not
-    a list of objects with a finite number as ``score``, or whose counters
-    are not finite numbers, raises :class:`SchemaError`."""
+    a list of objects with a finite number as ``score``, whose ``success``
+    is not ``true`` or ``false`` (a missing one means false), or whose
+    counters are not finite numbers, raises :class:`SchemaError`."""
     rows = []
     for name in sorted(os.listdir(results_dir)):
         if not name.endswith(".json"):
@@ -401,12 +409,16 @@ def _collect_rows(results_dir) -> list[dict]:
             finite_number(step.get("score"), f"attack report {name!r}: step 'score'")
         for key in ("mutated_features", "mutated_rules", "queries", "additions"):
             finite_number(doc.get(key, 0), f"attack report {name!r}: {key!r}")
+        success = doc.get("success", False)
+        if not isinstance(success, bool):
+            raise SchemaError(f"attack report {name!r}: 'success' must be true or "
+                              f"false, not {clip(repr(success))}")
         initial = doc["steps"][0]["score"] if doc["steps"] else 0.0
         rows.append({
             "seed": name[: -len(".json")],
             "initial": initial,
             "bucket": _bucket_label(initial),
-            "success": bool(doc.get("success")),
+            "success": success,
             "features": doc.get("mutated_features", 0),
             "rules": doc.get("mutated_rules", 0),
             "queries": doc.get("queries", 0),

@@ -13,8 +13,6 @@ from phishevade.attacks import (
     EXHAUSTED,
     SUCCESS,
     RuleAlreadyHit,
-    _classifier_products,
-    _rule_products,
     _Run,
     black_box,
     black_knowledge,
@@ -27,7 +25,6 @@ from phishevade.attacks import (
 )
 from phishevade.classifier import (
     ScoreOracle,
-    feature_index,
     raw_score,
     rule_hit,
     unsatisfied,
@@ -344,6 +341,48 @@ def test_grey_knowledge_rejects_a_rule_with_no_features():
         grey_knowledge(rules, ScoreOracle(clf))
 
 
+def test_grey_knowledge_rejects_a_repeated_id_and_a_threshold_outside_0_1():
+    clf = suite_model()
+    oracle = ScoreOracle(clf)
+    with pytest.raises(ValueError, match="unique"):
+        grey_knowledge(_grey(clf) + _grey(clf)[:1], oracle)
+    for bad in (0.0, 1.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="threshold must be in"):
+            grey_knowledge(_grey(clf), oracle, threshold=bad)
+        with pytest.raises(ValueError, match="freq_detect_threshold must be in"):
+            grey_knowledge(_grey(clf), oracle, freq_detect_threshold=bad)
+
+
+def test_grey_knowledge_is_a_unit_weight_model_of_the_known_rules():
+    clf = suite_model()
+    known = random.Random(18).sample(_grey(clf), len(clf.rules))
+    model = grey_knowledge(known, ScoreOracle(clf), 0.6, 0.1).model
+    assert [r.id for r in model.rules] == sorted(r.id for r in clf.rules)
+    assert {(r.id, r.features) for r in model.rules} == set(known)
+    assert {r.weight for r in model.rules} == {1.0}
+    assert (model.bias, model.threshold, model.freq_detect_threshold,
+            model.hashed) == (0.0, 0.6, 0.1, False)
+
+
+@pytest.mark.parametrize("fillers", [0, 1000])
+def test_one_grey_knowledge_serves_every_page(fillers):
+    """One grey knowledge reused over the 30 suite pages, and knowledge of
+    the known rules in a shuffled order, give each page the trajectory,
+    queries, counters and final HTML of a fresh knowledge, also with 1,000
+    inert filler rules known."""
+    known = _grey(suite_model()) + [
+        (f"zf{i:04d}", frozenset({f"PageTerm=inertfiller{i:04d}"}))
+        for i in range(fillers)]
+    shuffled = random.Random(fillers).sample(known, len(known))
+    clf = suite_model()
+    reused = grey_knowledge(known, ScoreOracle(clf))
+    for _, page in suite_seed_pages():
+        fresh = _outcome(grey_box(grey_knowledge(known, ScoreOracle(clf)), page))
+        assert _outcome(grey_box(reused, page)) == fresh
+        assert _outcome(grey_box(grey_knowledge(shuffled, ScoreOracle(clf)),
+                                 page)) == fresh
+
+
 def test_grey_succeeds_with_deletions_only():
     clf = make_classifier([rule("p1", {"PageTerm=signin"}, 0.9),
                            rule("p2", {"PageHasPswdInputs"}, 1.1)], bias=-0.5)
@@ -478,7 +517,7 @@ def reference_white_box(knowledge, page, only_rules=None):
     score strictly more, and drops a candidate that fails to plan."""
     clf = knowledge.model
     t = clf.freq_detect_threshold
-    run = _Run(knowledge, page, _classifier_products(clf), keep_all=True)
+    run = _Run(knowledge, page, keep_all=True)
     rules = [r for r in clf.rules if only_rules is None or r.id in only_rules]
     positive = [r for r in rules if r.weight > 0]
     negative = [r for r in rules if r.weight < 0]
@@ -541,12 +580,9 @@ def reference_grey_box(knowledge, page):
     """Grey-box loops that count each feature's reliance and test every
     known rule with ``unsatisfied`` for its deletion candidates and again
     before each addition."""
-    t = knowledge.freq_detect_threshold
-    rules = knowledge.rules or []
-    feature_sets = [feats for _, feats in rules]
-    by_feature = feature_index(feature_sets)
-    run = _Run(knowledge, page,
-               lambda fmap: _rule_products(feature_sets, by_feature, fmap, t))
+    t = knowledge.model.freq_detect_threshold
+    rules = [(r.id, r.features) for r in knowledge.model.rules]
+    run = _Run(knowledge, page)
     avoid_terms = split_avoid_terms(f for _, feats in rules for f in feats)
     reliance = {}
     for _, feats in rules:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -515,6 +516,8 @@ LONG_LINE = json.dumps(["x" * 99_996]) + "\n"
     ("report", {"steps": [], "mutated_features": "a"}),
     ("report", {"steps": [{"score": float("inf")}]}),
     ("report", {"steps": [], "queries": True}),
+    ("report", {"steps": [], "success": "false"}),
+    ("report", {"steps": [], "success": 1}),
     ("model", '{"bias": 0.0, "threshold": 0.5, "rules": '
               '[{"id": "r", "features": ["PageHasForms"], "weight": 1e400}]}'),
     ("model", {"bias": 0.0, "threshold": 0.5, "rules": ["x" * 100_000]}),
@@ -531,7 +534,8 @@ LONG_LINE = json.dumps(["x" * 99_996]) + "\n"
         "pool-line-without-tag", "pool-attribute-value-not-a-string",
         "report-steps-not-a-list", "report-step-without-score",
         "report-score-not-a-number", "report-counter-not-a-number",
-        "report-score-infinite", "report-counter-a-boolean", "model-weight-1e400",
+        "report-score-infinite", "report-counter-a-boolean",
+        "report-success-a-string", "report-success-a-number", "model-weight-1e400",
         "model-rule-too-long", "model-rule-id-too-long",
         "model-too-deep", "store-too-deep", "pool-too-deep", "corpus-too-deep",
         "report-too-deep", "corpus-line-too-long", "pool-line-too-long"])
@@ -751,6 +755,29 @@ def test_gen_fixtures_unreachable_exits_4(tmp_path):
                 "--count", "1", "--out", str(tmp_path / "none")]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["--range=nan,0.7"], ["--range=0.5,nan"], ["--range=0.7,0.6"],
+    ["--range=0.6,0.6"], ["--range=0.6,inf"], ["--range=-inf,0.6"],
+    ["--range=0.6,0.7", "--count=0"], ["--range=0.6,0.7", "--count=-2"],
+])
+def test_gen_fixtures_malformed_range_or_count_exits_2(tmp_path, capsys, argv):
+    """A range that is not two finite numbers LO < HI, or a count below 1,
+    is rejected before the corpus is read, and nothing is written."""
+    model_path = tmp_path / "gen-model.json"
+    save_model(make_classifier([rule(*args) for args in GEN_MODEL_RULES],
+                               bias=-0.3), model_path)
+    corpus_path = tmp_path / "legit.jsonl"
+    _legit_corpus_manifest(corpus_path)
+    out = tmp_path / "gen"
+    with mock.patch("phishevade.cli.load_corpus") as load:
+        assert run(["gen-fixtures", "--corpus", str(corpus_path),
+                    "--model", str(model_path), *argv, "--out", str(out)]) == 2
+    assert not load.called
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and argv[-1].split("=")[0] in err
+
+
 # -- report -------------------------------------------------------------------------
 
 def test_report_empty_dir(tmp_path, capsys):
@@ -793,6 +820,19 @@ def test_report_aggregation_cross_checked(workdir, tmp_path, capsys):
         assert int(table[label]["count"]) == len(docs)
         mean_feats = sum(d["mutated_features"] for d in docs) / len(docs)
         assert float(table[label]["mean_features"]) == pytest.approx(mean_feats)
+
+
+def test_report_reads_a_missing_success_as_false(tmp_path, capsys):
+    results = tmp_path / "results"
+    results.mkdir()
+    doc = {"steps": [{"op": "initial", "score": 0.55}]}
+    (results / "x.report.json").write_text(json.dumps(doc))
+    (results / "y.report.json").write_text(json.dumps({**doc, "success": True}))
+    csv_path = tmp_path / "table.csv"
+    assert run(["report", str(results), "--csv", str(csv_path)]) == 0
+    with open(csv_path) as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["count"], row["succeeded"]) == ("2", "1")
 
 
 def test_report_compare_two_directories(tmp_path, capsys):
