@@ -21,11 +21,12 @@ ops onto that plan (directly or through the planners) and offers them.  The
 candidate is every op pushed since the last offer.  It is scored once, by
 ``ScoreOracle.score_tally`` on the plan's tally, which re-evaluates only the
 rules filed under the features the candidate's ops changed: the page is
-extracted in full only once per attack, at the start, and a candidate's
-feature map, ``plan.fmap``, is built only when the candidate is kept.  The
-white attack keeps every candidate, grey and black keep one only when its
-score drops, and a rejected candidate is undone in place (a dropped black
-batch is the rollback), so ``plan.ops`` holds exactly the kept ops.  Each
+extracted in full only once per attack, when ``MutationPlan.on`` folds it
+at the start, and a candidate's feature map, ``plan.fmap``, is built only
+when the candidate is kept.  The white attack keeps every candidate, grey
+and black keep one only when its score drops, and a rejected candidate is
+undone in place (a dropped black batch is the rollback), so ``plan.ops``
+holds exactly the kept ops.  Each
 kept candidate appends a trajectory step and adds to ``mutated_rules`` the
 counted rules whose gated value product changed: the non-zero-weight
 rules of ``knowledge.model`` (the classifier for white, the known rules for
@@ -57,7 +58,9 @@ from .classifier import (
     unsatisfied,
 )
 from .dom import DomTree, walk_elements, walk_text_nodes
-from .features import FeatureValueMap, PageTally, extract_all_features, terms_of
+# extract_all_features is bound here too: perfbench/layers.py times the
+# extraction entry points on every module that binds them
+from .features import FeatureValueMap, extract_all_features, terms_of  # noqa: F401
 from .mutation import (
     MODIFIABLE_ATTRS,
     ElementSpec,
@@ -240,9 +243,8 @@ class _Run:
         self._keep_all = keep_all
         self._started = time.perf_counter()
         self._queries_before = self._oracle.query_count
-        tally = PageTally(page.source_url)
-        self.fmap = extract_all_features(page, tally)
-        self.plan = MutationPlan.on(page, tally)
+        self.plan = MutationPlan.on(page)
+        self.fmap = self.plan.fmap
         self._kept = 0                # len(plan.ops) after the last keep
         self.score = self._oracle.score_tally(self.plan.tally)
         self.hits = _rule_products(self._counted, self.fmap)

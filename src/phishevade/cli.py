@@ -121,7 +121,9 @@ _CONFIG_KEYS = {
 
 
 def load_config(path) -> Config:
-    """Flat ``key=value`` config file; ``#`` starts a comment line."""
+    """Flat ``key=value`` config file; ``#`` starts a comment line.  A line
+    that is not ``key=value``, an unknown key, or a value that its key's
+    type rejects raises ``ValueError`` naming ``path:line``."""
     config = Config()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -135,7 +137,10 @@ def load_config(path) -> Config:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
             attr, cast = _CONFIG_KEYS[key]
-            setattr(config, attr, cast(value))
+            try:
+                setattr(config, attr, cast(value))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     config.validate()
     return config
 
@@ -354,10 +359,13 @@ def generate_fixture_pages(corpus: Corpus, model: Classifier, lo: float,
 
 
 def cmd_gen_fixtures(args) -> int:
-    lo, hi = (float(v) for v in args.range.split(","))
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    try:
+        lo, hi = (float(v) for v in args.range.split(","))
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError
+    except ValueError:
         raise ValueError(f"--range must be two finite numbers LO,HI with LO < HI, "
-                         f"not {clip(args.range)}")
+                         f"not {clip(args.range)}") from None
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, not {args.count}")
     config = _config_from_args(args)

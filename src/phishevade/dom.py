@@ -194,7 +194,9 @@ def parse_html(text: str | bytes, url: str = "") -> DomTree:
     """Parse an HTML document into a :class:`DomTree`.
 
     Unclosed tags are auto-closed, unknown tags are kept as elements and an
-    empty document yields a bare ``html`` root.  Bytes input must be UTF-8.
+    empty document yields a bare ``html`` root.  Bytes input must be UTF-8,
+    and markup the stdlib tokenizer gives up on (``<![ x``) raises
+    :class:`ParseError`.
     """
     if isinstance(text, bytes):
         try:
@@ -202,8 +204,11 @@ def parse_html(text: str | bytes, url: str = "") -> DomTree:
         except UnicodeDecodeError as exc:
             raise ParseError(f"document is not valid UTF-8: {exc}") from exc
     builder = _TreeBuilder()
-    builder.feed(text)
-    builder.close()
+    try:
+        builder.feed(text)
+        builder.close()
+    except AssertionError as exc:   # how html.parser reports a bad declaration
+        raise ParseError(f"document does not parse: {exc}") from exc
     tops = builder.top_level
     if len(tops) == 1 and tops[0].node_type == ELEMENT and tops[0].tag == "html":
         root = tops[0]
@@ -410,17 +415,6 @@ def visible_projection(tree: DomTree) -> list[ProjectionEntry]:
     return entries
 
 
-def node_at(tree: DomTree, path: tuple[int, ...]) -> DomNode:
-    """Resolve a path of child indices, rooted at the document root (the
-    empty path)."""
-    node = tree.root
-    for index in path:
-        if index >= len(node.children):
-            raise IndexError(f"path {path} does not resolve")
-        node = node.children[index]
-    return node
-
-
 def walk_elements(tree: DomTree):
     """Yield ``(path, element)`` for every element in document order.
 
@@ -462,19 +456,6 @@ def walk_text_nodes(tree: DomTree):
                 break
         else:
             stack.pop()
-
-
-def in_raw_text(tree: DomTree, path: tuple[int, ...]) -> bool:
-    """Whether the node at ``path`` is, or lies inside, a script or style
-    element: text there is what :func:`walk_text_nodes` skips."""
-    node = tree.root
-    if node.tag in RAWTEXT_TAGS:
-        return True
-    for index in path:
-        node = node.children[index]
-        if node.tag in RAWTEXT_TAGS:
-            return True
-    return False
 
 
 def isomorphic(a: DomNode, b: DomNode) -> bool:

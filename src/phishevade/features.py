@@ -130,9 +130,22 @@ def terms_of(text: str) -> list[str]:
     return _TERM_SPLIT.findall(text)
 
 
-def term_spans(text: str) -> list[tuple[str, int, int]]:
-    """Term tokens with their (start, end) character offsets."""
-    return [(m.group(), m.start(), m.end()) for m in _TERM_SPLIT.finditer(text)]
+def find_term(text: str, term: str) -> int:
+    """Offset of the first token of ``text`` equal to ``term``, or -1; an
+    empty term, or one that holds a delimiter, is no token.
+
+    One ``str.find`` pass: a hit is a token when no term character touches
+    it on either side.  (A regex per term would not do: the distinct terms
+    of an attack overflow the ``re`` module's pattern cache.)"""
+    if not _TERM_SPLIT.fullmatch(term):
+        return -1
+    end, match = len(term), _TERM_SPLIT.match
+    i = text.find(term)
+    while i >= 0:
+        if not (i and match(text, i - 1, i)) and not match(text, i + end, i + end + 1):
+            return i
+        i = text.find(term, i + 1)
+    return -1
 
 
 def hash_feature(canonical: str) -> str:
@@ -241,16 +254,6 @@ class PageTally:
         self.counts = PageCounts()
         self.changed: set[str] = set()
         self._url_fmap: FeatureValueMap | None = None
-
-    def copy(self) -> PageTally:
-        """An independent tally with the same contents."""
-        new = PageTally.__new__(PageTally)
-        new.url, new.base_domain = self.url, self.base_domain
-        new.features = self.features.copy()
-        new.counts = self.counts.copy()
-        new.changed = set(self.changed)
-        new._url_fmap = self._url_fmap
-        return new
 
     def _count(self, feature: str, sign: int) -> None:
         n = self.features[feature] + sign
@@ -407,11 +410,8 @@ def extract_url_features(url: str) -> set[Feature]:
     return features
 
 
-def extract_all_features(tree: DomTree,
-                         tally: PageTally | None = None) -> FeatureValueMap:
-    """Page features plus the URL features of the page's own URL; ``tally``
-    as for :func:`extract_page_features`."""
-    if tally is None:
-        tally = PageTally(tree.source_url)
+def extract_all_features(tree: DomTree) -> FeatureValueMap:
+    """Page features plus the URL features of the page's own URL."""
+    tally = PageTally(tree.source_url)
     extract_page_features(tree, tally)
     return tally.fmap()

@@ -11,19 +11,25 @@ Three node operations cover every feature-level edit:
   carrying feature-bearing attributes or text.
 
 A ``MutationPlan`` made with ``MutationPlan.on`` is a working page: its one
-copy of the page and of its feature tally (``features.PageTally``), and an
-undo journal.  ``push`` applies an op to both in place and records its
-inverse, so ``plan.tree`` is the mutated page and ``plan.fmap`` its feature
-map, with no walk over the page (a term split only trades the split term
-for its two fragments in the tally); ``undo(mark)`` reverts every op after the
-first ``mark``, last first.  An attack copies the page once and undoes the
+copy of the page, the feature tally (``features.PageTally``) folded from
+the page, and an undo journal.  ``push`` applies an op to both in place and
+records its inverse, so ``plan.tree`` is the mutated page and ``plan.fmap``
+its feature map, with no walk over the page: one walk down the op's path
+finds the node and whether its text is counted (not inside script or
+style), and a term split only trades the split term for its two fragments
+in the tally.  ``undo(mark)`` reverts every op after the first ``mark``,
+last first.  An attack copies and folds the page once and undoes the
 candidates it rejects instead of copying the page for each one.
 ``plan_delete_feature`` and ``plan_add_rule`` push the feature-level edits
 onto the plan they are given and never copy; one that fails undoes what it
-pushed, so a failed planner leaves the plan as it was.  ``apply`` replays a
-plan's ops onto a fresh copy, the reference for tests.  Node paths index
-children (an attribute is addressed by its element's path plus its name),
-so paths stay valid across attribute rewrites and appended additions.
+pushed, so a failed planner leaves the plan as it was.  A term split
+searches its node once for the term (``features.find_term``).  ``apply``
+replays a plan's ops onto a fresh copy, the reference for tests.  Node
+paths index children (an attribute is addressed by its element's path plus
+its name), so paths stay valid across attribute rewrites and appended
+additions.  ``load_pool`` accepts only element specs whose added element
+reads back unchanged from the HTML it is written as, so that what an
+attack scores is what it writes.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
@@ -45,12 +51,15 @@ from .classifier import (
 )
 from .dom import (
     ELEMENT,
+    RAWTEXT_TAGS,
     TEXT,
     DomNode,
     DomTree,
+    ParseError,
     attribute_keyed_rules,
-    in_raw_text,
-    node_at,
+    isomorphic,
+    parse_html,
+    serialize,
     visible_projection,
     walk_elements,
     walk_text_nodes,
@@ -63,8 +72,8 @@ from .features import (
     PageTally,
     extract_all_features,  # noqa: F401
     extract_page_features,
+    find_term,
     resolve_reference,
-    term_spans,
 )
 
 ZERO_WIDTH_SPACE = "\u200b"
@@ -150,15 +159,12 @@ class MutationPlan:
         default_factory=list, init=False, repr=False, compare=False)
 
     @classmethod
-    def on(cls, tree: DomTree, tally: PageTally | None = None) -> MutationPlan:
-        """An empty plan over a copy of ``tree`` and of ``tally``, the tally
-        of ``tree`` (folded from the page when not given); the inputs are
-        untouched."""
-        if tally is None:
-            tally = PageTally(tree.source_url)
-            extract_page_features(tree, tally)
-        else:
-            tally = tally.copy()
+    def on(cls, tree: DomTree) -> MutationPlan:
+        """An empty plan over a copy of ``tree`` and the tally folded from
+        it, the one whole-page extraction a working page needs (its feature
+        map is :attr:`fmap`); ``tree`` is untouched."""
+        tally = PageTally(tree.source_url)
+        extract_page_features(tree, tally)
         return cls(tree=tree.copy(), tally=tally)
 
     @property
@@ -237,22 +243,30 @@ def styles_for_attribute(tree: DomTree, tag: str, attr: str, value: str) -> dict
     return decls
 
 
-def _resolve(tree: DomTree, path: tuple[int, ...], node_type: str) -> DomNode:
-    """The node of ``node_type`` at ``path``; else :class:`PathError`."""
-    try:
-        node = node_at(tree, path)
-    except IndexError as exc:
-        raise PathError(str(exc)) from exc
+def _resolve(tree: DomTree, path: tuple[int, ...],
+             node_type: str) -> tuple[DomNode, bool]:
+    """The node of ``node_type`` at ``path``, the child indices down from
+    the root, and whether that node is, or lies inside, a script or style
+    element: text there is what ``walk_text_nodes`` skips, so the tally does
+    not count it.  One walk down the path finds both; a path that does not
+    resolve, or ends at a node of another type, raises :class:`PathError`."""
+    node = tree.root
+    raw = node.tag in RAWTEXT_TAGS
+    for index in path:
+        if index >= len(node.children):
+            raise PathError(f"path {path} does not resolve")
+        node = node.children[index]
+        raw = raw or node.tag in RAWTEXT_TAGS
     if node.node_type != node_type:
         raise PathError(f"no {node_type} node at path {path}")
-    return node
+    return node, raw
 
 
 def modify_attribute(tree: DomTree, path: tuple[int, ...], attr: str) -> NodeOp:
     """Plan the removal of ``attr`` on the element at ``path``, restoring the
     same attribute/value through the element's event handler and inlining
     stylesheet rules keyed on the attribute."""
-    el = _resolve(tree, path, ELEMENT)
+    el, _ = _resolve(tree, path, ELEMENT)
     value = el.get_attr(attr)
     if value is None:
         raise PathError(f"element at {path} has no attribute {attr!r}")
@@ -286,27 +300,25 @@ def modify_text(tree: DomTree, path: tuple[int, ...], term: str,
                 avoid_terms: set[str] | None = None) -> NodeOp:
     """Plan a zero-width split of ``term`` in the text node at ``path``.
 
-    The split lands at the term midpoint; when a resulting fragment is in
-    ``avoid_terms`` the split point shifts by one until both fragments are
-    clean, or the operation is abandoned.
+    The split goes into the first token equal to ``term``, found with one
+    search of the node (``features.find_term``); a term that is no token of
+    the node, an empty one or one holding a delimiter included, raises
+    :class:`TermNotFound`.  The split lands at the term midpoint; when a
+    resulting fragment is in ``avoid_terms`` the split point shifts by one
+    until both fragments are clean, or the operation is abandoned.
     """
-    node = _resolve(tree, path, TEXT)
-    span = next(((s, e) for t, s, e in term_spans(node.value) if t == term), None)
-    if span is None:
+    node, _ = _resolve(tree, path, TEXT)
+    start = find_term(node.value, term)
+    if start < 0:
         raise TermNotFound(f"{term!r} is not a token of the text node")
     n = len(term)
     if n < 2:
         raise UnsupportedMutation("single-character terms cannot be split")
     mid = (n + 1) // 2
-    candidates = list(range(mid, n)) + list(range(mid - 1, 0, -1))
     avoid = avoid_terms or set()
-    for cut in candidates:
-        if term[:cut] in avoid or term[cut:] in avoid:
-            continue
-        return NodeOp("modify_text", path, {
-            "term": term,
-            "offset": span[0] + cut,
-        })
+    for cut in [*range(mid, n), *range(mid - 1, 0, -1)]:
+        if term[:cut] not in avoid and term[cut:] not in avoid:
+            return NodeOp("modify_text", path, {"term": term, "offset": start + cut})
     raise UnsupportedMutation(
         f"every split of {term!r} collides with a known term feature")
 
@@ -332,13 +344,38 @@ def add_invisible_element(tree: DomTree, spec: ElementSpec) -> NodeOp:
 
 # -- applying ops -----------------------------------------------------------
 
+def _append_style(el: DomNode, style: str | None, decls: str) -> None:
+    """Set the style of ``el`` to ``style``, ended with a ``;`` when it is
+    not empty, followed by ``decls``."""
+    if style and not style.rstrip().endswith(";"):
+        style = style.rstrip() + ";"
+    el.set_attr("style", (style or "") + decls)
+
+
+def _invisible_element(tag: str, attrs: dict[str, str],
+                       text: str | None) -> DomNode:
+    """The element an addition appends: ``attrs`` with ``display:none``
+    ending its style, and ``text``, unless empty, as its one child."""
+    el = DomNode(ELEMENT, tag=tag)
+    for name, value in attrs.items():
+        if name != "style":
+            el.set_attr(name, value)
+    _append_style(el, attrs.get("style"), "display:none")
+    if text:
+        el.children.append(DomNode.text(text))
+    return el
+
+
 def _apply_in_place(tree: DomTree, op: NodeOp,
                     tally: PageTally) -> Callable[[], None]:
     """Apply ``op`` to ``tree`` and keep ``tally`` its tally: the changed
-    node's old contribution is removed and its new one added.  Returns the
-    op's inverse, which reverts both."""
+    node's old contribution is removed and its new one added.  The one walk
+    down the op's path also tells whether its text is counted: not in, or
+    inside, a script or style element, nor, for an addition, in a script or
+    style element it appends.  Returns the op's inverse, which reverts
+    both."""
     if op.kind == "modify_attribute":
-        el = _resolve(tree, op.target, ELEMENT)
+        el, _ = _resolve(tree, op.target, ELEMENT)
         attr = op.payload["attr"]
         if el.get_attr(attr) is None:
             raise PathError(f"attribute {attr!r} vanished at {op.target}")
@@ -347,10 +384,7 @@ def _apply_in_place(tree: DomTree, op: NodeOp,
         el.attrs = dict(old_attrs)
         el.remove_attr(attr)
         if op.payload["style"]:
-            existing = el.get_attr("style")
-            if existing and not existing.rstrip().endswith(";"):
-                existing = existing.rstrip() + ";"
-            el.set_attr("style", (existing or "") + op.payload["style"])
+            _append_style(el, el.get_attr("style"), op.payload["style"])
         event = op.payload["event"]
         handler = el.get_attr(event) or ""
         el.set_attr(event, handler + op.payload["assignment"])
@@ -361,39 +395,26 @@ def _apply_in_place(tree: DomTree, op: NodeOp,
             el.attrs = old_attrs
             tally.add_element(el)
     elif op.kind == "modify_text":
-        node = _resolve(tree, op.target, TEXT)
+        node, raw = _resolve(tree, op.target, TEXT)
         offset = op.payload["offset"]
         if offset > len(node.value):
             raise PathError(f"text target {op.target} no longer resolves")
-        counted = not in_raw_text(tree, op.target)
         old_value = node.value
         node.value = old_value[:offset] + ZERO_WIDTH_SPACE + old_value[offset:]
-        if counted:
+        if not raw:
             tally.split_text(old_value, offset)
 
         def inverse() -> None:
-            if counted:
+            if not raw:
                 tally.split_text(old_value, offset, -1)
             node.value = old_value
     elif op.kind == "add_invisible_element":
-        parent = _resolve(tree, op.target, ELEMENT)
-        el = DomNode(ELEMENT, tag=op.payload["tag"])
-        style = None
-        for name, value in op.payload["attrs"].items():
-            if name == "style":
-                style = value
-                continue
-            el.set_attr(name, value)
-        if style and not style.rstrip().endswith(";"):
-            style = style.rstrip() + ";"
-        el.set_attr("style", (style or "") + "display:none")
+        parent, raw = _resolve(tree, op.target, ELEMENT)
         text = op.payload["text"]
-        if text:
-            el.children.append(DomNode.text(text))
+        el = _invisible_element(op.payload["tag"], op.payload["attrs"], text)
         parent.children.append(el)
         tally.add_element(el)
-        counted = bool(text) and not in_raw_text(
-            tree, op.target + (len(parent.children) - 1, 0))
+        counted = bool(text) and not (raw or el.tag in RAWTEXT_TAGS)
         if counted:
             tally.add_text(text)
 
@@ -483,11 +504,12 @@ def plan_delete_feature(plan: MutationPlan, canonical: str,
             # break every token occurrence of the term, node by node; a split
             # leaves two shorter fragments, so it never recreates the term.
             # A token is a substring of its node: most nodes are skipped
-            # without tokenizing them
+            # without a search, and a node is done when modify_text no
+            # longer finds the term in it
             for path, node in walk_text_nodes(work):
-                while payload in node.value and any(
-                        t == payload for t, _, _ in term_spans(node.value)):
-                    push(modify_text(work, path, payload, avoid_terms))
+                with suppress(TermNotFound):
+                    while payload in node.value:
+                        push(modify_text(work, path, payload, avoid_terms))
         elif kind in (F.PAGE_HAS_TEXT_INPUTS, F.PAGE_HAS_PSWD_INPUTS):
             wanted = "text" if kind == F.PAGE_HAS_TEXT_INPUTS else "password"
             for path, el in list(walk_elements(work)):
@@ -695,10 +717,25 @@ def save_pool(pool, path) -> None:
             fh.write(json.dumps(spec.to_dict(), sort_keys=True) + "\n")
 
 
+def _reads_back(el: DomNode) -> bool:
+    """Whether ``el`` parses back from the HTML ``serialize`` writes for it
+    as the same element (the parser reads every element alike, bar the raw
+    text of script and style, so no body is needed around it)."""
+    page = DomTree(DomNode.element("html", children=[el]))
+    try:
+        return isomorphic(page.root, parse_html(serialize(page)).root)
+    except ParseError:
+        return False
+
+
 def load_pool(path) -> list[ElementSpec]:
     """Read a JSON-lines pool; a line that is not an element spec (a string
     ``tag``, string attribute values, a string or null ``text``) raises
-    :class:`SchemaError`."""
+    :class:`SchemaError`, as does a spec whose added element, written by
+    ``serialize`` and read back by ``parse_html``, is not the element the
+    attack scored: a tag or attribute name the parser rewrites (``SCRIPT``,
+    ``BODY``, an empty tag), script text holding ``</script>``, or text on
+    a void tag."""
     pool = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -715,5 +752,10 @@ def load_pool(path) -> list[ElementSpec]:
                     or not isinstance(spec.text, (str, type(None))):
                 raise SchemaError(f"pool line {clip(repr(line))} is not an element spec: "
                                   "tag, attribute values and text must be strings")
+            if not _reads_back(_invisible_element(spec.tag, dict(spec.attrs),
+                                                  spec.text)):
+                raise SchemaError(f"pool line {clip(repr(line))} is not an element spec: "
+                                  "its element does not read back unchanged from "
+                                  "the HTML an addition writes")
             pool.append(spec)
     return pool

@@ -13,6 +13,7 @@ from collections import Counter
 
 from phishevade.dom import walk_elements, walk_text_nodes
 from phishevade.features import (
+    _TERM_SPLIT,
     PageCounts,
     extract_url_features,
     registrable_domain,
@@ -33,6 +34,13 @@ _FREQUENCY_TALLIES = {
     "PageActionOtherDomainFreq": ("other_actions", "actions"),
     "PageImgOtherDomainFreq": ("other_imgs", "imgs"),
 }
+
+
+def find_term(text, term):
+    """Offset of the first token of ``text`` equal to ``term``, or -1: a
+    walk over every token."""
+    return next((m.start() for m in _TERM_SPLIT.finditer(text)
+                 if m.group() == term), -1)
 
 
 def _element_walk(tree):

@@ -30,7 +30,7 @@ from phishevade.classifier import (
     unsatisfied,
 )
 from phishevade.dom import serialize
-from phishevade.features import PageTally, extract_all_features
+from phishevade.features import PageTally, extract_all_features, extract_page_features
 from phishevade.mutation import (
     ElementSpec,
     FeatureAbsent,
@@ -448,7 +448,7 @@ def test_black_addition_phase_with_rollback(monkeypatch):
         return serialize(tree), dict(tally.features), tally.counts.copy()
 
     tally = PageTally(page.source_url)
-    extract_all_features(page, tally)
+    extract_page_features(page, tally)
     current = [state(page, tally)]
     rolled_back = []
     offer = _Run.offer

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 from unittest import mock
 
 import pytest
@@ -61,14 +62,22 @@ def test_config_file_round_trip(tmp_path):
     assert config.pelican_detect_threshold == 0.8
 
 
-@pytest.mark.parametrize("line", ["mystery=1", "model=x", "corpus=x"],
-                         ids=["mystery", "model", "corpus"])
-def test_config_rejects_unknown_key(tmp_path, line):
-    # the model and the corpus are only given as --model and --corpus
-    path = tmp_path / "bad.conf"
-    path.write_text(line + "\n")
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("line", ["mystery=1", "model=x", "corpus=x",
+                                  "budget=lots", "pelican.k=1.5", "tau=high"],
+                         ids=["mystery", "model", "corpus", "budget-not-an-integer",
+                              "pelican-k-not-an-integer", "tau-not-a-number"])
+def test_config_rejects_unknown_key(workdir, capsys, line):
+    # the model and the corpus are only given as --model and --corpus; an
+    # unknown key, or a value its key's type rejects, is named with its
+    # path, line and key
+    path = workdir["dir"] / "bad.conf"
+    path.write_text("# settings\n" + line + "\n")
+    key = line.partition("=")[0]
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*{re.escape(key)}"):
         load_config(path)
+    assert run(["score", workdir["seed"], "--model", workdir["model"],
+                "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
 
 
 def test_config_validates_ranges():
@@ -269,6 +278,25 @@ def test_attack_same_seed_is_byte_identical(workdir):
         assert code == 0
     for name in ["seed.black.report.json", "seed.black.final.html"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("level", ["white", "grey", "black"])
+def test_attack_writes_the_pinned_bytes(workdir, capsys, monkeypatch, level):
+    # the report, the final page and stdout of `attack --seed 42 --pool`;
+    # relative paths keep the report's seed_path independent of the
+    # temporary directory
+    monkeypatch.chdir(workdir["dir"])
+    code = run(["attack", "seed.html", "--model", "model.json",
+                "--level", level, "--pool", "pool.jsonl", "--seed", "42",
+                "--url", workdir["seed_url"], "--out", "out"])
+    assert code == 0
+    outputs = {f"seed.{level}.stdout": capsys.readouterr().out.encode()}
+    for name in [f"seed.{level}.report.json", f"seed.{level}.final.html"]:
+        outputs[name] = (workdir["dir"] / "out" / name).read_bytes()
+    pinned = fixture_path("attack_cli")
+    for name, data in outputs.items():
+        with open(os.path.join(pinned, name), "rb") as fh:
+            assert data == fh.read(), name
 
 
 def test_attack_exhausted_exits_4(tmp_path):
@@ -510,6 +538,13 @@ LONG_LINE = json.dumps(["x" * 99_996]) + "\n"
     ("store", {"entries": [{"signature": [], "timestamp": 10 ** 400}]}),
     ("pool", {"attrs": {}, "text": "x"}),
     ("pool", {"tag": "a", "attrs": {"href": 5}, "text": None}),
+    ("pool", {"tag": "SCRIPT", "text": "privacy"}),
+    ("pool", {"tag": "BODY"}),
+    ("pool", {"tag": "", "attrs": {"style": "x"}, "text": "privacy"}),
+    ("pool", {"tag": "script", "text": "a</script>privacy"}),
+    ("pool", {"tag": "img", "text": "privacy"}),
+    ("pool", {"tag": "div", "attrs": {"a b": "1"}}),
+    ("pool", {"tag": "![", "text": "privacy"}),
     ("report", {"steps": 5}),
     ("report", {"steps": [{"x": 1}]}),
     ("report", {"steps": [{"score": "x"}]}),
@@ -532,6 +567,9 @@ LONG_LINE = json.dumps(["x" * 99_996]) + "\n"
         "store-timestamp-a-boolean", "store-timestamp-nan",
         "store-timestamp-infinite", "store-timestamp-too-large-an-integer",
         "pool-line-without-tag", "pool-attribute-value-not-a-string",
+        "pool-tag-upper-case-script", "pool-tag-upper-case-body", "pool-tag-empty",
+        "pool-script-text-closing-the-script", "pool-text-on-a-void-tag",
+        "pool-attribute-name-with-a-space", "pool-tag-the-tokenizer-rejects",
         "report-steps-not-a-list", "report-step-without-score",
         "report-score-not-a-number", "report-counter-not-a-number",
         "report-score-infinite", "report-counter-a-boolean",
@@ -759,6 +797,7 @@ def test_gen_fixtures_unreachable_exits_4(tmp_path):
     ["--range=nan,0.7"], ["--range=0.5,nan"], ["--range=0.7,0.6"],
     ["--range=0.6,0.6"], ["--range=0.6,inf"], ["--range=-inf,0.6"],
     ["--range=0.6,0.7", "--count=0"], ["--range=0.6,0.7", "--count=-2"],
+    ["--range=0.1,0.2,0.3"], ["--range=0.6"], ["--range=low,high"], ["--range="],
 ])
 def test_gen_fixtures_malformed_range_or_count_exits_2(tmp_path, capsys, argv):
     """A range that is not two finite numbers LO < HI, or a count below 1,

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import phishevade
+from phishevade.mutation import load_pool
 
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "demos")
@@ -15,7 +16,8 @@ SCRIPTS = sorted(name for name in os.listdir(DEMOS) if name.endswith(".py"))
 def test_every_demo_runs(tmp_path):
     """Each script exits 0 in a fresh interpreter, in order, on a copy of
     ``demos/`` without its generated ``workbench/``; the attack demo prints
-    a section for each knowledge level."""
+    a section for each knowledge level; the walkthrough's addition pool
+    loads."""
     assert len(SCRIPTS) == 6
     demos = tmp_path / "demos"
     shutil.copytree(DEMOS, demos,
@@ -31,3 +33,5 @@ def test_every_demo_runs(tmp_path):
         if name.startswith("03_"):
             for level in ("white", "grey", "black"):
                 assert f"== {level}-box ==" in proc.stdout
+    pool = demos / "workbench" / "pool.jsonl"
+    assert len(load_pool(pool)) == len(pool.read_text().splitlines()) > 0

@@ -54,6 +54,14 @@ def test_parse_rejects_invalid_utf8():
         parse_html(b"<p>\xff\xfe</p>")
 
 
+@pytest.mark.parametrize("doc", ["<html><body><![ x</body></html>", '<![ style="a">'])
+def test_parse_rejects_a_declaration_the_tokenizer_gives_up_on(doc):
+    # html.parser raises AssertionError here, which reached the CLI as a
+    # traceback
+    with pytest.raises(ParseError):
+        parse_html(doc)
+
+
 def test_parse_is_tag_soup_tolerant():
     tree = parse_html("<html><body><div><p>one<p>two</div><b>x</body>")
     assert serialize(tree)  # no crash, tree well formed

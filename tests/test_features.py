@@ -13,12 +13,14 @@ from phishevade.features import (
     UrlError,
     extract_page_features,
     extract_url_features,
+    find_term,
     hash_feature,
     terms_of,
 )
 from phishevade.suffixes import split_host
 
 from conftest import build_page
+from features_oracle import find_term as oracle_find_term
 
 
 def page_counts(tree):
@@ -168,6 +170,39 @@ def test_zero_width_characters_split_terms():
     fmap = extract_page_features(page)
     assert "PageTerm=Hello" not in fmap
     assert fmap["PageTerm=Hell"] == 1.0 and fmap["PageTerm=o"] == 1.0
+
+
+TERM_PIECES = ["ab", "aba", "a", "b", " ", "\t", "\n", "\xa0",
+               "\u200b", "\u200c", "\u200d", "\ufeff"]
+SEARCHED_TERMS = ["", "a", "b", "ab", "ba", "aa", "aba", "abab", "baba", "a b",
+                  "a\u200bb", "a\xa0", " "]
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.lists(st.sampled_from(TERM_PIECES), max_size=12).map("".join),
+       term=st.sampled_from(SEARCHED_TERMS) | st.lists(
+           st.sampled_from(TERM_PIECES), max_size=3).map("".join))
+def test_find_term_is_the_first_equal_token(text, term):
+    """One delimiter-bounded search finds the first token of the text equal
+    to the term, as a walk over every token does; a term that is empty or
+    holds a delimiter is never found."""
+    assert find_term(text, term) == oracle_find_term(text, term)
+
+
+@pytest.mark.parametrize("text, term, offset", [
+    ("aaa aa", "aa", 4),                 # the first hit is inside a longer token
+    ("aa aaa aa", "aa", 0),
+    ("abab ab", "ab", 5),                # overlapping hits
+    ("ab\u200bab", "ab", 0),
+    ("xab\u200bab", "ab", 4),            # a zero-width character delimits
+    ("ab\xa0ab", "ab", 0),
+    ("a b", "a b", -1),                  # a term with a delimiter is no token
+    ("a\u200bb", "a\u200bb", -1),
+    ("ab", "", -1),
+    ("", "", -1),
+])
+def test_find_term_cases(text, term, offset):
+    assert find_term(text, term) == offset == oracle_find_term(text, term)
 
 
 def test_script_text_not_tokenized_as_terms():

@@ -1,3 +1,4 @@
+import json
 import time
 from contextlib import contextmanager
 from unittest import mock
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phishevade.classifier import ScoreOracle, raw_score, rule_hit, score
+from phishevade.classifier import SchemaError, ScoreOracle, raw_score, rule_hit, score
 from phishevade.dom import (
     ELEMENT,
     TEXT,
+    DomNode,
+    DomTree,
     isomorphic,
-    node_at,
     parse_html,
     serialize,
     walk_elements,
@@ -22,7 +24,6 @@ from phishevade.features import (
     extract_all_features,
     extract_page_features,
     hash_feature,
-    term_spans,
     terms_of,
 )
 from phishevade.mutation import (
@@ -35,6 +36,7 @@ from phishevade.mutation import (
     TermNotFound,
     UnsupportedMutation,
     UrlFeatureUnaddable,
+    _resolve,
     add_invisible_element,
     apply,
     apply_op,
@@ -471,7 +473,7 @@ def _reextract_term_ops(tree, term, avoid_terms):
     work, ops = tree.copy(), []
     while f"PageTerm={term}" in extract_page_features(work):
         for path, node in walk_text_nodes(work):
-            if any(t == term for t, _, _ in term_spans(node.value)):
+            if term in terms_of(node.value):
                 ops.append(modify_text(work, path, term, avoid_terms))
                 work = apply_op(work, ops[-1])
                 break
@@ -572,9 +574,8 @@ def test_plan_fmap_is_the_extraction_of_its_tree_after_every_push(
     equal to the reference extraction of ``plan.tree``; pages with and
     without a body."""
     tree = parse_html(("<html><body>" if body else "") + "".join(pieces), url)
-    tally = PageTally(url)
-    assert extract_all_features(tree, tally) == oracle_extract_all_features(tree)
-    plan = MutationPlan.on(tree, tally)
+    assert extract_all_features(tree) == oracle_extract_all_features(tree)
+    plan = MutationPlan.on(tree)
     draw = data.draw
     avoid = draw(st.sets(st.sampled_from(["lo", "gin", "ver", "ify"])))
     with checked_pushes():
@@ -738,11 +739,11 @@ def test_a_term_split_trades_the_spanning_term_for_its_fragments(text, tag, data
     page = parse_html(f"<html><body><p>ab login</p><{tag}>{text}</{tag}>"
                       f"<p>{text}</p></body></html>", "http://seed.test/page")
     plan = MutationPlan.on(page)
-    nodes = [path for path, node in _text_nodes(plan.tree) if node.value.strip("\n")]
+    nodes = {path: node for path, node in _text_nodes(plan.tree)
+             if node.value.strip("\n")}
     for _ in range(data.draw(st.integers(1, 6), label="splits")):
-        path = data.draw(st.sampled_from(nodes), label="node")
-        offset = data.draw(st.integers(0, len(node_at(plan.tree, path).value)),
-                           label="offset")
+        path = data.draw(st.sampled_from(sorted(nodes)), label="node")
+        offset = data.draw(st.integers(0, len(nodes[path].value)), label="offset")
         before = set(plan.tally.features)
         plan.push(NodeOp("modify_text", path, {"term": "", "offset": offset}))
         _assert_tally_is_the_fold(plan, before)
@@ -773,6 +774,56 @@ def test_term_split_cases(text, tag, offset, terms):
     _assert_tally_is_the_fold(plan)
     plan.undo(0)
     assert dict(plan.tally.features) == before
+
+
+def _element(tag, children):
+    return DomNode.element(tag, children=children)
+
+
+# Hand-built trees that nest script and style in each other and in body.
+NESTED_TAGS = st.sampled_from(["div", "body", "script", "style", "p"])
+NESTED_TREES = st.builds(_element, NESTED_TAGS, st.lists(st.recursive(
+    st.sampled_from(["login", "bank now"]).map(DomNode.text),
+    lambda children: st.builds(_element, NESTED_TAGS, st.lists(children, max_size=3)),
+    max_leaves=10), max_size=3))
+
+
+def _raw_flags(root):
+    """``(path, node, raw)`` for every node, ``raw`` telling whether the node
+    or one of its ancestors is a script or style element."""
+    out = []
+
+    def visit(node, path, raw):
+        raw = raw or node.tag in ("script", "style")
+        out.append((path, node, raw))
+        for i, child in enumerate(node.children):
+            visit(child, path + (i,), raw)
+
+    visit(root, (), False)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(root=NESTED_TREES)
+def test_resolve_tells_raw_text_like_an_ancestor_walk(root):
+    """One walk down a path finds the node and whether it is in, or inside,
+    a script or style element; a path that does not resolve, or ends at a
+    node of the other type, raises ``PathError``.  Additions under a body
+    nested in script or style, and script or style additions, leave the
+    tally the reference fold."""
+    tree = DomTree(root, "http://seed.test/")
+    for path, node, raw in _raw_flags(root):
+        found, found_raw = _resolve(tree, path, node.node_type)
+        assert found is node and found_raw == raw, path
+        with pytest.raises(PathError):
+            _resolve(tree, path + (len(node.children),), ELEMENT)
+        with pytest.raises(PathError):
+            _resolve(tree, path, TEXT if node.node_type == ELEMENT else ELEMENT)
+    plan = MutationPlan.on(tree)
+    for spec in [ElementSpec("div", (), "login help"), ElementSpec("script", (), "verify"),
+                 ElementSpec("style", (), "bank")]:
+        plan.push(add_invisible_element(plan.tree, spec))
+        assert dict(plan.tally.features) == dict(feature_counts(plan.tree))
 
 
 SCORED_FEATURES = RULE_FEATURES + [
@@ -839,7 +890,9 @@ def test_the_tally_score_is_the_full_score_after_every_push_and_undo(
                 plan_add_rule(plan, draw(st.sets(st.sampled_from(RULE_FEATURES),
                                                  min_size=1, max_size=3)), t)
             else:
-                read(plan.tally.copy())
+                other = PageTally(plan.tree.source_url)
+                extract_page_features(plan.tree, other)
+                read(other)
         except _PLAN_FAILURES:
             pass
         read(plan.tally)
@@ -975,6 +1028,35 @@ def test_harvest_pool_and_round_trip(tmp_path, legit_pages):
     path = tmp_path / "pool.jsonl"
     save_pool(pool, path)
     assert load_pool(path) == pool
+
+
+@settings(max_examples=300, deadline=None)
+@given(tag=st.sampled_from(["div", "p", "a", "img", "input", "script", "style",
+                            "SCRIPT", "Div", "BODY", "", "![", "a b"]),
+       attrs=st.dictionaries(
+           st.sampled_from(["href", "HREF", "type", "style", "a b", "", "x=y"]),
+           st.sampled_from(["/x", "http://a.example.com/", "text", 'a"b']), max_size=2),
+       text=st.none() | st.sampled_from(["login", "privacy help", " ", "x<y&z",
+                                         "a</script>b", "a</style>b", "</div>bank"]),
+       suite=st.sampled_from(range(len(SUITE_PAGES))))
+def test_a_loaded_pool_spec_is_scored_as_it_is_written(
+        tmp_path_factory, tag, attrs, text, suite):
+    """An element spec that ``load_pool`` accepts, added to a page, gives the
+    feature map that the HTML written for the page gives when read back."""
+    path = tmp_path_factory.getbasetemp() / "pool-spec.jsonl"
+    path.write_text(json.dumps({"tag": tag, "attrs": attrs, "text": text}) + "\n")
+    try:
+        spec, = load_pool(path)
+    except SchemaError:
+        return
+    page = SUITE_PAGES[suite]
+    plan = MutationPlan.on(page)
+    try:
+        plan.push(add_invisible_element(plan.tree, spec))
+    except UnsupportedMutation:
+        return
+    written = parse_html(serialize(plan.tree), page.source_url)
+    assert oracle_extract_all_features(written) == plan.fmap
 
 
 def test_pool_specs_add_invisibly(legit_pages, paypal_page):
