@@ -35,14 +35,17 @@ grey) or, for black, which has no model, of the oracle's classifier.
 position, so its keys are the counted rules the kept page hits: grey reads
 its deletion candidates and the rules it need not add from it.
 
-Influence values are exact score differences, so accepted white-box steps
-are the one-step-lookahead optimum.  They read only the rules that
-``Classifier.rules_by_feature`` files under the features involved.
+A rule is evaluated the one way the classifier scores it: the counted
+products are the classifier's ``hit_table`` without the zero-weight rules,
+and an influence adds ``hit_contribution``, the rule's weight times its
+``gated_product``.  Influence values are exact score differences, so
+accepted white-box steps are the one-step-lookahead optimum.  They read
+only the rules that ``Classifier.rules_by_feature`` files under the
+features involved.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -54,6 +57,7 @@ from .classifier import (
     Classifier,
     ScoreOracle,
     hit_contribution,
+    hit_table,
     prepare_map,
     unsatisfied,
 )
@@ -206,20 +210,13 @@ def influence_rule(classifier: Classifier, fmap: FeatureValueMap,
 # -- the shared attack skeleton ---------------------------------------------------
 
 def _rule_products(clf: Classifier, fmap: FeatureValueMap) -> dict[int, float]:
-    """Gated value product per non-zero-weight rule of ``clf``, keyed by its
-    position in ``clf.rules``: the product of its feature values when every
-    feature is satisfied, else 0.  A rule counts as mutated when this
-    changes, covering both hit flips and frequency-value drift.  Only rules
-    filed under a feature of ``fmap`` can be satisfied; the others are left
-    out, their product being 0."""
-    fmap = prepare_map(clf, fmap)
-    rules, t = clf.rules, clf.freq_detect_threshold
-    out = {}
-    for i in {i for feat in fmap for i in clf.rules_by_feature.get(feat, ())}:
-        rule = rules[i]
-        if rule.weight != 0.0 and not unsatisfied(rule.features, fmap, t):
-            out[i] = math.prod(fmap[feat] for feat in rule.features)
-    return out
+    """Gated value product per non-zero-weight rule of ``clf`` hit on
+    ``fmap``, keyed by its position in ``clf.rules``: ``hit_table`` without
+    the zero-weight rules.  A rule counts as mutated when its product
+    changes, an unhit one's being 0, covering both hit flips and
+    frequency-value drift."""
+    table = hit_table(clf, prepare_map(clf, fmap))
+    return {i: p for i, p in table.items() if clf.rules[i].weight != 0.0}
 
 
 class _Run:

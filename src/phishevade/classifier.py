@@ -11,12 +11,17 @@ reaches the threshold.
 Models may carry hashed feature names (64-hex SHA-256 digests); extraction
 output is then hashed before hit testing.
 
-``score`` evaluates every rule on a feature map.  An attack instead scores
-its working page through ``ScoreOracle.score_tally``: a score state bound to
-the page's ``PageTally`` re-evaluates, on each query, only the rules that
-``Classifier.rules_by_feature`` files under the features the tally's edits
-changed, and adds the hit rules' contributions in rule order, so its score
-is bit for bit the one ``score`` gives on the tally's feature map.
+A rule is evaluated in one place, ``gated_product``: the product of its
+feature values taken in sorted feature order (``rule.order``), or None when
+a feature is unmet, so no score depends on the hash seed.  ``hit_table``
+collects the gated products of the rules hit on a feature map, reading only
+the rules that ``Classifier.rules_by_feature`` files under its keys, and
+``_raw`` adds ``weight * product`` to the bias in rule order.  ``score``
+builds the table of a feature map.  An attack instead scores its working
+page through ``ScoreOracle.score_tally``: a score state bound to the page's
+``PageTally`` keeps the table and re-evaluates, on each query, only the
+rules filed under the features the tally's edits changed, so its score is
+bit for bit the one ``score`` gives on the tally's feature map.
 """
 
 from __future__ import annotations
@@ -87,10 +92,13 @@ class ClassificationRule:
     id: str
     features: frozenset[str]
     weight: float
+    # the features in sorted order, the order a rule's values are multiplied in
+    order: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.features:
             raise ValueError(f"rule {self.id!r} has no features")
+        object.__setattr__(self, "order", tuple(sorted(self.features)))
 
 
 @dataclass(frozen=True)
@@ -176,12 +184,12 @@ def prepare_map(classifier: Classifier, fmap: FeatureValueMap) -> FeatureValueMa
     return {hash_feature(k): v for k, v in fmap.items()}
 
 
-def hit_contribution(rule: ClassificationRule, fmap: FeatureValueMap,
-                     freq_detect_threshold: float) -> float | None:
-    """The rule's weight times its feature values, in feature order, when
-    the rule is hit on ``fmap``, else None."""
-    product = rule.weight
-    for feat in rule.features:
+def gated_product(rule: ClassificationRule, fmap: FeatureValueMap,
+                  freq_detect_threshold: float) -> float | None:
+    """The product of the rule's feature values on ``fmap``, in
+    ``rule.order``, when the rule is hit, else None."""
+    product = 1.0
+    for feat in rule.order:
         value = fmap.get(feat, 0.0)
         if _unmet(feat, value, freq_detect_threshold):
             return None
@@ -189,15 +197,39 @@ def hit_contribution(rule: ClassificationRule, fmap: FeatureValueMap,
     return product
 
 
-def raw_score(classifier: Classifier, fmap: FeatureValueMap) -> float:
-    fmap = prepare_map(classifier, fmap)
+def hit_contribution(rule: ClassificationRule, fmap: FeatureValueMap,
+                     freq_detect_threshold: float) -> float | None:
+    """The rule's weight times its gated product when the rule is hit on
+    ``fmap``, else None."""
+    product = gated_product(rule, fmap, freq_detect_threshold)
+    return None if product is None else rule.weight * product
+
+
+def hit_table(classifier: Classifier, fmap: FeatureValueMap) -> dict[int, float]:
+    """Rule index -> gated product of each rule hit on ``fmap``, a map with
+    the classifier's keys (digests for a hashed model).  A rule with no
+    feature on the map is not hit, so only the rules that
+    ``rules_by_feature`` files under a key of ``fmap`` are evaluated."""
+    rules, index = classifier.rules, classifier.rules_by_feature
     t = classifier.freq_detect_threshold
-    x = classifier.bias
-    for rule in classifier.rules:
-        contribution = hit_contribution(rule, fmap, t)
-        if contribution is not None:
-            x += contribution
+    table = {}
+    for i in {i for feat in fmap for i in index.get(feat, ())}:
+        product = gated_product(rules[i], fmap, t)
+        if product is not None:
+            table[i] = product
+    return table
+
+
+def _raw(classifier: Classifier, table: dict[int, float]) -> float:
+    """``bias + weight * product`` over a hit table, added in rule order."""
+    rules, x = classifier.rules, classifier.bias
+    for i in sorted(table):
+        x += rules[i].weight * table[i]
     return x
+
+
+def raw_score(classifier: Classifier, fmap: FeatureValueMap) -> float:
+    return _raw(classifier, hit_table(classifier, prepare_map(classifier, fmap)))
 
 
 def score(classifier: Classifier, fmap: FeatureValueMap) -> float:
@@ -214,26 +246,22 @@ def partition_rules(classifier: Classifier) -> tuple[list[ClassificationRule],
 
 def find_subset_rules(classifier: Classifier) -> set[tuple[str, str]]:
     """Ordered pairs ``(r, r')`` of rule ids with ``features(r') subset-of
-    features(r)`` and ``r != r'``."""
+    features(r)`` and ``r != r'``: the rules ``r`` are those filed under
+    every feature of ``r'``."""
+    rules, index = classifier.rules, classifier.rules_by_feature
     pairs = set()
-    for r in classifier.rules:
-        for r2 in classifier.rules:
-            if r.id != r2.id and r2.features <= r.features:
-                pairs.add((r.id, r2.id))
+    for j, sub in enumerate(rules):
+        supersets = set.intersection(*(set(index[f]) for f in sub.features))
+        pairs.update((rules[i].id, sub.id) for i in supersets - {j})
     return pairs
 
 
 def find_single_rules(classifier: Classifier) -> set[str]:
-    """Rules whose every feature appears in no other rule."""
-    singles = set()
-    for r in classifier.rules:
-        others = set()
-        for r2 in classifier.rules:
-            if r2.id != r.id:
-                others |= r2.features
-        if not (r.features & others):
-            singles.add(r.id)
-    return singles
+    """Rules whose every feature appears in no other rule: each files
+    exactly one rule."""
+    index = classifier.rules_by_feature
+    return {r.id for r in classifier.rules
+            if all(len(index[f]) == 1 for f in r.features)}
 
 
 def prune(classifier: Classifier, rule_ids) -> Classifier:
@@ -261,38 +289,26 @@ class _TallyScore:
     kept up to date from what the tally's edits changed.
 
     ``_values`` is the tally's feature map with the classifier's keys
-    (digests for a hashed model, each name hashed once) and ``_hits`` the
-    contribution of each hit rule by rule index.  A read re-evaluates the
-    rules filed under the tally's ``changed`` features and, when its
-    counts moved, under the ``COUNT_KINDS`` whose value changed."""
+    (digests for a hashed model, each name hashed once) and ``_hits`` its
+    ``hit_table``.  A read re-evaluates the rules filed under the tally's
+    ``changed`` features and, when its counts moved, under the
+    ``COUNT_KINDS`` whose value changed."""
 
     def __init__(self, classifier: Classifier, tally: PageTally):
         self.classifier, self.tally = classifier, tally
-        self._index = index = classifier.rules_by_feature
         self._digests = _Digests() if classifier.hashed else None
         tally.changed.clear()
         self._counts = tally.counts.copy()
         self._values = {self._key(name): value
                         for name, value in tally.fmap().items()}
-        self._hits: dict[int, float] = {}
-        # a rule none of whose features is on the page is not hit
-        self._evaluate({i for key in self._values for i in index.get(key, ())})
+        self._hits = hit_table(classifier, self._values)
 
     def _key(self, name: str) -> str:
         return name if self._digests is None else self._digests[name]
 
-    def _evaluate(self, dirty) -> None:
-        rules, values, hits = self.classifier.rules, self._values, self._hits
-        t = self.classifier.freq_detect_threshold
-        for i in dirty:
-            contribution = hit_contribution(rules[i], values, t)
-            if contribution is None:
-                hits.pop(i, None)
-            else:
-                hits[i] = contribution
-
     def raw(self) -> float:
-        tally, values, index = self.tally, self._values, self._index
+        clf, tally, values, hits = self.classifier, self.tally, self._values, self._hits
+        index = clf.rules_by_feature
         dirty: set[int] = set()
         if tally.counts != self._counts:
             self._counts = tally.counts.copy()
@@ -314,12 +330,13 @@ class _TallyScore:
                 values.pop(key, None)
             dirty.update(index.get(key, ()))
         tally.changed.clear()
-        self._evaluate(dirty)
-        hits = self._hits
-        x = self.classifier.bias
-        for i in sorted(hits):      # raw_score's additions, in its order
-            x += hits[i]
-        return x
+        for i in dirty:
+            product = gated_product(clf.rules[i], values, clf.freq_detect_threshold)
+            if product is None:
+                hits.pop(i, None)
+            else:
+                hits[i] = product
+        return _raw(clf, hits)
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Command-line surface: scoring, attacks, defense, inference, pruning,
 fixture generation and report tables.
 
-Exit codes: 0 success, 2 IO/schema problem (also white- or grey-box
-knowledge that is still hashed), 3 precondition failure (the input page is
-not detected as phishing), 4 attack/search exhausted.
+Exit codes: 0 success, 2 IO/schema problem (also a hashed model given to a
+white- or grey-box attack or to fixture generation), 3 precondition failure
+(the input page is not detected as phishing), 4 attack/search exhausted.
 
 Every command is deterministic given its config and RNG seed; wall-clock
 timings are only written when ``--timing`` is passed, so repeated runs
@@ -191,15 +191,21 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
+def _require_feature_names(model: Classifier, what: str, instead: str = "") -> None:
+    """Raise ``ValueError`` naming ``what`` when ``model`` is hashed: the
+    mutation planners read feature names, and a digest names none."""
+    if model.hashed:
+        raise ValueError(
+            f"{what} is hashed: the model's features are SHA-256 digests; "
+            f"recover their names with `phishevade infer` first{instead}")
+
+
 def cmd_attack(args) -> int:
     config = _config_from_args(args)
     model = _load_model_with_overrides(args.model, config)
-    if model.hashed and args.level != attacks.BLACK:
-        # white and grey plan from feature names, and a digest names none
-        raise ValueError(
-            f"{args.level}-box knowledge is hashed: the model's features are "
-            "SHA-256 digests; recover their names with `phishevade infer` "
-            "first, or attack with --level black")
+    if args.level != attacks.BLACK:
+        _require_feature_names(model, f"{args.level}-box knowledge",
+                               ", or attack with --level black")
     page = load_page(args.page, args.url or _default_url(args.page))
     oracle = ScoreOracle(model)
     initial = score(model, extract_all_features(page))
@@ -338,6 +344,7 @@ def generate_fixture_pages(corpus: Corpus, model: Classifier, lo: float,
                 break
 
         fmap, deleted = plan.fmap, len(plan.ops)
+        oracle = ScoreOracle(model)     # scores the plan's tally edit by edit
         candidates = sorted(
             f for f in model_features
             if (feature := Feature.parse(f)) is not None
@@ -346,7 +353,7 @@ def generate_fixture_pages(corpus: Corpus, model: Classifier, lo: float,
         for combo in chain.from_iterable(combinations(candidates, size)
                                          for size in range(len(candidates) + 1)):
             plan_add_rule(plan, combo, t)
-            value = score(model, plan.fmap)
+            value = oracle.score_tally(plan.tally)
             if lo <= value < hi:
                 out.append((base.url, plan.tree, value))
                 break
@@ -370,6 +377,7 @@ def cmd_gen_fixtures(args) -> int:
         raise ValueError(f"--count must be at least 1, not {args.count}")
     config = _config_from_args(args)
     model = _load_model_with_overrides(args.model, config)
+    _require_feature_names(model, "gen-fixtures knowledge")
     corpus = load_corpus(args.corpus)
     pages = generate_fixture_pages(corpus, model, lo, hi, args.count,
                                    args.action_url)

@@ -476,14 +476,16 @@ def test_c11_cli_determinism(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     outputs = []
-    for run_dir in ("one", "two"):
+    # the two runs differ in hash seed too, so no output may depend on it
+    for run_dir, hash_seed in (("one", "0"), ("two", "1")):
         out = tmp_path / run_dir
         proc = subprocess.run(
             [sys.executable, "-m", "phishevade", "attack", str(seed_path),
              "--model", str(model_path), "--level", "black",
              "--pool", str(pool_path), "--seed", "42",
              "--url", seed.source_url, "--out", str(out)],
-            capture_output=True, text=True, timeout=120, env=env)
+            capture_output=True, text=True, timeout=120,
+            env={**env, "PYTHONHASHSEED": hash_seed})
         assert proc.returncode == 0, proc.stderr
         outputs.append((
             (out / "seed.black.report.json").read_bytes(),

@@ -142,11 +142,12 @@ def test_influence_matches_brute_force_on_random_fixtures():
 
 
 def rule_contribution(r, fmap):
-    """The rule's weight times its feature values, hit or not."""
-    product = r.weight
-    for feat in r.features:
+    """The rule's weight times its feature values in sorted feature order,
+    hit or not."""
+    product = 1.0
+    for feat in sorted(r.features):
         product *= fmap.get(feat, 0.0)
-    return product
+    return r.weight * product
 
 
 def full_scan_influence_feature(clf, fmap, feat):

@@ -25,8 +25,10 @@ from phishevade.classifier import (
     score,
     unsatisfied,
 )
+from phishevade.attacks import _rule_products
 from phishevade.features import extract_all_features, hash_feature
 
+import classifier_oracle as reference
 from conftest import build_page, make_classifier, rule
 
 
@@ -106,10 +108,10 @@ def _brute_force_raw(clf, fmap):
                            and fmap.get(f, 0.0) < clf.freq_detect_threshold)
                   for f in r.features)
         if hit:
-            product = r.weight
-            for f in r.features:
+            product = 1.0
+            for f in sorted(r.features):
                 product *= fmap[f]
-            total += product
+            total += r.weight * product
     return total
 
 
@@ -136,6 +138,59 @@ def test_raw_score_matches_brute_force_summation():
         clf, fmap = _random_fixture(rng)
         assert raw_score(clf, fmap) == pytest.approx(
             _brute_force_raw(clf, fmap), abs=1e-12)
+
+
+# weights with four decimals, as in a trained model, and frequency values
+# that are ratios of link, action or image counts, as on a page
+WEIGHTS = st.one_of(st.just(0.0), st.integers(-50_000, 50_000).map(lambda n: n / 1e4))
+RATIOS = st.builds(lambda k, m: k / (k + m), st.integers(1, 40), st.integers(0, 40))
+
+
+@st.composite
+def models_and_maps(draw):
+    """A plain or hashed model of up to 12 rules, some of weight zero: each
+    over the predicate and frequency features, or over two to four
+    frequency features, whose product then depends on the order its values
+    are multiplied in.  The feature map values each frequency feature as a
+    count ratio or leaves it out."""
+    hashed = draw(st.booleans())
+    key = hash_feature if hashed else str
+    features = st.one_of(
+        st.lists(st.sampled_from(PREDICATE_NAMES), min_size=1, max_size=4, unique=True),
+        st.lists(st.sampled_from(sorted(FREQUENCY_NAMES)), min_size=2, max_size=4,
+                 unique=True))
+    rules = [rule(f"r{i:02d}", {key(name) for name in draw(features)}, draw(WEIGHTS))
+             for i in range(draw(st.integers(0, 12)))]
+    clf = make_classifier(rules, bias=draw(WEIGHTS), hashed=hashed,
+                          freq_detect_threshold=draw(st.floats(0.01, 0.5)))
+    fmap = {}
+    for name in PREDICATE_NAMES:
+        value = draw(st.one_of(st.none(), RATIOS) if name in FREQUENCY_NAMES
+                     else st.sampled_from([None, 1.0]))
+        if value is not None:
+            fmap[name] = value
+    return clf, fmap
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=models_and_maps())
+def test_one_evaluation_is_the_all_rules_reference_bit_for_bit(case):
+    """Scores and the attacks' counted products, read through the rule
+    index, equal a scan over every rule bit for bit, and the rule analyses
+    read from the index give the pairwise scans' sets."""
+    clf, fmap = case
+    assert raw_score(clf, fmap).hex() == reference.raw_score(clf, fmap).hex()
+    assert {i: p.hex() for i, p in _rule_products(clf, fmap).items()} == \
+        {i: p.hex() for i, p in reference.rule_products(clf, fmap).items()}
+    assert find_subset_rules(clf) == reference.find_subset_rules(clf)
+    assert find_single_rules(clf) == reference.find_single_rules(clf)
+
+
+def test_rule_order_is_its_sorted_features_and_not_compared():
+    a = rule("r", {"PageTerm=b", "PageHasForms", "PageTerm=a"}, 1.0)
+    assert a.order == ("PageHasForms", "PageTerm=a", "PageTerm=b")
+    assert a == rule("r", {"PageTerm=a", "PageTerm=b", "PageHasForms"}, 1.0)
+    assert prune(make_classifier([a]), ["r"]).rules[0].order == a.order
 
 
 def test_score_threshold_decision():
@@ -185,12 +240,7 @@ def test_find_subset_rules_matches_pairwise_oracle():
     rules = [rule(f"r{i}", rng.sample(feats, rng.randrange(1, 5)), 1.0)
              for i in range(10)]
     clf = make_classifier(rules)
-    expected = set()
-    for a in rules:
-        for b in rules:
-            if a.id != b.id and b.features <= a.features:
-                expected.add((a.id, b.id))
-    assert find_subset_rules(clf) == expected
+    assert find_subset_rules(clf) == reference.find_subset_rules(clf)
 
 
 def test_find_single_rules():

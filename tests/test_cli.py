@@ -132,10 +132,10 @@ def test_score_page_with_malformed_references_exits_0(workdir, capsys):
     assert capsys.readouterr().out.split()[1] in ("PHISH", "BENIGN")
 
 
-def _hashed_twin(workdir) -> str:
-    """Save the workdir model with every feature name replaced by its
-    digest; returns the path."""
-    plain = load_model(workdir["model"])
+def _hashed_twin(workdir, plain_path=None) -> str:
+    """Save the workdir model, or the one at ``plain_path``, with every
+    feature name replaced by its digest; returns the path."""
+    plain = load_model(plain_path or workdir["model"])
     hashed_rules = [ClassificationRule(
         r.id, frozenset(hash_feature(f) for f in r.features), r.weight)
         for r in plain.rules]
@@ -258,6 +258,40 @@ def test_black_attack_on_a_hashed_model_still_runs(workdir):
                 "--level", "black", "--pool", workdir["pool"],
                 "--url", workdir["seed_url"], "--out", str(out)]) == 0
     assert json.loads((out / "seed.black.report.json").read_text())["success"]
+
+
+def test_attack_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """A rule over three frequency features whose values differ from 1
+    scores the same under any hash seed: its values are multiplied in
+    sorted feature order, not in the order its feature set iterates."""
+    import subprocess
+    import sys
+
+    import phishevade
+    model_path = tmp_path / "model.json"
+    save_model(make_classifier([rule("r", {
+        "PageExternalLinksFreq", "PageSecureLinksFreq", "PageImgOtherDomainFreq"},
+        9.3058)]), model_path)
+    seed_path = tmp_path / "seed.html"
+    seed_path.write_text(build_page_html(       # 3/7 links external and https
+        secure_links=3, internal_links=4,       # 1/3 images on another domain
+        imgs=["/a.png", "/b.png", "http://elsewhere.example.com/c.png"]))
+    package_root = os.path.dirname(os.path.dirname(phishevade.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "phishevade", "attack", str(seed_path),
+             "--model", str(model_path), "--level", "black",
+             "--url", "http://seed.test/login", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**env, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode in (0, 4), proc.stderr
+        outputs.append(((out / "seed.black.report.json").read_bytes(),
+                        (out / "seed.black.final.html").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_attack_on_benign_page_exits_3(workdir, tmp_path):
@@ -791,6 +825,26 @@ def test_gen_fixtures_unreachable_exits_4(tmp_path):
     assert run(["gen-fixtures", "--corpus", str(corpus_path),
                 "--model", str(model_path), "--range", "0.98,0.99",
                 "--count", "1", "--out", str(tmp_path / "none")]) == 4
+
+
+def test_gen_fixtures_on_a_hashed_model_exits_2_and_names_infer(workdir, capsys):
+    """The fixture planners read feature names, so the SHA-256 twin of the
+    workbench model is refused before the corpus is read, as white and grey
+    attacks refuse it, and nothing is written."""
+    corpus_path = workdir["dir"] / "legit.jsonl"
+    _legit_corpus_manifest(corpus_path)
+    out = workdir["dir"] / "gen"
+    workbench_model = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "demos", "workbench", "model.json")
+    twin = _hashed_twin(workdir, workbench_model)
+    with mock.patch("phishevade.cli.load_corpus") as load:
+        assert run(["gen-fixtures", "--corpus", str(corpus_path),
+                    "--model", twin, "--range", "0.6,0.7",
+                    "--count", "3", "--out", str(out)]) == 2
+    assert not load.called
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "hashed" in err and "infer" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -904,13 +904,13 @@ def test_a_push_that_touches_no_indexed_feature_evaluates_no_rule(monkeypatch):
     moved."""
     from phishevade import classifier as C
     evaluated = []
-    hit_contribution = C.hit_contribution
+    gated_product = C.gated_product
 
     def counting(rule_, fmap, t):
         evaluated.append(rule_.id)
-        return hit_contribution(rule_, fmap, t)
+        return gated_product(rule_, fmap, t)
 
-    monkeypatch.setattr(C, "hit_contribution", counting)
+    monkeypatch.setattr(C, "gated_product", counting)
     clf = make_classifier([
         rule("p1", {"PageTerm=signin"}, 0.9),
         rule("p2", {"PageExternalLinksFreq", "PageHasForms"}, 0.4),
