@@ -15,33 +15,38 @@ below the threshold, differing in what they know about the classifier:
   a time, then randomly adds harvested invisible elements in batches.
 
 The three share one skeleton, ``_Run``: it holds one ``MutationPlan``, the
-attack's only copy of the page with its feature tally, plus the feature map
-and queried score of the kept ops, and each attack only pushes candidate
-ops onto that plan (directly or through the planners) and offers them.  The
-candidate is every op pushed since the last offer.  It is scored once, by
+attack's only copy of the page with its feature tally, plus the queried
+score of the kept ops, and each attack only pushes candidate ops onto that
+plan (directly or through the planners) and offers them.  The candidate is
+every op pushed since the last offer.  It is scored once, by
 ``ScoreOracle.score_tally`` on the plan's tally, which re-evaluates only the
 rules filed under the features the candidate's ops changed: the page is
 extracted in full only once per attack, when ``MutationPlan.on`` folds it
-at the start, and a candidate's feature map, ``plan.fmap``, is built only
-when the candidate is kept.  The white attack keeps every candidate, grey
-and black keep one only when its score drops, and a rejected candidate is
-undone in place (a dropped black batch is the rollback), so ``plan.ops``
-holds exactly the kept ops.  Each
-kept candidate appends a trajectory step and adds to ``mutated_rules`` the
-counted rules whose gated value product changed: the non-zero-weight
-rules of ``knowledge.model`` (the classifier for white, the known rules for
-grey) or, for black, which has no model, of the oracle's classifier.
-``run.hits`` holds those products for the kept page, keyed by rule
-position, so its keys are the counted rules the kept page hits: grey reads
-its deletion candidates and the rules it need not add from it.
+at the start.  The white attack keeps every candidate, grey and black keep
+one only when its score drops, and a rejected candidate is undone in place
+(a dropped black batch is the rollback), so ``plan.ops`` holds exactly the
+kept ops.
 
-A rule is evaluated the one way the classifier scores it: the counted
-products are the classifier's ``hit_table`` without the zero-weight rules,
-and an influence adds ``hit_contribution``, the rule's weight times its
-``gated_product``.  Influence values are exact score differences, so
-accepted white-box steps are the one-step-lookahead optimum.  They read
-only the rules that ``Classifier.rules_by_feature`` files under the
-features involved.
+The run follows the same tally with a second ``classifier.TallyHits``
+tracker over its counted rules: ``knowledge.model`` (the classifier for
+white, the known rules for grey) or, for black, which has no model, the
+oracle's classifier.  The tracker is updated only when a candidate is
+kept, so ``run.fmap``, its map, is the kept page's feature map in the
+counted model's keys, and ``run.hits``, its hit table, holds the gated
+products of the counted rules the kept page hits, keyed by rule position:
+grey reads its deletion candidates and the rules it need not add from it.
+Each kept candidate appends a trajectory step and adds to ``mutated_rules``
+the non-zero-weight rules whose gated product the update changed; only the
+rules filed under the features the candidate changed are evaluated.
+
+An influence adds ``hit_contribution``, the rule's weight times its
+``gated_product``, the one way the classifier evaluates a rule.  Influence
+values are exact score differences for the features a candidate deletes or
+adds, so accepted white-box steps are the one-step-lookahead optimum, but a
+frequency padding also moves the ratios that share its denominator, which
+the influence does not see: white bans a candidate whose kept step does not
+lower the score.  Influences read only the rules that
+``Classifier.rules_by_feature`` files under the features involved.
 """
 
 from __future__ import annotations
@@ -56,9 +61,8 @@ from .classifier import (
     ClassificationRule,
     Classifier,
     ScoreOracle,
+    TallyHits,
     hit_contribution,
-    hit_table,
-    prepare_map,
     unsatisfied,
 )
 from .dom import DomTree, walk_elements, walk_text_nodes
@@ -209,42 +213,32 @@ def influence_rule(classifier: Classifier, fmap: FeatureValueMap,
 
 # -- the shared attack skeleton ---------------------------------------------------
 
-def _rule_products(clf: Classifier, fmap: FeatureValueMap) -> dict[int, float]:
-    """Gated value product per non-zero-weight rule of ``clf`` hit on
-    ``fmap``, keyed by its position in ``clf.rules``: ``hit_table`` without
-    the zero-weight rules.  A rule counts as mutated when its product
-    changes, an unhit one's being 0, covering both hit flips and
-    frequency-value drift."""
-    table = hit_table(clf, prepare_map(clf, fmap))
-    return {i: p for i, p in table.items() if clf.rules[i].weight != 0.0}
-
-
 class _Run:
     """One attack in progress: the working plan over the attack's copy of
-    the page, the feature map and queried score of the kept ops, the
-    trajectory and the counters.
+    the page, the queried score of the kept ops, the tracker of the counted
+    rules on the kept page, the trajectory and the counters.
 
     The counted rules, whose changes count as mutated rules, are the
     non-zero-weight rules of ``knowledge.model``, or of the oracle's
-    classifier when the attacker has no model (black).  ``hits`` holds
-    their ``_rule_products`` for the kept page, so its keys are the
-    positions of the counted rules that page hits.  With ``keep_all`` every
-    offered candidate is kept; otherwise only one whose score drops.
+    classifier when the attacker has no model (black).  ``fmap`` and
+    ``hits`` are the tracker's ``values`` and ``hits`` on the kept page.
+    With ``keep_all`` every offered candidate is kept; otherwise only one
+    whose score drops.
     """
 
     def __init__(self, knowledge: Knowledge, page: DomTree,
                  keep_all: bool = False):
         self._oracle = knowledge.oracle
         self._tau = knowledge.threshold
-        self._counted = knowledge.model or knowledge.oracle.classifier
         self._keep_all = keep_all
         self._started = time.perf_counter()
         self._queries_before = self._oracle.query_count
         self.plan = MutationPlan.on(page)
-        self.fmap = self.plan.fmap
         self._kept = 0                # len(plan.ops) after the last keep
         self.score = self._oracle.score_tally(self.plan.tally)
-        self.hits = _rule_products(self._counted, self.fmap)
+        self._counted = TallyHits(knowledge.model or knowledge.oracle.classifier,
+                                  self.plan.tally)
+        self.fmap, self.hits = self._counted.values, self._counted.hits
         self.trajectory = [TrajectoryStep(0, "initial", self.score)]
         self.mutated_features = self.mutated_rules = 0
 
@@ -261,13 +255,12 @@ class _Run:
         if not (self._keep_all or score < self.score):
             plan.undo(self._kept)
             return False
-        fmap = plan.fmap
-        before, hits = self.hits, _rule_products(self._counted, fmap)
-        self.mutated_rules += sum(1 for i in before.keys() | hits.keys()
-                                  if before.get(i, 0.0) != hits.get(i, 0.0))
+        rules = self._counted.classifier.rules
+        self.mutated_rules += sum(1 for i in self._counted.update()
+                                  if rules[i].weight != 0.0)
         self.mutated_features += feature_step
         self._kept = len(plan.ops)
-        self.fmap, self.score, self.hits = fmap, score, hits
+        self.score = score
         self.trajectory.append(TrajectoryStep(len(self.trajectory), label, score))
         return True
 
@@ -300,9 +293,9 @@ def white_box(knowledge: Knowledge, page: DomTree,
     with negative influence, and keeps the first that plans.  A deletion is
     ranked ``(-influence, 0, label)`` and an addition ``(influence, 1,
     label)``, so the largest score drop comes first and a deletion wins a
-    tie; a candidate that fails to plan is banned for the rest of the
-    attack.  Stops when the score drops below the threshold or nothing
-    plans."""
+    tie; a candidate that fails to plan, or whose kept step does not lower
+    the score, is banned for the rest of the attack.  Stops when the score
+    drops below the threshold or nothing plans."""
     clf = knowledge.model
     t = clf.freq_detect_threshold
     run = _Run(knowledge, page, keep_all=True)
@@ -344,7 +337,13 @@ def white_box(knowledge: Knowledge, page: DomTree,
             except _PLAN_FAILURES:
                 banned.add(label)
                 continue
+            before = run.score
             run.offer(label)
+            if not run.score < before:
+                # its padding moved a ratio that rules outside its influence
+                # read; retried, two such candidates can undo each other
+                # step after step while the padding grows with the page
+                banned.add(label)
             break
         else:
             break

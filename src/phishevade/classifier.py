@@ -17,11 +17,14 @@ a feature is unmet, so no score depends on the hash seed.  ``hit_table``
 collects the gated products of the rules hit on a feature map, reading only
 the rules that ``Classifier.rules_by_feature`` files under its keys, and
 ``_raw`` adds ``weight * product`` to the bias in rule order.  ``score``
-builds the table of a feature map.  An attack instead scores its working
-page through ``ScoreOracle.score_tally``: a score state bound to the page's
-``PageTally`` keeps the table and re-evaluates, on each query, only the
-rules filed under the features the tally's edits changed, so its score is
-bit for bit the one ``score`` gives on the tally's feature map.
+builds the table of a feature map.  A working page is read instead through
+a ``TallyHits`` tracker bound to its ``PageTally``: the tracker keeps the
+page's map and hit table and, on ``update``, re-evaluates only the rules
+filed under the features whose value changed since its last update, read
+from its own position in the tally's journal, so its table is bit for bit
+``hit_table`` of the tally's feature map.  ``ScoreOracle.score_tally``
+scores through one tracker, and an attack counts its mutated rules
+through another over the same tally.
 """
 
 from __future__ import annotations
@@ -177,13 +180,6 @@ def rule_hit(rule: ClassificationRule, fmap: FeatureValueMap,
     return not unsatisfied(rule.features, fmap, freq_detect_threshold)
 
 
-def prepare_map(classifier: Classifier, fmap: FeatureValueMap) -> FeatureValueMap:
-    """Hash the map keys when the classifier carries hashed feature names."""
-    if not classifier.hashed:
-        return fmap
-    return {hash_feature(k): v for k, v in fmap.items()}
-
-
 def gated_product(rule: ClassificationRule, fmap: FeatureValueMap,
                   freq_detect_threshold: float) -> float | None:
     """The product of the rule's feature values on ``fmap``, in
@@ -229,7 +225,9 @@ def _raw(classifier: Classifier, table: dict[int, float]) -> float:
 
 
 def raw_score(classifier: Classifier, fmap: FeatureValueMap) -> float:
-    return _raw(classifier, hit_table(classifier, prepare_map(classifier, fmap)))
+    if classifier.hashed:
+        fmap = {hash_feature(k): v for k, v in fmap.items()}
+    return _raw(classifier, hit_table(classifier, fmap))
 
 
 def score(classifier: Classifier, fmap: FeatureValueMap) -> float:
@@ -284,59 +282,63 @@ class _Digests(dict):
         return digest
 
 
-class _TallyScore:
-    """The raw score of a classifier on the page a ``PageTally`` folds,
-    kept up to date from what the tally's edits changed.
+class TallyHits:
+    """The rules of a classifier hit on the page a ``PageTally`` folds,
+    kept up to date from the tally's journal.
 
-    ``_values`` is the tally's feature map with the classifier's keys
-    (digests for a hashed model, each name hashed once) and ``_hits`` its
-    ``hit_table``.  A read re-evaluates the rules filed under the tally's
-    ``changed`` features and, when its counts moved, under the
-    ``COUNT_KINDS`` whose value changed."""
+    ``values`` is the tally's feature map with the classifier's keys
+    (digests for a hashed model, each name hashed once) and ``hits`` its
+    ``hit_table``.  :meth:`update` catches up with the tally's edits and
+    :meth:`raw` adds up the score of ``hits``.  Each tracker keeps its own
+    position in the journal, so any number of them can follow one tally."""
 
     def __init__(self, classifier: Classifier, tally: PageTally):
         self.classifier, self.tally = classifier, tally
-        self._digests = _Digests() if classifier.hashed else None
-        tally.changed.clear()
+        self._digests = digests = _Digests() if classifier.hashed else None
+        self._read = len(tally.journal)
         self._counts = tally.counts.copy()
-        self._values = {self._key(name): value
-                        for name, value in tally.fmap().items()}
-        self._hits = hit_table(classifier, self._values)
+        fmap = tally.fmap()
+        self.values = fmap if digests is None else \
+            {digests[name]: value for name, value in fmap.items()}
+        self.hits = hit_table(classifier, self.values)
 
-    def _key(self, name: str) -> str:
-        return name if self._digests is None else self._digests[name]
-
-    def raw(self) -> float:
-        clf, tally, values, hits = self.classifier, self.tally, self._values, self._hits
-        index = clf.rules_by_feature
-        dirty: set[int] = set()
+    def update(self) -> set[int]:
+        """Re-read the features the journal lists past this tracker's
+        position and, when the tally's counts moved from its snapshot, the
+        ``COUNT_KINDS``; re-evaluate the rules filed under those whose value
+        changed, and return the positions of the rules whose gated product
+        changed (an unhit rule's being None)."""
+        clf, tally, values, hits = self.classifier, self.tally, self.values, self.hits
+        features, journal = tally.features, tally.journal
+        moved = [(name, 1.0 if name in features else 0.0)
+                 for name in dict.fromkeys(journal[self._read:])]
+        self._read = len(journal)
         if tally.counts != self._counts:
             self._counts = tally.counts.copy()
             counted = tally.count_fmap()
-            for name in F.COUNT_KINDS:
-                key, value = self._key(name), counted.get(name, 0.0)
-                if values.get(key, 0.0) != value:
-                    if value:
-                        values[key] = value
-                    else:
-                        del values[key]
-                    dirty.update(index.get(key, ()))
-        features = tally.features
-        for name in tally.changed:
-            key = self._key(name)
-            if name in features:
-                values[key] = 1.0
-            else:
-                values.pop(key, None)
-            dirty.update(index.get(key, ()))
-        tally.changed.clear()
+            moved += [(name, counted.get(name, 0.0)) for name in F.COUNT_KINDS]
+        digests, index, dirty = self._digests, clf.rules_by_feature, set()
+        for name, value in moved:
+            key = name if digests is None else digests[name]
+            if values.get(key, 0.0) != value:
+                if value:
+                    values[key] = value
+                else:
+                    del values[key]
+                dirty.update(index.get(key, ()))
+        changed = set()
         for i in dirty:
             product = gated_product(clf.rules[i], values, clf.freq_detect_threshold)
-            if product is None:
-                hits.pop(i, None)
-            else:
-                hits[i] = product
-        return _raw(clf, hits)
+            if product != hits.get(i):
+                changed.add(i)
+                if product is None:
+                    del hits[i]
+                else:
+                    hits[i] = product
+        return changed
+
+    def raw(self) -> float:
+        return _raw(self.classifier, self.hits)
 
 
 @dataclass
@@ -348,8 +350,8 @@ class ScoreOracle:
 
     classifier: Classifier
     query_count: int = 0
-    _state: _TallyScore | None = field(default=None, init=False, repr=False,
-                                       compare=False)
+    _state: TallyHits | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def score_map(self, fmap: FeatureValueMap) -> float:
         self.query_count += 1
@@ -366,7 +368,8 @@ class ScoreOracle:
         state = self._state
         if state is None or state.tally is not tally \
                 or state.classifier is not self.classifier:
-            state = self._state = _TallyScore(self.classifier, tally)
+            state = self._state = TallyHits(self.classifier, tally)
+        state.update()
         return logistic(state.raw())
 
 

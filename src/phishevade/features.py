@@ -20,10 +20,12 @@ contribution and adding its new one, which is how ``mutation.MutationPlan``
 carries a page's tally along with its tree and undoes an edit in both.  A
 zero-width split of a text node is more local still: ``split_text`` trades
 one count of the term that spans the split for one count of each fragment,
-without tokenizing the node again.  Every edit records in ``changed`` the
-features whose presence it flipped, so that a reader that tracks the tally
-(``classifier.ScoreOracle.score_tally``) re-reads only those and, when
-``counts`` moved, the ``COUNT_KINDS``.
+without tokenizing the node again.  Every edit appends to the tally's
+``journal`` the features whose presence it flipped.  Nothing clears the
+journal: each reader that tracks the tally (``classifier.TallyHits``)
+keeps its own position in it and, on a read, re-reads only the features
+past that position and, when ``counts`` moved, the ``COUNT_KINDS``, so any
+number of readers can follow one working page.
 """
 
 from __future__ import annotations
@@ -240,11 +242,12 @@ class PageTally:
     ``url`` complete :meth:`fmap`.  Start with an empty tally for the page's
     URL and fold the page into it with :func:`extract_page_features`.
 
-    ``changed`` collects every feature whose presence in ``features`` an
-    edit flipped; a reader that tracks the tally clears it after each read.
-    The whole-page fold of the terms does not record them."""
+    ``journal`` lists, in order and append only, every feature whose
+    presence in ``features`` an edit flipped; a reader that tracks the
+    tally keeps its own position in it.  The whole-page fold of the terms
+    does not record them."""
 
-    __slots__ = ("url", "base_domain", "features", "counts", "changed",
+    __slots__ = ("url", "base_domain", "features", "counts", "journal",
                  "_url_fmap")
 
     def __init__(self, url: str):
@@ -252,7 +255,7 @@ class PageTally:
         self.base_domain = registrable_domain(url)
         self.features: Counter[str] = Counter()
         self.counts = PageCounts()
-        self.changed: set[str] = set()
+        self.journal: list[str] = []
         self._url_fmap: FeatureValueMap | None = None
 
     def _count(self, feature: str, sign: int) -> None:
@@ -262,7 +265,7 @@ class PageTally:
         else:
             del self.features[feature]
         if not n or n == sign:      # absent after the edit, or before it
-            self.changed.add(feature)
+            self.journal.append(feature)
 
     def add_element(self, el: DomNode, sign: int = 1) -> None:
         """Add (``sign`` 1) or remove (``sign`` -1) the contribution of one

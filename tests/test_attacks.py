@@ -23,6 +23,7 @@ from phishevade.attacks import (
     white_box,
     white_knowledge,
 )
+from phishevade import classifier
 from phishevade.classifier import (
     ScoreOracle,
     raw_score,
@@ -30,10 +31,16 @@ from phishevade.classifier import (
     unsatisfied,
 )
 from phishevade.dom import serialize
-from phishevade.features import PageTally, extract_all_features, extract_page_features
+from phishevade.features import (
+    PageTally,
+    extract_all_features,
+    extract_page_features,
+    hash_feature,
+)
 from phishevade.mutation import (
     ElementSpec,
     FeatureAbsent,
+    MutationPlan,
     addable_feature,
     apply,
     deletable_feature,
@@ -43,6 +50,7 @@ from phishevade.mutation import (
     split_avoid_terms,
 )
 
+import classifier_oracle as reference
 from conftest import (
     build_page,
     make_classifier,
@@ -304,6 +312,34 @@ def test_attacks_copy_the_page_once(copied_trees):
             assert serialize(page) == before
 
 
+def test_white_bans_a_kept_step_that_does_not_lower_the_score(monkeypatch):
+    """At t = 0.6 adding r1 pads secure links, which drops the external
+    ratio below t and unhits r0, and adding r0 back pads external links,
+    which unhits r1; each padding is about 1.5 times the last.  The re-added
+    r0 raises the score, so its candidate is banned and the attack ends
+    after four steps instead of growing the page for 50."""
+    pushes = []
+    push = MutationPlan.push
+
+    def capped(plan, op):
+        pushes.append(op)
+        if len(pushes) > 10_000:
+            raise RuntimeError("runaway padding")
+        push(plan, op)
+
+    monkeypatch.setattr(MutationPlan, "push", capped)
+    clf = make_classifier([rule("r0", {"PageExternalLinksFreq"}, -0.5),
+                           rule("r1", {"PageTerm=signin", "PageTerm=ab",
+                                       "PageSecureLinksFreq"}, -0.5)],
+                          bias=0.75, freq_detect_threshold=0.6)
+    page = build_page(terms=["signin", "ab"], internal_links=2)
+    result = white_box(white_knowledge(clf, ScoreOracle(clf)), page)
+    assert result.status == EXHAUSTED
+    assert [s.op for s in result.trajectory] == [
+        "initial", "add rule r0", "add rule r1", "add rule r0", "add rule r1"]
+    assert len(pushes) < 100
+
+
 def test_white_rules_vs_features_accounting():
     clf = suite_model()
     for bucket, page in suite_seed_pages(per_bucket=1):
@@ -459,8 +495,8 @@ def test_black_addition_phase_with_rollback(monkeypatch):
         now = state(run.plan.tree, run.plan.tally)
         if not kept:
             assert now == current[-1]
-            assert run.plan.fmap == run.fmap
             rolled_back.append(label)
+        _assert_run_tables_are_the_reference(run, clf)
         current.append(now)
         return kept
 
@@ -476,6 +512,71 @@ def test_black_addition_phase_with_rollback(monkeypatch):
     assert any(label.startswith("add batch") for label in rolled_back)
     scores = [s.score for s in result.trajectory]
     assert all(b < a for a, b in zip(scores, scores[1:]))
+
+
+def _assert_run_tables_are_the_reference(run, counted):
+    """After an offer, kept or undone, the plan holds the kept page:
+    ``run.fmap`` is its feature map and ``run.hits`` without its
+    zero-weight rules its counted products, bit for bit, both in the keys
+    of the counted model."""
+    fmap = run.plan.fmap
+    assert run.fmap == reference.keyed(counted, fmap)
+    assert {i: p.hex() for i, p in run.hits.items()
+            if counted.rules[i].weight != 0.0} == \
+        {i: p.hex() for i, p in reference.rule_products(counted, fmap).items()}
+
+
+@pytest.mark.parametrize("hashed", [False, True], ids=["plain", "hashed-twin"])
+def test_the_run_tables_are_the_reference_after_every_offer(monkeypatch, hashed):
+    """White, grey and black on suite pages, with the suite model and with
+    its hashed twin, whose digests grey knows as plain rule features."""
+    clf = suite_model()
+    if hashed:
+        clf = make_classifier([rule(r.id, {hash_feature(f) for f in r.features},
+                                    r.weight) for r in clf.rules],
+                              bias=clf.bias, hashed=True)
+    offer, counted, outcomes = _Run.offer, [], []
+
+    def checked(run, label, feature_step=True):
+        kept = offer(run, label, feature_step)
+        _assert_run_tables_are_the_reference(run, counted[-1])
+        outcomes.append(kept)
+        return kept
+
+    monkeypatch.setattr(_Run, "offer", checked)
+    for _, page in suite_seed_pages():
+        for knowledge, attack in [
+                (white_knowledge(clf, ScoreOracle(clf)), white_box),
+                (grey_knowledge(_grey(clf), ScoreOracle(clf)), grey_box),
+                (black_knowledge(ScoreOracle(clf)),
+                 lambda k, p: black_box(k, p, suite_pool(), rng_seed=5))]:
+            counted.append(knowledge.model or clf)
+            attack(knowledge, page)
+    assert True in outcomes and False in outcomes
+
+
+def test_a_kept_candidate_evaluates_only_the_rules_it_touches(monkeypatch):
+    """Keeping a candidate re-evaluates, for the oracle and for the counted
+    rules, only the rules filed under the features the candidate changed:
+    a rule the page hits whose features it left alone is not evaluated."""
+    clf = make_classifier([rule("touched", {"PageTerm=signin"}, 0.9),
+                           rule("untouched", {"PageHasPswdInputs", "PageTerm=verify"},
+                                1.1)], bias=-0.5)
+    page = build_page(terms=["signin", "verify"], input_types=["password"])
+    gated_product = classifier.gated_product
+    for knowledge in [white_knowledge(clf, ScoreOracle(clf)),
+                      grey_knowledge(_grey(clf), ScoreOracle(clf)),
+                      black_knowledge(ScoreOracle(clf))]:
+        run = _Run(knowledge, page)
+        assert len(run.hits) == 2
+        plan_delete_feature(run.plan, "PageTerm=signin", clf.freq_detect_threshold)
+        evaluated = []
+        monkeypatch.setattr(classifier, "gated_product", lambda r, fmap, t: (
+            evaluated.append(r.id) or gated_product(r, fmap, t)))
+        assert run.offer("delete PageTerm=signin")
+        monkeypatch.setattr(classifier, "gated_product", gated_product)
+        assert evaluated and set(evaluated) == {"touched"}
+        assert run.mutated_rules == 1 and len(run.hits) == 1
 
 
 def test_black_deterministic_per_seed():
@@ -573,7 +674,14 @@ def reference_white_box(knowledge, page, only_rules=None):
                 break
         if op_label is None:
             break
+        before = run.score
         run.offer(op_label)
+        if not run.score < before:
+            kind, _, name = op_label.partition(" ")
+            if kind == "delete":
+                banned_deletions.add(name)
+            else:
+                banned_additions.add(name.removeprefix("rule "))
     return run.result(EXHAUSTED)
 
 

@@ -14,6 +14,7 @@ from phishevade.classifier import (
     UnknownRuleError,
     find_single_rules,
     find_subset_rules,
+    hit_table,
     load_model,
     load_rule_features,
     logistic,
@@ -25,7 +26,6 @@ from phishevade.classifier import (
     score,
     unsatisfied,
 )
-from phishevade.attacks import _rule_products
 from phishevade.features import extract_all_features, hash_feature
 
 import classifier_oracle as reference
@@ -175,12 +175,14 @@ def models_and_maps(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=models_and_maps())
 def test_one_evaluation_is_the_all_rules_reference_bit_for_bit(case):
-    """Scores and the attacks' counted products, read through the rule
-    index, equal a scan over every rule bit for bit, and the rule analyses
-    read from the index give the pairwise scans' sets."""
+    """Scores and the hit table without its zero-weight rules (the
+    attacks' counted products), read through the rule index, equal a scan
+    over every rule bit for bit, and the rule analyses read from the index
+    give the pairwise scans' sets."""
     clf, fmap = case
     assert raw_score(clf, fmap).hex() == reference.raw_score(clf, fmap).hex()
-    assert {i: p.hex() for i, p in _rule_products(clf, fmap).items()} == \
+    table = hit_table(clf, reference.keyed(clf, fmap))
+    assert {i: p.hex() for i, p in table.items() if clf.rules[i].weight != 0.0} == \
         {i: p.hex() for i, p in reference.rule_products(clf, fmap).items()}
     assert find_subset_rules(clf) == reference.find_subset_rules(clf)
     assert find_single_rules(clf) == reference.find_single_rules(clf)

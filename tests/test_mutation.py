@@ -712,16 +712,17 @@ def test_a_planner_that_fails_midway_leaves_the_plan_as_it_was():
 
 # -- local term splits and the score of a working page --------------------------------
 
-def _assert_tally_is_the_fold(plan, flipped_from=None):
+def _assert_tally_is_the_fold(plan, flipped_from=None, mark=0):
     """The plan's tally is the reference fold of its tree; with
     ``flipped_from``, the features counted before the last edit, every
-    feature whose presence the edit flipped is in ``changed``."""
+    feature whose presence the edit flipped is in the journal past
+    ``mark``, its length before the edit."""
     tally = plan.tally
     assert dict(tally.features) == dict(feature_counts(plan.tree))
     assert tally.counts == page_counts(plan.tree)
     assert plan.fmap == oracle_extract_all_features(plan.tree)
     if flipped_from is not None:
-        assert flipped_from ^ set(tally.features) <= tally.changed
+        assert flipped_from ^ set(tally.features) <= set(tally.journal[mark:])
 
 
 SPLIT_TEXT = st.lists(st.sampled_from(
@@ -744,13 +745,13 @@ def test_a_term_split_trades_the_spanning_term_for_its_fragments(text, tag, data
     for _ in range(data.draw(st.integers(1, 6), label="splits")):
         path = data.draw(st.sampled_from(sorted(nodes)), label="node")
         offset = data.draw(st.integers(0, len(nodes[path].value)), label="offset")
-        before = set(plan.tally.features)
+        before, mark = set(plan.tally.features), len(plan.tally.journal)
         plan.push(NodeOp("modify_text", path, {"term": "", "offset": offset}))
-        _assert_tally_is_the_fold(plan, before)
+        _assert_tally_is_the_fold(plan, before, mark)
     while plan.ops:
-        before = set(plan.tally.features)
+        before, mark = set(plan.tally.features), len(plan.tally.journal)
         plan.undo(len(plan.ops) - 1)
-        _assert_tally_is_the_fold(plan, before)
+        _assert_tally_is_the_fold(plan, before, mark)
     assert serialize(plan.tree) == serialize(page)
 
 
@@ -853,26 +854,29 @@ def scored_models(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(clf=scored_models(), suite=st.sampled_from(range(len(SUITE_PAGES))),
+@given(clf=scored_models(), second=scored_models(),
+       suite=st.sampled_from(range(len(SUITE_PAGES))),
        pieces=SOUP, random_page=st.booleans(), data=st.data(),
        url=st.sampled_from(["", "http://seed.test/page", "https://shop.co.uk/cart"]))
 def test_the_tally_score_is_the_full_score_after_every_push_and_undo(
-        clf, suite, pieces, random_page, data, url):
+        clf, second, suite, pieces, random_page, data, url):
     """``score_tally`` on a working page, read after every push, planner
-    call and undo (and after reading another tally in between), equals
-    ``score(clf, plan.fmap)`` bit for bit, one query per read; plain and
-    hashed models."""
+    call and undo (and, for the first oracle, after reading another tally
+    in between), equals ``score(model, plan.fmap)`` bit for bit, one query
+    per read, for each of two oracles over two models that follow the same
+    tally; plain and hashed models."""
     page = parse_html("<html><body>" + "".join(pieces), url) if random_page \
         else SUITE_PAGES[suite]
     plan = MutationPlan.on(page)
-    oracle = ScoreOracle(clf)
+    oracles = [ScoreOracle(clf), ScoreOracle(second)]
     draw = data.draw
     t = clf.freq_detect_threshold
 
-    def read(tally):
-        queries = oracle.query_count
-        assert oracle.score_tally(tally) == score(clf, tally.fmap())
-        assert oracle.query_count == queries + 1
+    def read(tally, oracles=oracles):
+        for oracle in oracles:
+            queries = oracle.query_count
+            assert oracle.score_tally(tally) == score(oracle.classifier, tally.fmap())
+            assert oracle.query_count == queries + 1
 
     read(plan.tally)
     for _ in range(draw(st.integers(1, 12), label="steps")):
@@ -892,10 +896,28 @@ def test_the_tally_score_is_the_full_score_after_every_push_and_undo(
             else:
                 other = PageTally(plan.tree.source_url)
                 extract_page_features(plan.tree, other)
-                read(other)
+                read(other, oracles[:1])
         except _PLAN_FAILURES:
             pass
         read(plan.tally)
+
+
+def test_two_oracles_follow_one_working_page():
+    """An edit is seen by every oracle that reads the tally, not only by
+    the first one to read it after the edit."""
+    m1 = make_classifier([rule("a", {"PageTerm=signin"}, 3.0)], bias=-1.0)
+    m2 = make_classifier([rule("b", {"PageTerm=signin", "PageHasPswdInputs"}, 4.0)],
+                         bias=-1.0)
+    page = parse_html('<p>please signin to verify your account</p>'
+                      '<form action="http://x.test/p"><input type="password"></form>',
+                      "http://seed.test/login")
+    plan = MutationPlan.on(page)
+    o1, o2 = ScoreOracle(m1), ScoreOracle(m2)
+    assert o1.score_tally(plan.tally) == score(m1, plan.fmap)
+    assert o2.score_tally(plan.tally) == 0.9525741268224334 == score(m2, plan.fmap)
+    plan_delete_feature(plan, "PageTerm=signin")
+    assert o1.score_tally(plan.tally) == 0.2689414213699951 == score(m1, plan.fmap)
+    assert o2.score_tally(plan.tally) == 0.2689414213699951 == score(m2, plan.fmap)
 
 
 def test_a_push_that_touches_no_indexed_feature_evaluates_no_rule(monkeypatch):
