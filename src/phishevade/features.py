@@ -26,6 +26,13 @@ journal: each reader that tracks the tally (``classifier.TallyHits``)
 keeps its own position in it and, on a read, re-reads only the features
 past that position and, when ``counts`` moved, the ``COUNT_KINDS``, so any
 number of readers can follow one working page.
+
+Where an href, action or src points is :meth:`PageTally.resolve`: the tally
+splits the page URL once, splits each reference once against that split,
+and memoizes host -> registrable domain for as long as it lives, so each
+distinct host is split once per page.  No reference is joined into a URL;
+joining with the standard library's URL join and splitting the result is
+the definition the tests hold ``resolve`` to.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urlsplit
 
 from .dom import DomNode, DomTree, walk_elements, walk_text_nodes
 from .suffixes import split_host
@@ -157,36 +164,6 @@ def hash_feature(canonical: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def registrable_domain(url: str) -> str | None:
-    try:
-        host = urlsplit(url).hostname
-    except ValueError:
-        return None
-    return split_host(host)[1] if host else None
-
-
-def resolve_reference(ref: str, base_url: str,
-                      base_domain: str | None) -> tuple[str | None, bool]:
-    """Resolve an href, action or src against the page URL, once.
-
-    Returns ``(domain, secure)``: ``domain`` is the reference's registrable
-    domain when it differs from the page's ``base_domain`` (an external
-    reference), else None; ``secure`` says the scheme is https.  References
-    without a host (mailto:, javascript:, ...), references on a page with no
-    domain, and references that do not parse are internal; the last are
-    also not secure.
-    """
-    try:
-        parts = urlsplit(urljoin(base_url, ref))
-    except ValueError:
-        return None, False
-    host = parts.hostname
-    domain = split_host(host)[1] if host else None
-    if base_domain is None or domain == base_domain:
-        domain = None
-    return domain, parts.scheme == "https"
-
-
 # Frequency kind -> its PageCounts numerator and denominator.
 FREQUENCY_TALLIES = {
     PAGE_EXTERNAL_LINKS_FREQ: ("external_links", "links"),
@@ -241,22 +218,69 @@ class PageTally:
     ``counts`` is the folded :class:`PageCounts`, and the URL features of
     ``url`` complete :meth:`fmap`.  Start with an empty tally for the page's
     URL and fold the page into it with :func:`extract_page_features`.
+    ``base`` is the split of ``url`` (None when it does not parse) that
+    :meth:`resolve` reads references against.
 
     ``journal`` lists, in order and append only, every feature whose
     presence in ``features`` an edit flipped; a reader that tracks the
     tally keeps its own position in it.  The whole-page fold of the terms
     does not record them."""
 
-    __slots__ = ("url", "base_domain", "features", "counts", "journal",
-                 "_url_fmap")
+    __slots__ = ("url", "base", "base_domain", "features", "counts",
+                 "journal", "_domains", "_url_fmap")
 
     def __init__(self, url: str):
         self.url = url
-        self.base_domain = registrable_domain(url)
+        self._domains: dict[str, str] = {}
+        try:
+            self.base = urlsplit(url)
+        except ValueError:
+            self.base = None
+        self.base_domain = self._domain(self.base.hostname) if self.base else None
         self.features: Counter[str] = Counter()
         self.counts = PageCounts()
         self.journal: list[str] = []
         self._url_fmap: FeatureValueMap | None = None
+
+    def _domain(self, host: str | None) -> str | None:
+        """Registrable domain of ``host``, split once per tally."""
+        if not host:
+            return None
+        domain = self._domains.get(host)
+        if domain is None:
+            domain = self._domains[host] = split_host(host)[1]
+        return domain
+
+    def resolve(self, ref: str) -> tuple[str | None, bool]:
+        """Where an href, action or src on the page points.
+
+        Returns ``(domain, secure)``: ``domain`` is the reference's
+        registrable domain when it differs from the page's ``base_domain``
+        (an external reference), else None; ``secure`` says the scheme is
+        https.  References without a host (mailto:, javascript:, ...),
+        references on a page with no domain, and references that do not
+        parse are internal; the last are also not secure, and on a page
+        whose URL does not parse every reference is one.
+
+        Only the scheme and the host of the joined URL count, so the
+        reference is split once, with the page's scheme as its default, and
+        never joined.  A reference that names a host keeps it.  One that
+        names none joins onto the page's host (when it keeps the page's
+        scheme and the scheme takes relative references) or onto none:
+        internal either way.  An empty reference, and any reference on a
+        page with an empty URL, fall under the same rules.
+        """
+        base = self.base
+        if base is None:
+            return None, False
+        try:
+            parts = urlsplit(ref, base.scheme)
+        except ValueError:
+            return None, False
+        domain = self._domain(parts.hostname)
+        if self.base_domain is None or domain == self.base_domain:
+            domain = None
+        return domain, parts.scheme == "https"
 
     def _count(self, feature: str, sign: int) -> None:
         n = self.features[feature] + sign
@@ -283,7 +307,7 @@ class PageTally:
             href = el.attrs.get("href")
             if href is None:
                 return
-            domain, secure = resolve_reference(href, self.url, self.base_domain)
+            domain, secure = self.resolve(href)
             counts.links += sign
             if secure:
                 counts.secure_links += sign
@@ -299,13 +323,12 @@ class PageTally:
             if action:
                 self._count(f"{PAGE_ACTION_URL}={action}", sign)
             counts.actions += sign
-            if resolve_reference(action, self.url, self.base_domain)[0] is not None:
+            if self.resolve(action)[0] is not None:
                 counts.other_actions += sign
         elif tag == "img":
             counts.imgs += sign
             src = el.attrs.get("src")
-            if src is not None and \
-                    resolve_reference(src, self.url, self.base_domain)[0] is not None:
+            if src is not None and self.resolve(src)[0] is not None:
                 counts.other_imgs += sign
         elif tag == "input":
             feature = _INPUT_FEATURES.get((el.attrs.get("type") or "").lower())
@@ -401,6 +424,9 @@ def extract_url_features(url: str) -> set[Feature]:
     if not parts.scheme or not parts.hostname:
         raise UrlError(f"not an absolute URL: {url!r}")
     suffix, registrable, other_labels = split_host(parts.hostname)
+    if not all(registrable.split(".") + other_labels):
+        # a host of dots or spaces, or one with an empty label
+        raise UrlError(f"not an absolute URL: {url!r}")
     features: set[Feature] = set()
     if suffix:
         features.add(Feature(URL_TLD, suffix))

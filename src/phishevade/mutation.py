@@ -39,7 +39,6 @@ import re
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from urllib.parse import urlsplit
 
 from . import features as F
 from .classifier import (
@@ -73,7 +72,6 @@ from .features import (
     extract_all_features,  # noqa: F401
     extract_page_features,
     find_term,
-    resolve_reference,
 )
 
 ZERO_WIDTH_SPACE = "\u200b"
@@ -453,11 +451,8 @@ def addable_feature(canonical: str) -> bool:
     return kind is not None and kind not in F.URL_KINDS
 
 
-def _internal_url(tree: DomTree, scheme: str = "http") -> str:
-    try:
-        host = urlsplit(tree.source_url).hostname
-    except ValueError:
-        host = None
+def _internal_url(tally: PageTally, scheme: str = "http") -> str:
+    host = tally.base.hostname if tally.base else None
     return f"{scheme}://{host}/" if host else "/"
 
 
@@ -520,25 +515,23 @@ def plan_delete_feature(plan: MutationPlan, canonical: str,
                 if el.tag == "form" and el.get_attr("action") == payload:
                     push(modify_attribute(work, path, "action"))
         elif kind == F.PAGE_LINK_DOMAIN:
-            base_domain = plan.tally.base_domain
+            resolve = plan.tally.resolve
             for path, el in list(walk_elements(work)):
                 href = el.get_attr("href") if el.tag == "a" else None
-                if href is not None and resolve_reference(
-                        href, work.source_url, base_domain)[0] == payload:
+                if href is not None and resolve(href)[0] == payload:
                     push(modify_attribute(work, path, "href"))
         elif kind in F.FREQUENCY_KINDS:
             # dilute with internal, insecure references
             tag, attr = _FREQUENCY_CARRIERS[kind]
             num, den = plan.tally.counts.fraction(kind)
-            spec = ElementSpec(tag, ((attr, _internal_url(work)),))
+            spec = ElementSpec(tag, ((attr, _internal_url(plan.tally)),))
             for _ in range(_dilution_added(num, den, freq_detect_threshold)):
                 push(add_invisible_element(work, spec))
 
 
 def _spec_for_feature(plan: MutationPlan, feature: Feature,
                       freq_detect_threshold: float) -> list[ElementSpec]:
-    work, counts = plan.tree, plan.tally.counts
-    base_domain = plan.tally.base_domain
+    tally, counts = plan.tally, plan.tally.counts
     kind, payload = feature.kind, feature.payload
     if kind == F.PAGE_TERM:
         return [ElementSpec("div", (), payload)]
@@ -559,16 +552,16 @@ def _spec_for_feature(plan: MutationPlan, feature: Feature,
         return [ElementSpec("form", (("action", payload),))]
     if kind == F.PAGE_LINK_DOMAIN:
         href = f"http://{payload}/"
-        if resolve_reference(href, work.source_url, base_domain)[0] is None:
+        if tally.resolve(href)[0] is None:
             raise UnsupportedMutation(
                 f"{payload!r} is the page's own domain, the link would not be external")
         return [ElementSpec("a", (("href", href),))]
     if kind in F.FREQUENCY_KINDS:
         # boost with secure internal links or external references
         tag, attr = _FREQUENCY_CARRIERS[kind]
-        url = _internal_url(work, "https") if kind == F.PAGE_SECURE_LINKS_FREQ \
+        url = _internal_url(tally, "https") if kind == F.PAGE_SECURE_LINKS_FREQ \
             else _EXTERNAL_PAD_URL
-        domain, secure = resolve_reference(url, work.source_url, base_domain)
+        domain, secure = tally.resolve(url)
         if not (secure if kind == F.PAGE_SECURE_LINKS_FREQ else domain is not None):
             # padding that only grows the denominator can never reach t
             raise UnsupportedMutation(f"{url!r} does not count toward {kind} here")

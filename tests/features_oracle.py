@@ -7,19 +7,23 @@ The program folds per-node contributions into a ``PageTally`` instead, and
 keeps it up to date as a plan edits the page and undoes edits;
 ``tests/test_features.py`` and ``tests/test_mutation.py`` check that both
 give the same maps and counts.
+
+A reference points where ``urljoin`` puts it: the oracle joins it with the
+page URL and splits the result, where ``PageTally.resolve`` splits the
+reference once and reads the scheme and host off it and the page's split.
 """
 
 from collections import Counter
+from urllib.parse import urljoin, urlsplit
 
 from phishevade.dom import walk_elements, walk_text_nodes
 from phishevade.features import (
     _TERM_SPLIT,
     PageCounts,
     extract_url_features,
-    registrable_domain,
-    resolve_reference,
     terms_of,
 )
+from phishevade.suffixes import split_host
 
 _INPUT_FEATURES = {
     "text": "PageHasTextInputs",
@@ -34,6 +38,32 @@ _FREQUENCY_TALLIES = {
     "PageActionOtherDomainFreq": ("other_actions", "actions"),
     "PageImgOtherDomainFreq": ("other_imgs", "imgs"),
 }
+
+
+def registrable_domain(url):
+    """The registrable domain of a URL's host; None without one, or when the
+    URL does not parse."""
+    try:
+        host = urlsplit(url).hostname
+    except ValueError:
+        return None
+    return split_host(host)[1] if host else None
+
+
+def resolve_reference(ref, base_url, base_domain):
+    """``(domain, secure)`` of a reference joined with the page URL: the
+    joined URL's registrable domain when it differs from the page's
+    ``base_domain``, else None, and whether its scheme is https.  A
+    reference that does not join or split is hostless and not secure."""
+    try:
+        parts = urlsplit(urljoin(base_url, ref))
+    except ValueError:
+        return None, False
+    host = parts.hostname
+    domain = split_host(host)[1] if host else None
+    if base_domain is None or domain == base_domain:
+        domain = None
+    return domain, parts.scheme == "https"
 
 
 def find_term(text, term):

@@ -547,6 +547,25 @@ def test_infer_malformed_hex_exits_2(tmp_path):
                 "--manifest", str(manifest_path)]) == 2
 
 
+def test_infer_corpus_url_with_an_empty_host_exits_2_naming_it(tmp_path, capsys):
+    corpus_path = tmp_path / "bad.jsonl"
+    corpus_path.write_text(json.dumps({"url": "http://./x", "label": "phish"}) + "\n")
+    manifest_path = tmp_path / "digests.txt"
+    manifest_path.write_text(hash_feature("PageHasForms") + "\n")
+    assert run(["infer", "--corpus", str(corpus_path),
+                "--manifest", str(manifest_path)]) == 2
+    assert capsys.readouterr().err == "error: not an absolute URL: 'http://./x'\n"
+
+
+@pytest.mark.parametrize("url", ["http://./", "http:// /", "http://a..b.com/"])
+def test_score_url_with_an_empty_host_label_exits_2_naming_it(workdir, capsys, url):
+    assert run(["score", workdir["seed"], "--model", workdir["model"],
+                "--url", url]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not an absolute URL: {url!r}\n"
+
+
 # -- malformed loader input --------------------------------------------------------
 
 # Raw text, nested deeper than the JSON decoder can recurse.

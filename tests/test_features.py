@@ -1,11 +1,11 @@
 import random
 import struct
-from urllib.parse import urljoin, urlsplit
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phishevade import features
 from phishevade.dom import parse_html, walk_elements, walk_text_nodes
 from phishevade.features import (
     Feature,
@@ -17,10 +17,12 @@ from phishevade.features import (
     hash_feature,
     terms_of,
 )
+
 from phishevade.suffixes import split_host
 
 from conftest import build_page
 from features_oracle import find_term as oracle_find_term
+from features_oracle import registrable_domain, resolve_reference
 
 
 def page_counts(tree):
@@ -269,35 +271,9 @@ def test_malformed_reference_counts_as_hostless(markup, counted, expected):
 
 # -- one-walk extraction against the four-walk reference -------------------------
 
-def _ref_domain(url):
-    try:
-        host = urlsplit(url).hostname
-    except ValueError:
-        return None
-    return split_host(host)[1] if host else None
-
-
-def _ref_join(base_url, ref):
-    try:
-        return urljoin(base_url, ref)
-    except ValueError:
-        return None
-
-
-def _ref_is_external(ref, base_url):
-    joined = _ref_join(base_url, ref)
-    target = _ref_domain(joined) if joined is not None else None
-    base_domain = _ref_domain(base_url)
-    if target is None or base_domain is None:
-        return False
-    return target != base_domain
-
-
-def _ref_is_secure(ref, base_url):
-    try:
-        return urlsplit(urljoin(base_url, ref)).scheme == "https"
-    except ValueError:
-        return False
+def _ref_resolve(ref, tree):
+    return resolve_reference(ref, tree.source_url,
+                             registrable_domain(tree.source_url))
 
 
 def _ref_link_counts(tree):
@@ -306,9 +282,10 @@ def _ref_link_counts(tree):
         href = el.get_attr("href") if el.tag == "a" else None
         if href is None:
             continue
+        domain, is_secure = _ref_resolve(href, tree)
         total += 1
-        external += _ref_is_external(href, tree.source_url)
-        secure += _ref_is_secure(href, tree.source_url)
+        external += domain is not None
+        secure += is_secure
     return total, external, secure
 
 
@@ -319,7 +296,7 @@ def _ref_action_counts(tree):
         if action is None:
             continue
         total += 1
-        other += _ref_is_external(action, tree.source_url)
+        other += _ref_resolve(action, tree)[0] is not None
     return total, other
 
 
@@ -330,7 +307,7 @@ def _ref_img_counts(tree):
             continue
         total += 1
         src = el.get_attr("src")
-        other += src is not None and _ref_is_external(src, tree.source_url)
+        other += src is not None and _ref_resolve(src, tree)[0] is not None
     return total, other
 
 
@@ -352,10 +329,9 @@ def _ref_page_features(tree):
                 fmap[kind] = 1.0
         elif el.tag == "a":
             href = el.get_attr("href")
-            if href and _ref_is_external(href, tree.source_url):
-                domain = _ref_domain(_ref_join(tree.source_url, href))
-                if domain:
-                    fmap[f"PageLinkDomain={domain}"] = 1.0
+            domain = _ref_resolve(href, tree)[0] if href else None
+            if domain:
+                fmap[f"PageLinkDomain={domain}"] = 1.0
         elif el.tag == "script":
             scripts += 1
     if scripts > 1:
@@ -412,6 +388,85 @@ def test_one_walk_matches_the_four_walk_reference(pieces, url):
             counts.other_imgs, counts.scripts) == expected_counts
 
 
+# -- reference resolution against the urljoin oracle ----------------------------
+
+# Pieces of adversarial references and page URLs: schemes in any case,
+# scheme-relative and backslash prefixes, the tab, newline and leading
+# C0/space characters that urlsplit strips, and unbalanced brackets.
+URL_PIECES = st.sampled_from([
+    "http:", "HTTP:", "https:", "HtTpS:", "ftp:", "file:", "mailto:",
+    "javascript:", "//", "/", "\\", "\t", "\n", " ", "\x00", "\x1f", "[", "]",
+    "[::1]", "@", ":", ":80", "..", ".", "?q", "#f", "a.example.com",
+    "seed.test", "www.seed.test", "shop.co.uk", "x",
+])
+DRAWN_URLS = st.lists(URL_PIECES, max_size=8).map("".join)
+# A drawn page URL keeps a netloc, and the hostless ones are fixed.  On a
+# non-empty page URL without a netloc, urljoin serializes the joined URL
+# and splits it again, and that can re-read its path as a scheme or a
+# netloc: see the test after this one.
+BASES = st.one_of(st.sampled_from([
+    "", "https://seed.test/login", "http://seed.test/a/b", "HTTPS://WWW.Seed.Test/",
+    "https://shop.co.uk/cart", "ftp://h.test/", "//seed.test/p", "http://./",
+    "file:///x", "file:///tmp/x", "mailto:a@b", "http://[x",
+]), st.builds("{}{}".format, st.sampled_from(
+    ["https://seed.test", "http://www.seed.test", "HTTPS://shop.co.uk",
+     "//seed.test", "ftp://h.test"]), DRAWN_URLS))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ref=DRAWN_URLS, base=BASES)
+@example(ref="http:foo", base="https://seed.test/login")
+@example(ref="http:foo", base="http://seed.test/a/b")
+@example(ref="//a.example.com/x", base="https://seed.test/login")
+@example(ref="HTTPS://A.Example.COM/", base="http://seed.test/a/b")
+@example(ref="\\\\a.example.com\\x", base="https://seed.test/login")
+@example(ref="ht\ttp://a.exa\nmple.com/", base="https://seed.test/login")
+@example(ref="\x00 \x1fhttps://a.example.com/", base="http://seed.test/a/b")
+@example(ref="http://[x", base="https://seed.test/login")
+@example(ref="", base="https://seed.test/login")
+@example(ref="/in", base="")
+@example(ref="https://a.example.com/", base="")
+@example(ref="//a.example.com/", base="file:///x")
+@example(ref="http://a.example.com/", base="mailto:a@b")
+@example(ref="/in", base="mailto:a@b")
+@example(ref="/in", base="http://[x")
+@example(ref="", base="http://[x")
+def test_tally_resolve_matches_the_urljoin_oracle(ref, base):
+    expected = resolve_reference(ref, base, registrable_domain(base))
+    assert PageTally(base).resolve(ref) == expected
+
+
+@pytest.mark.parametrize("ref, base, oracle", [
+    ("../HtTpS:x", "seed.test/p", (None, True)),
+    ("?q", "https:////[x", (None, False)),
+], ids=["path-read-as-scheme", "path-read-as-netloc"])
+def test_tally_resolve_keeps_the_page_scheme_where_urljoin_rereads_the_path(
+        ref, base, oracle):
+    """On a page URL with no netloc the joined URL's scheme is the page's;
+    urljoin's serialized join re-reads "HtTpS:x" as a scheme and "//[x" as
+    a malformed netloc.  No reference on such a page is external."""
+    assert resolve_reference(ref, base, registrable_domain(base)) == oracle
+    assert PageTally(base).resolve(ref) == (None, base.startswith("https:"))
+
+
+def test_split_host_runs_once_per_distinct_host(monkeypatch):
+    calls = []
+
+    def counted(host):
+        calls.append(host)
+        return split_host(host)
+
+    monkeypatch.setattr(features, "split_host", counted)
+    hosts = ["a.example.com", "cdn.example.org", "seed.test"]
+    markup = "".join(f'<a href="https://{host}/{i}">x</a><img src="//{host}/{i}.png">'
+                     f'<form action="http://{host}/post"></form>'
+                     for i in range(5) for host in hosts)
+    page = parse_html(f"<html><body>{markup}<a href='/in'>in</a></body></html>",
+                      "https://www.seed.test/login")
+    extract_page_features(page)
+    assert sorted(calls) == sorted(hosts + ["www.seed.test"])
+
+
 # -- URL features ---------------------------------------------------------------
 
 def canon(features) -> set[str]:
@@ -441,6 +496,17 @@ def test_url_error_on_garbage():
         extract_url_features("not a url")
     with pytest.raises(UrlError):
         extract_url_features("/relative/only")
+
+
+@pytest.mark.parametrize("url", [
+    "http://./", "http:// /", "http://.../x", "http://a..com/", "http://a..b.com/",
+    "http://a..b.co.uk/",
+])
+def test_url_error_on_a_host_with_an_empty_label(url):
+    """A host that normalizes to nothing, or holds an empty label, gives
+    no URL features: it is a URL error that names the URL."""
+    with pytest.raises(UrlError, match="not an absolute URL"):
+        extract_url_features(url)
 
 
 def test_hash_injectivity_over_corpus_scale_features(paypal_page, legit_pages):
