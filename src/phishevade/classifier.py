@@ -19,11 +19,11 @@ the rules that ``Classifier.rules_by_feature`` files under its keys, and
 ``_raw`` adds ``weight * product`` to the bias in rule order.  ``score``
 builds the table of a feature map.  A working page is read instead through
 a ``TallyHits`` tracker bound to its ``PageTally``: the tracker keeps the
-page's map and hit table and, on ``update``, re-evaluates only the rules
-filed under the features whose value changed since its last update, read
-from its own position in the tally's journal, so its table is bit for bit
-``hit_table`` of the tally's feature map.  ``ScoreOracle.score_tally``
-scores through one tracker, and an attack counts its mutated rules
+page's map and hit table and, on ``update``, re-reads ``PageTally.value``
+of the features the tally's journal lists past its own position and
+re-evaluates only the rules filed under those whose value changed, so its
+table is bit for bit ``hit_table`` of the tally's feature map.
+``ScoreOracle.score_tally`` scores through one tracker, and an attack counts its mutated rules
 through another over the same tally.
 """
 
@@ -296,29 +296,22 @@ class TallyHits:
         self.classifier, self.tally = classifier, tally
         self._digests = digests = _Digests() if classifier.hashed else None
         self._read = len(tally.journal)
-        self._counts = tally.counts.copy()
         fmap = tally.fmap()
         self.values = fmap if digests is None else \
             {digests[name]: value for name, value in fmap.items()}
         self.hits = hit_table(classifier, self.values)
 
     def update(self) -> set[int]:
-        """Re-read the features the journal lists past this tracker's
-        position and, when the tally's counts moved from its snapshot, the
-        ``COUNT_KINDS``; re-evaluate the rules filed under those whose value
-        changed, and return the positions of the rules whose gated product
-        changed (an unhit rule's being None)."""
+        """Re-read the tally's :meth:`~PageTally.value` of each feature the
+        journal lists past this tracker's position, re-evaluate the rules
+        filed under those whose value changed, and return the positions of
+        the rules whose gated product changed (an unhit rule's being
+        None)."""
         clf, tally, values, hits = self.classifier, self.tally, self.values, self.hits
-        features, journal = tally.features, tally.journal
-        moved = [(name, 1.0 if name in features else 0.0)
-                 for name in dict.fromkeys(journal[self._read:])]
-        self._read = len(journal)
-        if tally.counts != self._counts:
-            self._counts = tally.counts.copy()
-            counted = tally.count_fmap()
-            moved += [(name, counted.get(name, 0.0)) for name in F.COUNT_KINDS]
+        journal, value_of = tally.journal, tally.value
         digests, index, dirty = self._digests, clf.rules_by_feature, set()
-        for name, value in moved:
+        for name in dict.fromkeys(journal[self._read:]):
+            value = value_of(name)
             key = name if digests is None else digests[name]
             if values.get(key, 0.0) != value:
                 if value:
@@ -326,6 +319,7 @@ class TallyHits:
                 else:
                     del values[key]
                 dirty.update(index.get(key, ()))
+        self._read = len(journal)
         changed = set()
         for i in dirty:
             product = gated_product(clf.rules[i], values, clf.freq_detect_threshold)

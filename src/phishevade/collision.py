@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .classifier import HEX64, Classifier, HashFormatError, SchemaError, clip, decode_json
 from .dom import DomTree, load_page
-from .features import extract_page_features, extract_url_features, hash_feature
+from .features import UrlError, extract_page_features, extract_url_features, hash_feature
 
 PHISH = "phish"
 LEGIT = "legit"
@@ -52,14 +52,16 @@ def load_corpus(manifest_path) -> Corpus:
     records without a ``path`` contribute a bare URL only.  Paths are
     resolved relative to the manifest file.  A record that is not an object
     with a string ``url`` (and a string ``path``, when given) raises
-    :class:`SchemaError`.
+    :class:`SchemaError`, and one whose ``url`` is not an absolute URL
+    raises :class:`UrlError` naming the manifest's ``path:line``; either
+    is raised before any later page is read.
     """
     import os
 
     base = os.path.dirname(os.path.abspath(manifest_path))
     corpus = Corpus()
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -69,6 +71,10 @@ def load_corpus(manifest_path) -> Corpus:
                 raise SchemaError(f"corpus record {clip(repr(line))} needs a string "
                                   "'url' and no non-string 'path'")
             url = record["url"]
+            try:
+                extract_url_features(url)
+            except UrlError as exc:
+                raise UrlError(f"{manifest_path}:{lineno}: {exc}") from exc
             path = record.get("path")
             if path:
                 full = path if os.path.isabs(path) else os.path.join(base, path)
@@ -104,12 +110,6 @@ def load_manifest(path) -> set[str]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh]
     return check_manifest(line for line in lines if line)
-
-
-def save_manifest(digests, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for digest in sorted(digests):
-            fh.write(digest + "\n")
 
 
 def invert_hashes(candidates, manifest) -> InversionReport:

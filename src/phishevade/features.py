@@ -10,10 +10,14 @@ a multiset of features (``PageHasForms``, the input kinds,
 ``PageActionURL=...``, ``PageLinkDomain=...``) and a :class:`PageCounts`
 increment; a text node that ``walk_text_nodes`` yields (so not one inside
 script or style) contributes its terms as a multiset of ``PageTerm=...``.
-A :class:`PageTally` is that fold plus the URL features, which are fixed
-because URLs are never mutated.  Its feature map has value 1 for every
-feature counted at least once, the script flags and the frequency ratios
-from the folded counts, and the URL features.  ``extract_page_features`` and
+Which element carries a feature is said here once: ``FREQUENCIES`` gives
+each frequency kind its counts and its element (tag, attribute),
+``INPUT_TYPES`` each input kind its input type, and ``SCRIPT_FLAGS`` each
+script flag the script count it must exceed.  A :class:`PageTally` is
+that fold plus the URL features, which are fixed because URLs are never
+mutated.  ``PageTally.value`` defines the value of every page feature: 1
+for a feature counted at least once, the script flags and the frequency
+ratios from the folded counts.  ``extract_page_features`` and
 ``extract_all_features`` fold a whole page; because each contribution is
 local, an edit to one node updates a tally by removing the node's old
 contribution and adding its new one, which is how ``mutation.MutationPlan``
@@ -21,18 +25,22 @@ carries a page's tally along with its tree and undoes an edit in both.  A
 zero-width split of a text node is more local still: ``split_text`` trades
 one count of the term that spans the split for one count of each fragment,
 without tokenizing the node again.  Every edit appends to the tally's
-``journal`` the features whose presence it flipped.  Nothing clears the
-journal: each reader that tracks the tally (``classifier.TallyHits``)
-keeps its own position in it and, on a read, re-reads only the features
-past that position and, when ``counts`` moved, the ``COUNT_KINDS``, so any
-number of readers can follow one working page.
+``journal`` the features whose value it may have changed: those whose
+presence it flipped and the count features of the elements it added or
+removed.  Nothing clears the journal: each reader that tracks the tally
+(``classifier.TallyHits``) keeps its own position in it and, on a read,
+re-reads the value of only the features past that position, so any number
+of readers can follow one working page.
 
 Where an href, action or src points is :meth:`PageTally.resolve`: the tally
 splits the page URL once, splits each reference once against that split,
 and memoizes host -> registrable domain for as long as it lives, so each
 distinct host is split once per page.  No reference is joined into a URL;
 joining with the standard library's URL join and splitting the result is
-the definition the tests hold ``resolve`` to.
+the definition the tests hold ``resolve`` to.  A host is usable when
+``split_usable_host`` says so, for URL features and references alike: a
+host that normalizes to nothing or holds an empty label gives no URL
+features, and a reference to it is internal and not secure.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .dom import DomNode, DomTree, walk_elements, walk_text_nodes
@@ -83,8 +92,6 @@ PAGE_WILDCARD_KINDS = frozenset({PAGE_ACTION_URL, PAGE_LINK_DOMAIN, PAGE_TERM})
 URL_KINDS = frozenset({URL_TLD, URL_DOMAIN, URL_OTHER_HOST_TOKEN, URL_PATH_TOKEN})
 WILDCARD_KINDS = PAGE_WILDCARD_KINDS | URL_KINDS
 ALL_KINDS = BOOLEAN_KINDS | FREQUENCY_KINDS | WILDCARD_KINDS
-# The features read from a tally's counts rather than its counted features.
-COUNT_KINDS = FREQUENCY_KINDS | {PAGE_NUM_SCRIPTS_GT1, PAGE_NUM_SCRIPTS_GT6}
 
 FeatureValueMap = dict[str, float]
 
@@ -164,13 +171,34 @@ def hash_feature(canonical: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# Frequency kind -> its PageCounts numerator and denominator.
-FREQUENCY_TALLIES = {
-    PAGE_EXTERNAL_LINKS_FREQ: ("external_links", "links"),
-    PAGE_SECURE_LINKS_FREQ: ("secure_links", "links"),
-    PAGE_ACTION_OTHER_DOMAIN_FREQ: ("other_actions", "actions"),
-    PAGE_IMG_OTHER_DOMAIN_FREQ: ("other_imgs", "imgs"),
+class Frequency(NamedTuple):
+    """A frequency kind's :class:`PageCounts` numerator and denominator, and
+    the element (tag, attribute) whose reference it counts."""
+
+    numerator: str
+    denominator: str
+    tag: str
+    attr: str
+
+
+FREQUENCIES = {
+    PAGE_EXTERNAL_LINKS_FREQ: Frequency("external_links", "links", "a", "href"),
+    PAGE_SECURE_LINKS_FREQ: Frequency("secure_links", "links", "a", "href"),
+    PAGE_ACTION_OTHER_DOMAIN_FREQ: Frequency("other_actions", "actions", "form", "action"),
+    PAGE_IMG_OTHER_DOMAIN_FREQ: Frequency("other_imgs", "imgs", "img", "src"),
 }
+
+# Script flag -> the script count it must exceed.
+SCRIPT_FLAGS = {PAGE_NUM_SCRIPTS_GT1: 1, PAGE_NUM_SCRIPTS_GT6: 6}
+
+# The features read from a tally's counts, in feature map order.
+_COUNT_FEATURES = (*SCRIPT_FLAGS, *FREQUENCIES)
+
+# Tag -> the count features that adding or removing one of its elements
+# moves (a link only with an href, a form only with an action).
+_COUNTS_MOVED = {tag: tuple(kind for kind, f in FREQUENCIES.items() if f.tag == tag)
+                 for tag in dict.fromkeys(f.tag for f in FREQUENCIES.values())}
+_COUNTS_MOVED["script"] = tuple(SCRIPT_FLAGS)
 
 
 @dataclass(slots=True)
@@ -189,13 +217,8 @@ class PageCounts:
 
     def fraction(self, kind: str) -> tuple[int, int]:
         """``(numerator, denominator)`` of a frequency feature kind."""
-        num, den = FREQUENCY_TALLIES[kind]
-        return getattr(self, num), getattr(self, den)
-
-    def copy(self) -> PageCounts:
-        return PageCounts(self.links, self.external_links, self.secure_links,
-                          self.actions, self.other_actions, self.imgs,
-                          self.other_imgs, self.scripts)
+        frequency = FREQUENCIES[kind]
+        return getattr(self, frequency.numerator), getattr(self, frequency.denominator)
 
 
 _INPUT_FEATURES = {
@@ -204,12 +227,35 @@ _INPUT_FEATURES = {
     "radio": PAGE_HAS_RADIO_INPUTS,
     "checkbox": PAGE_HAS_CHECK_INPUTS,
 }
+# Input feature kind -> the input type that carries it.
+INPUT_TYPES = {kind: input_type for input_type, kind in _INPUT_FEATURES.items()}
 
 _TERM_PREFIX = PAGE_TERM + "="
 
 # The tags whose elements contribute; every other element contributes
 # nothing.
 _CONTRIBUTING_TAGS = frozenset({"a", "form", "img", "input", "script"})
+
+
+def split_usable_host(host: str | None) -> tuple[str, str, list[str]] | None:
+    """``split_host`` of ``host``, or None when there is no host or it is
+    not usable: it normalizes to nothing (dots or spaces) or holds an
+    empty label."""
+    if not host:
+        return None
+    split = split_host(host)
+    _, registrable, other_labels = split
+    return split if all(registrable.split(".") + other_labels) else None
+
+
+class _Domains(dict):
+    """Host -> its registrable domain, None for a host that is not usable;
+    each host is split once."""
+
+    def __missing__(self, host: str | None) -> str | None:
+        split = split_usable_host(host)
+        domain = self[host] = None if split is None else split[1]
+        return domain
 
 
 class PageTally:
@@ -219,37 +265,37 @@ class PageTally:
     ``url`` complete :meth:`fmap`.  Start with an empty tally for the page's
     URL and fold the page into it with :func:`extract_page_features`.
     ``base`` is the split of ``url`` (None when it does not parse) that
-    :meth:`resolve` reads references against.
+    :meth:`resolve` reads references against.  :meth:`value` is the one
+    definition of a page feature's value.
 
-    ``journal`` lists, in order and append only, every feature whose
-    presence in ``features`` an edit flipped; a reader that tracks the
-    tally keeps its own position in it.  The whole-page fold of the terms
-    does not record them."""
+    ``journal`` lists, in order and append only, every feature whose value
+    an edit may have changed: each feature whose presence in ``features``
+    it flipped, and the count features of each element it added or
+    removed (both link ratios for a link, the action ratio for a form with
+    an action, the image ratio for an image, both script flags for a
+    script).  A reader that tracks the tally keeps its own position in it.
+    The whole-page fold of the terms does not record them."""
 
     __slots__ = ("url", "base", "base_domain", "features", "counts",
-                 "journal", "_domains", "_url_fmap")
+                 "journal", "_domains", "_joined_secure", "_url_fmap")
 
     def __init__(self, url: str):
         self.url = url
-        self._domains: dict[str, str] = {}
+        self._domains = _Domains()
         try:
             self.base = urlsplit(url)
         except ValueError:
             self.base = None
-        self.base_domain = self._domain(self.base.hostname) if self.base else None
+        host = self.base.hostname if self.base else None
+        self.base_domain = self._domains[host]
+        # whether a reference that joins onto the page's host is secure: on
+        # an https page whose host, if it has one, is usable
+        self._joined_secure = self.base is not None and self.base.scheme == "https" \
+            and (self.base_domain is not None or not host)
         self.features: Counter[str] = Counter()
         self.counts = PageCounts()
         self.journal: list[str] = []
         self._url_fmap: FeatureValueMap | None = None
-
-    def _domain(self, host: str | None) -> str | None:
-        """Registrable domain of ``host``, split once per tally."""
-        if not host:
-            return None
-        domain = self._domains.get(host)
-        if domain is None:
-            domain = self._domains[host] = split_host(host)[1]
-        return domain
 
     def resolve(self, ref: str) -> tuple[str | None, bool]:
         """Where an href, action or src on the page points.
@@ -258,17 +304,21 @@ class PageTally:
         registrable domain when it differs from the page's ``base_domain``
         (an external reference), else None; ``secure`` says the scheme is
         https.  References without a host (mailto:, javascript:, ...),
-        references on a page with no domain, and references that do not
-        parse are internal; the last are also not secure, and on a page
-        whose URL does not parse every reference is one.
+        references on a page with no domain, references whose host is not
+        usable (``split_usable_host``) and references that do not parse
+        are internal; the last two are also not secure, and on a page whose
+        URL does not parse every reference is one.
 
         Only the scheme and the host of the joined URL count, so the
         reference is split once, with the page's scheme as its default, and
         never joined.  A reference that names a host keeps it.  One that
-        names none joins onto the page's host (when it keeps the page's
-        scheme and the scheme takes relative references) or onto none:
-        internal either way.  An empty reference, and any reference on a
-        page with an empty URL, fall under the same rules.
+        names no netloc and keeps the page's scheme joins onto the page's
+        host: internal, and not secure when that host is not usable.  Any
+        other one names no host and is internal.  (The join also needs a
+        scheme that takes relative references; https does, and on any
+        other scheme the reference is internal and not secure either way.)
+        An empty reference, and any reference on a page with an empty URL,
+        fall under the same rules.
         """
         base = self.base
         if base is None:
@@ -277,10 +327,16 @@ class PageTally:
             parts = urlsplit(ref, base.scheme)
         except ValueError:
             return None, False
-        domain = self._domain(parts.hostname)
+        if not parts.netloc and parts.scheme == base.scheme:
+            return None, self._joined_secure    # joined onto the page's host
+        secure = parts.scheme == "https"
+        host = parts.hostname
+        domain = self._domains[host]
+        if domain is None:      # no host, or one that is not usable
+            return None, secure and not host
         if self.base_domain is None or domain == self.base_domain:
-            domain = None
-        return domain, parts.scheme == "https"
+            return None, secure
+        return domain, secure
 
     def _count(self, feature: str, sign: int) -> None:
         n = self.features[feature] + sign
@@ -299,7 +355,8 @@ class PageTally:
         ``<img>`` as an image; external references are counted in their
         numerators, an external link also contributes ``PageLinkDomain``.
         Every form contributes ``PageHasForms``, a non-empty action
-        ``PageActionURL``, an input of a known type its input kind.
+        ``PageActionURL``, an input of a known type its input kind.  The
+        journal records the count features the element moves.
         """
         tag = el.tag
         counts = self.counts
@@ -313,8 +370,7 @@ class PageTally:
                 counts.secure_links += sign
             if domain is not None:
                 counts.external_links += sign
-                if domain:
-                    self._count(f"{PAGE_LINK_DOMAIN}={domain}", sign)
+                self._count(f"{PAGE_LINK_DOMAIN}={domain}", sign)
         elif tag == "form":
             self._count(PAGE_HAS_FORMS, sign)
             action = el.attrs.get("action")
@@ -336,6 +392,7 @@ class PageTally:
                 self._count(feature, sign)
         elif tag == "script":
             counts.scripts += sign
+        self.journal.extend(_COUNTS_MOVED.get(tag, ()))
 
     def add_text(self, text: str, sign: int = 1) -> None:
         """Add or remove the terms of one counted text node.  Term
@@ -360,26 +417,26 @@ class PageTally:
         self._count(_TERM_PREFIX + term[:cut], sign)
         self._count(_TERM_PREFIX + term[cut:], sign)
 
-    def count_fmap(self) -> FeatureValueMap:
-        """The ``COUNT_KINDS`` features of ``counts``: the script flags, and
-        each frequency ratio whose numerator is not 0."""
-        fmap = {}
-        counts = self.counts
-        if counts.scripts > 1:
-            fmap[PAGE_NUM_SCRIPTS_GT1] = 1.0
-        if counts.scripts > 6:
-            fmap[PAGE_NUM_SCRIPTS_GT6] = 1.0
-        for kind, (num, den) in FREQUENCY_TALLIES.items():
-            n = getattr(counts, num)
-            if n:
-                fmap[kind] = n / getattr(counts, den)
-        return fmap
+    def value(self, name: str) -> float:
+        """The value of page feature ``name`` on the page: a frequency
+        ratio from ``counts`` (0 while its numerator is 0), a script flag 1
+        when ``counts`` has more scripts than it names, and any other
+        feature 1 when it is counted, else 0."""
+        if name in FREQUENCIES:
+            n, d = self.counts.fraction(name)
+            return n / d if n else 0.0
+        if name in SCRIPT_FLAGS:
+            return float(self.counts.scripts > SCRIPT_FLAGS[name])
+        return 1.0 if name in self.features else 0.0
 
     def page_fmap(self) -> FeatureValueMap:
-        """The page feature map: value 1 for each counted feature, and the
-        features of :meth:`count_fmap`."""
+        """The page feature map: each page feature whose :meth:`value` is
+        not 0."""
         fmap = dict.fromkeys(self.features, 1.0)
-        fmap.update(self.count_fmap())
+        for name in _COUNT_FEATURES:
+            value = self.value(name)
+            if value:
+                fmap[name] = value
         return fmap
 
     def fmap(self) -> FeatureValueMap:
@@ -421,12 +478,10 @@ def extract_url_features(url: str) -> set[Feature]:
         parts = urlsplit(url)
     except ValueError as exc:
         raise UrlError(str(exc)) from exc
-    if not parts.scheme or not parts.hostname:
+    split = split_usable_host(parts.hostname) if parts.scheme else None
+    if split is None:
         raise UrlError(f"not an absolute URL: {url!r}")
-    suffix, registrable, other_labels = split_host(parts.hostname)
-    if not all(registrable.split(".") + other_labels):
-        # a host of dots or spaces, or one with an empty label
-        raise UrlError(f"not an absolute URL: {url!r}")
+    suffix, registrable, other_labels = split
     features: set[Feature] = set()
     if suffix:
         features.add(Feature(URL_TLD, suffix))

@@ -107,14 +107,6 @@ DELETABLE_KINDS = frozenset({
     F.PAGE_ACTION_URL, F.PAGE_LINK_DOMAIN, F.PAGE_TERM,
 })
 
-# Frequency kind -> (tag, attribute) of the element whose reference it counts.
-_FREQUENCY_CARRIERS = {
-    F.PAGE_EXTERNAL_LINKS_FREQ: ("a", "href"),
-    F.PAGE_SECURE_LINKS_FREQ: ("a", "href"),
-    F.PAGE_ACTION_OTHER_DOMAIN_FREQ: ("form", "action"),
-    F.PAGE_IMG_OTHER_DOMAIN_FREQ: ("img", "src"),
-}
-
 _HANDLER_ASSIGNMENT = re.compile(r"this\.([\w-]+)='((?:\\.|[^'\\])*)';")
 
 
@@ -479,8 +471,11 @@ def plan_delete_feature(plan: MutationPlan, canonical: str,
                         freq_detect_threshold: float = 0.05,
                         avoid_terms: set[str] | None = None) -> None:
     """Push onto ``plan`` the ops that zero ``canonical`` (or, for frequency
-    features, drive it below the detection threshold) on ``plan.tree``.  On
-    failure nothing stays pushed."""
+    features, drive it below the detection threshold) on ``plan.tree``.  A
+    feature whose ``plan.tally.value`` is 0 raises :class:`FeatureAbsent`.
+    The inputs an input feature edits and the padding a frequency feature
+    adds are the carriers ``features`` names for it.  On failure nothing
+    stays pushed."""
     check_freq_detect_threshold(freq_detect_threshold)
     feature = Feature.parse(canonical)
     if feature is None:
@@ -489,7 +484,7 @@ def plan_delete_feature(plan: MutationPlan, canonical: str,
         raise UnsupportedMutation("URL features cannot be deleted: URLs are never mutated")
     if feature.kind not in DELETABLE_KINDS:
         raise UnsupportedMutation(f"{feature.kind} cannot be deleted")
-    if canonical not in plan.tally.page_fmap():
+    if not plan.tally.value(canonical):
         raise FeatureAbsent(canonical)
 
     work, push = plan.tree, plan.push
@@ -505,8 +500,8 @@ def plan_delete_feature(plan: MutationPlan, canonical: str,
                 with suppress(TermNotFound):
                     while payload in node.value:
                         push(modify_text(work, path, payload, avoid_terms))
-        elif kind in (F.PAGE_HAS_TEXT_INPUTS, F.PAGE_HAS_PSWD_INPUTS):
-            wanted = "text" if kind == F.PAGE_HAS_TEXT_INPUTS else "password"
+        elif kind in F.INPUT_TYPES:
+            wanted = F.INPUT_TYPES[kind]
             for path, el in list(walk_elements(work)):
                 if el.tag == "input" and (el.get_attr("type") or "").lower() == wanted:
                     push(modify_attribute(work, path, "type"))
@@ -522,9 +517,9 @@ def plan_delete_feature(plan: MutationPlan, canonical: str,
                     push(modify_attribute(work, path, "href"))
         elif kind in F.FREQUENCY_KINDS:
             # dilute with internal, insecure references
-            tag, attr = _FREQUENCY_CARRIERS[kind]
+            carrier = F.FREQUENCIES[kind]
             num, den = plan.tally.counts.fraction(kind)
-            spec = ElementSpec(tag, ((attr, _internal_url(plan.tally)),))
+            spec = ElementSpec(carrier.tag, ((carrier.attr, _internal_url(plan.tally)),))
             for _ in range(_dilution_added(num, den, freq_detect_threshold)):
                 push(add_invisible_element(work, spec))
 
@@ -537,17 +532,10 @@ def _spec_for_feature(plan: MutationPlan, feature: Feature,
         return [ElementSpec("div", (), payload)]
     if kind == F.PAGE_HAS_FORMS:
         return [ElementSpec("form")]
-    if kind == F.PAGE_HAS_TEXT_INPUTS:
-        return [ElementSpec("input", (("type", "text"),))]
-    if kind == F.PAGE_HAS_PSWD_INPUTS:
-        return [ElementSpec("input", (("type", "password"),))]
-    if kind == F.PAGE_HAS_RADIO_INPUTS:
-        return [ElementSpec("input", (("type", "radio"),))]
-    if kind == F.PAGE_HAS_CHECK_INPUTS:
-        return [ElementSpec("input", (("type", "checkbox"),))]
-    if kind in (F.PAGE_NUM_SCRIPTS_GT1, F.PAGE_NUM_SCRIPTS_GT6):
-        wanted = 2 if kind == F.PAGE_NUM_SCRIPTS_GT1 else 7
-        return [ElementSpec("script")] * max(0, wanted - counts.scripts)
+    if kind in F.INPUT_TYPES:
+        return [ElementSpec("input", (("type", F.INPUT_TYPES[kind]),))]
+    if kind in F.SCRIPT_FLAGS:
+        return [ElementSpec("script")] * max(0, F.SCRIPT_FLAGS[kind] + 1 - counts.scripts)
     if kind == F.PAGE_ACTION_URL:
         return [ElementSpec("form", (("action", payload),))]
     if kind == F.PAGE_LINK_DOMAIN:
@@ -558,7 +546,7 @@ def _spec_for_feature(plan: MutationPlan, feature: Feature,
         return [ElementSpec("a", (("href", href),))]
     if kind in F.FREQUENCY_KINDS:
         # boost with secure internal links or external references
-        tag, attr = _FREQUENCY_CARRIERS[kind]
+        carrier = F.FREQUENCIES[kind]
         url = _internal_url(tally, "https") if kind == F.PAGE_SECURE_LINKS_FREQ \
             else _EXTERNAL_PAD_URL
         domain, secure = tally.resolve(url)
@@ -567,7 +555,7 @@ def _spec_for_feature(plan: MutationPlan, feature: Feature,
             raise UnsupportedMutation(f"{url!r} does not count toward {kind} here")
         num, den = counts.fraction(kind)
         n = _boost_added(num, den, freq_detect_threshold)
-        return [ElementSpec(tag, ((attr, url),))] * n
+        return [ElementSpec(carrier.tag, ((carrier.attr, url),))] * n
     raise UnsupportedMutation(f"{kind} cannot be added")
 
 

@@ -11,6 +11,9 @@ give the same maps and counts.
 A reference points where ``urljoin`` puts it: the oracle joins it with the
 page URL and splits the result, where ``PageTally.resolve`` splits the
 reference once and reads the scheme and host off it and the page's split.
+A host that normalizes to nothing or holds an empty label is no host: a
+page URL with one has no domain, and a reference to one is internal and
+not secure, as is one that does not join or split.
 """
 
 from collections import Counter
@@ -40,27 +43,40 @@ _FREQUENCY_TALLIES = {
 }
 
 
+def host_domain(host):
+    """The registrable domain of a host; None without a host, or when one of
+    its labels is empty."""
+    if not host:
+        return None
+    _, registrable, other_labels = split_host(host)
+    if "" in registrable.split(".") or "" in other_labels:
+        return None
+    return registrable
+
+
 def registrable_domain(url):
     """The registrable domain of a URL's host; None without one, or when the
     URL does not parse."""
     try:
-        host = urlsplit(url).hostname
+        return host_domain(urlsplit(url).hostname)
     except ValueError:
         return None
-    return split_host(host)[1] if host else None
 
 
 def resolve_reference(ref, base_url, base_domain):
     """``(domain, secure)`` of a reference joined with the page URL: the
     joined URL's registrable domain when it differs from the page's
     ``base_domain``, else None, and whether its scheme is https.  A
-    reference that does not join or split is hostless and not secure."""
+    reference that does not join or split, or whose host has an empty
+    label, is internal and not secure."""
     try:
         parts = urlsplit(urljoin(base_url, ref))
     except ValueError:
         return None, False
     host = parts.hostname
-    domain = split_host(host)[1] if host else None
+    domain = host_domain(host)
+    if host and domain is None:
+        return None, False
     if base_domain is None or domain == base_domain:
         domain = None
     return domain, parts.scheme == "https"
@@ -90,8 +106,7 @@ def _element_walk(tree):
             counts.secure_links += secure
             if domain is not None:
                 counts.external_links += 1
-                if domain:
-                    found[f"PageLinkDomain={domain}"] += 1
+                found[f"PageLinkDomain={domain}"] += 1
         elif tag == "form":
             found["PageHasForms"] += 1
             action = el.attrs.get("action")

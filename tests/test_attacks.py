@@ -1,3 +1,4 @@
+import copy
 import random
 from contextlib import contextmanager
 from unittest import mock
@@ -482,7 +483,7 @@ def test_black_addition_phase_with_rollback(monkeypatch):
     # every rejected offer leaves the working page byte-identical to the page
     # after the previous offer, and its tally equal to that page's tally
     def state(tree, tally):
-        return serialize(tree), dict(tally.features), tally.counts.copy()
+        return serialize(tree), dict(tally.features), copy.copy(tally.counts)
 
     tally = PageTally(page.source_url)
     extract_page_features(page, tally)

@@ -554,7 +554,8 @@ def test_infer_corpus_url_with_an_empty_host_exits_2_naming_it(tmp_path, capsys)
     manifest_path.write_text(hash_feature("PageHasForms") + "\n")
     assert run(["infer", "--corpus", str(corpus_path),
                 "--manifest", str(manifest_path)]) == 2
-    assert capsys.readouterr().err == "error: not an absolute URL: 'http://./x'\n"
+    assert capsys.readouterr().err == \
+        f"error: {corpus_path}:1: not an absolute URL: 'http://./x'\n"
 
 
 @pytest.mark.parametrize("url", ["http://./", "http:// /", "http://a..b.com/"])

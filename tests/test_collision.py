@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 
@@ -11,9 +12,13 @@ from phishevade.collision import (
     invert_hashes,
     load_corpus,
     load_manifest,
-    save_manifest,
 )
-from phishevade.features import extract_page_features, extract_url_features, hash_feature
+from phishevade.features import (
+    UrlError,
+    extract_page_features,
+    extract_url_features,
+    hash_feature,
+)
 
 from conftest import LEGIT_URLS, PAYPAL_URL, build_page, fixture_path, make_classifier, rule
 
@@ -128,9 +133,7 @@ def test_infer_rules_partition():
 def test_manifest_file_round_trip(tmp_path):
     digests = {hash_feature(f"PageTerm=w{i}") for i in range(5)}
     path = tmp_path / "manifest.txt"
-    save_manifest(digests, path)
-    text = path.read_text()
-    assert text.endswith("\n") and "\r" not in text
+    path.write_text("".join(f"{digest}\n" for digest in sorted(digests)))
     assert load_manifest(path) == digests
 
 
@@ -145,3 +148,18 @@ def test_corpus_manifest_loading(tmp_path):
     corpus = load_corpus(manifest)
     assert len(corpus.pages) == 1 and corpus.pages[0].label == "phish"
     assert corpus.url_list == ["http://promo.linkfarm.test/win"]
+
+
+def test_a_record_whose_url_is_not_absolute_fails_before_any_page_is_read(tmp_path):
+    manifest = tmp_path / "corpus.jsonl"
+    records = [
+        {"url": "http://./x", "label": "phish"},
+        {"url": PAYPAL_URL, "path": fixture_path("login_paypal.html"),
+         "label": "phish"},
+    ]
+    manifest.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    with mock.patch("phishevade.collision.load_page") as load, \
+            pytest.raises(UrlError) as raised:
+        load_corpus(manifest)
+    assert str(raised.value) == f"{manifest}:1: not an absolute URL: 'http://./x'"
+    load.assert_not_called()

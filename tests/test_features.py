@@ -407,7 +407,8 @@ DRAWN_URLS = st.lists(URL_PIECES, max_size=8).map("".join)
 BASES = st.one_of(st.sampled_from([
     "", "https://seed.test/login", "http://seed.test/a/b", "HTTPS://WWW.Seed.Test/",
     "https://shop.co.uk/cart", "ftp://h.test/", "//seed.test/p", "http://./",
-    "file:///x", "file:///tmp/x", "mailto:a@b", "http://[x",
+    "file:///x", "file:///tmp/x", "mailto:a@b", "http://[x", "https://./",
+    "https://a..seed.test/",
 ]), st.builds("{}{}".format, st.sampled_from(
     ["https://seed.test", "http://www.seed.test", "HTTPS://shop.co.uk",
      "//seed.test", "ftp://h.test"]), DRAWN_URLS))
@@ -424,6 +425,9 @@ BASES = st.one_of(st.sampled_from([
 @example(ref="\x00 \x1fhttps://a.example.com/", base="http://seed.test/a/b")
 @example(ref="http://[x", base="https://seed.test/login")
 @example(ref="", base="https://seed.test/login")
+@example(ref="", base="https://./")
+@example(ref="/in", base="https://a..seed.test/")
+@example(ref="https://a..seed.test/", base="https://seed.test/login")
 @example(ref="/in", base="")
 @example(ref="https://a.example.com/", base="")
 @example(ref="//a.example.com/", base="file:///x")
@@ -457,7 +461,7 @@ def test_split_host_runs_once_per_distinct_host(monkeypatch):
         return split_host(host)
 
     monkeypatch.setattr(features, "split_host", counted)
-    hosts = ["a.example.com", "cdn.example.org", "seed.test"]
+    hosts = ["a.example.com", "cdn.example.org", "seed.test", "a..bad.test"]
     markup = "".join(f'<a href="https://{host}/{i}">x</a><img src="//{host}/{i}.png">'
                      f'<form action="http://{host}/post"></form>'
                      for i in range(5) for host in hosts)
@@ -465,6 +469,19 @@ def test_split_host_runs_once_per_distinct_host(monkeypatch):
                       "https://www.seed.test/login")
     extract_page_features(page)
     assert sorted(calls) == sorted(hosts + ["www.seed.test"])
+
+
+@pytest.mark.parametrize("href", ["http://a..com/", "http://./", "https://a..com/"])
+def test_a_reference_to_a_host_with_an_empty_label_is_internal(href):
+    """A host that normalizes to nothing or holds an empty label, which URL
+    features reject, is no domain for page features either: its link is
+    internal and not secure, as one that does not split."""
+    page = parse_html(f'<html><body><a href="{href}">x</a></body></html>',
+                      "https://seed.test/")
+    fmap = extract_page_features(page)
+    assert not [name for name in fmap if name.startswith("PageLinkDomain=")]
+    assert "PageExternalLinksFreq" not in fmap and "PageSecureLinksFreq" not in fmap
+    assert PageTally(page.source_url).resolve(href) == (None, False)
 
 
 # -- URL features ---------------------------------------------------------------

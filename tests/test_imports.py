@@ -1,8 +1,10 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package, a test module or a demo imports is
+used in that module.
 
 A name imported only to be bound in a module (perfbench times the
 extraction entry points on every module that binds them) is marked
-``# noqa: F401`` on its line; ``__init__.py`` re-exports and is skipped.
+``# noqa: F401`` on its line; the package's ``__init__.py`` re-exports and
+is skipped.
 """
 
 import ast
@@ -10,8 +12,10 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "phishevade"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "phishevade"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,6 +40,12 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS,
+                         ids=[f"{p.parent.name}/{p.name}" for p in SCRIPTS])
+def test_every_name_a_test_or_demo_imports_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

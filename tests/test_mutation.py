@@ -1,3 +1,4 @@
+import copy
 import json
 import time
 from contextlib import contextmanager
@@ -598,6 +599,7 @@ def test_plan_fmap_is_the_extraction_of_its_tree_after_every_push(
                 pass
     assert plan.fmap == oracle_extract_all_features(plan.tree)
     assert extract_all_features(plan.tree) == oracle_extract_all_features(plan.tree)
+    _assert_values_are_the_map(plan.tally)
 
 
 def test_plan_fmap_follows_rewrites_and_additions_that_extraction_skips():
@@ -637,7 +639,25 @@ SUITE_PAGES = [page for _, page in suite_seed_pages(per_bucket=1)]
 
 def _plan_state(plan):
     return (list(plan.ops), serialize(plan.tree), dict(plan.tally.features),
-            plan.tally.counts.copy())
+            copy.copy(plan.tally.counts))
+
+
+def _assert_values_are_the_map(tally):
+    """``tally.value`` of every rule feature and page feature is its value
+    on the tally's page feature map."""
+    fmap = tally.page_fmap()
+    for name in {*RULE_FEATURES, *fmap}:
+        assert tally.value(name) == fmap.get(name, 0.0), name
+
+
+def _assert_journal_lists_every_change(tally, before, mark):
+    """Every page feature whose value differs from ``before``, the page
+    feature map before the edits, is in the journal past ``mark``, its
+    length before the edits."""
+    after = tally.page_fmap()
+    changed = {name for name in {*before, *after}
+               if before.get(name, 0.0) != after.get(name, 0.0)}
+    assert changed <= set(tally.journal[mark:])
 
 
 def _assert_plan_is_its_replay(plan, page):
@@ -647,6 +667,7 @@ def _assert_plan_is_its_replay(plan, page):
     assert dict(plan.tally.features) == dict(feature_counts(plan.tree))
     assert plan.tally.counts == page_counts(plan.tree)
     assert plan.fmap == oracle_extract_all_features(plan.tree)
+    _assert_values_are_the_map(plan.tally)
 
 
 @settings(max_examples=150, deadline=None)
@@ -657,9 +678,10 @@ def _assert_plan_is_its_replay(plan, page):
 def test_undo_takes_tree_and_tally_back_to_the_replay_of_the_kept_ops(
         suite, pieces, random_page, data, url, t):
     """Pushes, planner calls and undos to random marks, on suite pages and
-    random pages: after every step the plan is the replay of its ops, a
-    failed planner leaves it as it was, ``undo(0)`` gives back the input
-    page, and the input page is never touched."""
+    random pages: after every step the plan is the replay of its ops, every
+    page feature whose value the step changed is in the journal past the
+    step's mark, a failed planner leaves the plan as it was, ``undo(0)``
+    gives back the input page, and the input page is never touched."""
     page = parse_html("<html><body>" + "".join(pieces), url) if random_page \
         else SUITE_PAGES[suite]
     before = serialize(page)
@@ -668,6 +690,7 @@ def test_undo_takes_tree_and_tally_back_to_the_replay_of_the_kept_ops(
     for _ in range(draw(st.integers(1, 10), label="steps")):
         step = draw(st.sampled_from(["push", "undo", "delete", "add"]))
         state = _plan_state(plan)
+        values, mark = plan.tally.page_fmap(), len(plan.tally.journal)
         try:
             if step == "push":
                 plan.push(_black_op(draw, plan.tree))
@@ -683,6 +706,7 @@ def test_undo_takes_tree_and_tally_back_to_the_replay_of_the_kept_ops(
         except _PLAN_FAILURES:
             assert _plan_state(plan) == state
         _assert_plan_is_its_replay(plan, page)
+        _assert_journal_lists_every_change(plan.tally, values, mark)
     plan.undo(0)
     assert plan.ops == [] and serialize(plan.tree) == before
     _assert_plan_is_its_replay(plan, page)
@@ -712,17 +736,17 @@ def test_a_planner_that_fails_midway_leaves_the_plan_as_it_was():
 
 # -- local term splits and the score of a working page --------------------------------
 
-def _assert_tally_is_the_fold(plan, flipped_from=None, mark=0):
-    """The plan's tally is the reference fold of its tree; with
-    ``flipped_from``, the features counted before the last edit, every
-    feature whose presence the edit flipped is in the journal past
-    ``mark``, its length before the edit."""
+def _assert_tally_is_the_fold(plan, before=None, mark=0):
+    """The plan's tally is the reference fold of its tree; with ``before``,
+    the page feature map before the last edit, every page feature whose
+    value the edit changed is in the journal past ``mark``, its length
+    before the edit."""
     tally = plan.tally
     assert dict(tally.features) == dict(feature_counts(plan.tree))
     assert tally.counts == page_counts(plan.tree)
     assert plan.fmap == oracle_extract_all_features(plan.tree)
-    if flipped_from is not None:
-        assert flipped_from ^ set(tally.features) <= set(tally.journal[mark:])
+    if before is not None:
+        _assert_journal_lists_every_change(tally, before, mark)
 
 
 SPLIT_TEXT = st.lists(st.sampled_from(
@@ -745,11 +769,11 @@ def test_a_term_split_trades_the_spanning_term_for_its_fragments(text, tag, data
     for _ in range(data.draw(st.integers(1, 6), label="splits")):
         path = data.draw(st.sampled_from(sorted(nodes)), label="node")
         offset = data.draw(st.integers(0, len(nodes[path].value)), label="offset")
-        before, mark = set(plan.tally.features), len(plan.tally.journal)
+        before, mark = plan.tally.page_fmap(), len(plan.tally.journal)
         plan.push(NodeOp("modify_text", path, {"term": "", "offset": offset}))
         _assert_tally_is_the_fold(plan, before, mark)
     while plan.ops:
-        before, mark = set(plan.tally.features), len(plan.tally.journal)
+        before, mark = plan.tally.page_fmap(), len(plan.tally.journal)
         plan.undo(len(plan.ops) - 1)
         _assert_tally_is_the_fold(plan, before, mark)
     assert serialize(plan.tree) == serialize(page)
@@ -775,6 +799,36 @@ def test_term_split_cases(text, tag, offset, terms):
     _assert_tally_is_the_fold(plan)
     plan.undo(0)
     assert dict(plan.tally.features) == before
+
+
+@pytest.mark.parametrize("spec, moved", [
+    (ElementSpec("a", (("href", "/x"),)),
+     {"PageExternalLinksFreq", "PageSecureLinksFreq"}),
+    (ElementSpec("form", (("action", ""),)), {"PageActionOtherDomainFreq"}),
+    (ElementSpec("img", (("src", "/x.png"),)), {"PageImgOtherDomainFreq"}),
+    (ElementSpec("script"), {"PageNumScriptTags>1"}),
+], ids=["link", "form", "img", "script"])
+def test_an_element_that_moves_only_counts_is_journaled(spec, moved):
+    """An internal link, action or image only grows a ratio's denominator,
+    and a second script only raises a script flag: no counted feature
+    flips, yet the journal lists the count features whose value moved,
+    after the push and after its undo."""
+    page = parse_html('<html><body><a href="https://ext.test/">e</a>'
+                      '<form action="https://ext.test/p"></form>'
+                      '<img src="https://ext.test/x.png"><script></script></body></html>',
+                      "http://seed.test/")
+    plan = MutationPlan.on(page)
+    tally = plan.tally
+    before, mark = tally.page_fmap(), len(tally.journal)
+    plan.push(add_invisible_element(plan.tree, spec))
+    after = tally.page_fmap()
+    assert {name for name in {*before, *after}
+            if before.get(name) != after.get(name)} == moved
+    _assert_journal_lists_every_change(tally, before, mark)
+    mark = len(tally.journal)
+    plan.undo(0)
+    assert tally.page_fmap() == before
+    _assert_journal_lists_every_change(tally, after, mark)
 
 
 def _element(tag, children):
