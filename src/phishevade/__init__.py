@@ -1,8 +1,9 @@
 """Workbench for rule-based phishing classifiers: evasion attacks,
 hashed-feature collision inference, and a layered similarity defense.
 
-The Pelican names load ``pelican``, and with it numpy and SciPy, on first
-use, so that importing the package for anything else does not pay for them.
+The Pelican names load ``pelican``, and with it numpy, on first use, so
+that importing the package for anything else does not pay for it.  SciPy
+loads later still, at Pelican's first assignment.
 """
 
 from .attacks import (

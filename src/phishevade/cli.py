@@ -253,7 +253,7 @@ def _load_url_set(path) -> set[str]:
 
 
 def cmd_defend(args) -> int:
-    from . import pelican   # numpy and SciPy load for this command only
+    from . import pelican   # numpy loads for this command only, SciPy at its first assignment
 
     config = _config_from_args(args)
     model = _load_model_with_overrides(args.model, config)

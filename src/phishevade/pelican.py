@@ -25,7 +25,8 @@ same IEEE divisions of the same integers as ``len(a & b) / len(a)`` on the
 sets, so every block, and every assignment over it, is bit-identical to
 comparing the element pairs one by one.  The assignment runs per block in
 sorted tag order, except that a one-row or one-column block takes its
-maximum.
+maximum.  SciPy, which does the assignment, is imported at the first
+assignment, so a visit that assigns nothing does not load it.
 
 A store scan compares few entries in full.  Entries are visited in store
 order, and each first gets an upper bound on its personalized similarity,
@@ -61,7 +62,6 @@ from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .classifier import SchemaError, ScoreOracle, decode_json, finite_number
 from .dom import TEXT, DomTree, bfs_layers
@@ -204,6 +204,13 @@ def _counts(stored: _Layer, unknown: _Layer) -> np.ndarray:
                 blocks.append(np.add.outer(starts, cols).ravel())
     cells = np.concatenate([np.array(cells, dtype=np.intp), *blocks])
     return np.bincount(cells, minlength=2 * n * m).reshape(2 * n, m)
+
+
+def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
+    """SciPy's ``linear_sum_assignment``, imported on the call: importing
+    SciPy costs more than most visits, which assign nothing."""
+    import scipy.optimize
+    return scipy.optimize.linear_sum_assignment(cost, maximize=maximize)
 
 
 def _match(values: np.ndarray, left: _Layer, right: _Layer,
@@ -448,8 +455,7 @@ def save_store(store: PhishStore, path) -> None:
     doc = {"entries": [{"signature": _signature_to_json(e.signature),
                         "timestamp": e.timestamp} for e in store.entries]}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_store(path, k: int = 50, h_hours: float = 24.0) -> PhishStore:

@@ -460,17 +460,22 @@ def test_defend_with_a_non_finite_clock_exits_2(workdir, capsys, now):
 
 # -- start-up cost -------------------------------------------------------------------
 
-# Runs the CLI in a fresh interpreter and prints its exit code and which of
-# numpy and SciPy it loaded.
+# Each script runs in a fresh interpreter and prints, as its last line,
+# which of numpy and SciPy it loaded.
+_LOADED = "sorted(m for m in ('numpy', 'scipy') if m in sys.modules)"
 _LOADED_AFTER_MAIN = (
     "import json, sys\n"
     "from phishevade.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "loaded = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
-    "print(json.dumps([code, loaded]))\n")
+    f"print(json.dumps([code, {_LOADED}]))\n")
+_LOADED_AFTER_IMPORTING_PELICAN = (
+    "import json, sys\n"
+    "import phishevade.pelican\n"
+    f"print(json.dumps({_LOADED}))\n")
 
 
-def _cli_in_fresh_interpreter(argv):
+def _in_fresh_interpreter(script, argv=()):
+    """(what the script printed before its last line, that line decoded)."""
     import subprocess
     import sys
 
@@ -478,23 +483,35 @@ def _cli_in_fresh_interpreter(argv):
     package_root = os.path.dirname(os.path.dirname(phishevade.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    printed, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+    return printed, json.loads(last)
+
+
+def _cli_in_fresh_interpreter(argv):
+    return _in_fresh_interpreter(_LOADED_AFTER_MAIN, argv)
 
 
 def test_only_defend_loads_numpy_and_scipy(workdir):
+    """numpy loads with ``defend``, and SciPy only once a full comparison
+    assigns."""
     page = ["--model", workdir["model"], "--url", workdir["seed_url"]]
-    assert _cli_in_fresh_interpreter(["score", workdir["seed"], *page]) == [0, []]
+    assert _cli_in_fresh_interpreter(["score", workdir["seed"], *page])[1] == [0, []]
     assert _cli_in_fresh_interpreter(
         ["attack", workdir["seed"], *page, "--level", "black", "--pool", workdir["pool"],
-         "--seed", "42", "--out", str(workdir["dir"] / "out")]) == [0, []]
+         "--seed", "42", "--out", str(workdir["dir"] / "out")])[1] == [0, []]
     store = str(workdir["dir"] / "store.json")
-    assert _cli_in_fresh_interpreter(
-        ["defend", workdir["seed"], *page, "--store", store, "--now", "1000"]) \
-        == [0, ["numpy", "scipy"]]
+    defend = ["defend", workdir["seed"], *page, "--store", store]
+    printed, loaded = _cli_in_fresh_interpreter([*defend, "--now", "1000"])
+    assert json.loads(printed)["label"] == "phishing_by_classifier"
+    assert loaded == [0, ["numpy"]]
     assert load_store(store).entries
+    printed, loaded = _cli_in_fresh_interpreter([*defend, "--now", "1001"])
+    assert json.loads(printed)["label"] == "evasion_detected"
+    assert loaded == [0, ["numpy", "scipy"]]
+    assert _in_fresh_interpreter(_LOADED_AFTER_IMPORTING_PELICAN) == ("", ["numpy"])
 
 
 # -- infer --------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import random
 
@@ -549,6 +551,27 @@ def test_store_persistence_round_trip(tmp_path):
     again = load_store(path, k=3, h_hours=24)
     assert [(e.signature, e.timestamp) for e in again.entries] == \
         [(e.signature, e.timestamp) for e in store.entries]
+
+
+def test_store_file_is_the_sorted_document_and_a_newline(tmp_path):
+    pages = ["<div><p class='a' id='b'>one</p><br><p>two</p></div>",
+             "<form action='/x'><input type='password'><span></span></form>",
+             "<ul><li>x</li><li>y</li><li></li></ul>"]
+    sigs = [sig(html) for html in pages]
+    store = PhishStore(entries=[StoreEntry(s, t) for s, t in
+                                zip(sigs, (1.5, 1700000000.125, 0.1 + 0.2))])
+    assert any(not e.attr_hashes and not e.text_hashes
+               for s in sigs for layer in s.layers for e in layer)
+    doc = {"entries": [
+        {"signature": [[{"tag": e.tag, "attrs": sorted(e.attr_hashes),
+                         "texts": sorted(e.text_hashes)} for e in layer]
+                       for layer in entry.signature.layers],
+         "timestamp": entry.timestamp} for entry in store.entries]}
+    expected = io.StringIO()
+    json.dump(doc, expected, sort_keys=True)
+    path = tmp_path / "store.json"
+    save_store(store, path)
+    assert path.read_bytes() == (expected.getvalue() + "\n").encode("ascii")
 
 
 # -- pipeline ----------------------------------------------------------------------
