@@ -1,9 +1,9 @@
 """Workbench for rule-based phishing classifiers: evasion attacks,
 hashed-feature collision inference, and a layered similarity defense.
 
-The Pelican names load ``pelican``, and with it numpy, on first use, so
-that importing the package for anything else does not pay for it.  SciPy
-loads later still, at Pelican's first assignment.
+The Pelican names load ``pelican`` on first use, so that importing the
+package for anything else does not pay for it.  Pelican itself loads numpy
+only at its first full comparison, and SciPy at its first assignment.
 """
 
 from .attacks import (

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -253,7 +254,7 @@ def _load_url_set(path) -> set[str]:
 
 
 def cmd_defend(args) -> int:
-    from . import pelican   # numpy loads for this command only, SciPy at its first assignment
+    from . import pelican   # numpy loads at the first full comparison, SciPy at the first assignment
 
     config = _config_from_args(args)
     model = _load_model_with_overrides(args.model, config)
@@ -261,8 +262,14 @@ def cmd_defend(args) -> int:
     whitelist = _load_url_set(args.whitelist)
     blacklist = _load_url_set(args.blacklist)
     if args.store and os.path.exists(args.store):
-        store = pelican.load_store(args.store, config.pelican_k,
-                                   config.pelican_h_hours)
+        # The store lives until the process exits.  Frozen before the
+        # collector runs again, it is walked by no later collection (the
+        # SciPy import, the comparison), not even by the young one that the
+        # objects allocated while loading would start.
+        with pelican.collector_paused():
+            store = pelican.load_store(args.store, config.pelican_k,
+                                       config.pelican_h_hours)
+            gc.freeze()
     else:
         store = pelican.PhishStore(config.pelican_k, config.pelican_h_hours)
     oracle = ScoreOracle(model)

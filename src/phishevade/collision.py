@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .classifier import HEX64, Classifier, HashFormatError, SchemaError, clip, decode_json
 from .dom import DomTree, load_page
-from .features import UrlError, extract_page_features, extract_url_features, hash_feature
+from .features import Feature, UrlError, extract_page_features, extract_url_features, hash_feature
 
 PHISH = "phish"
 LEGIT = "legit"
@@ -22,19 +22,37 @@ LEGIT = "legit"
 
 @dataclass
 class CorpusPage:
+    """A labelled page; its URL features are extracted once, here, so a URL
+    that is not absolute raises :class:`UrlError`."""
+
     url: str
     tree: DomTree
     label: str
+    url_features: set[Feature] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.label not in (PHISH, LEGIT):
             raise ValueError(f"bad corpus label {self.label!r}")
+        self.url_features = extract_url_features(self.url)
 
 
 @dataclass
 class Corpus:
+    """Pages and bare URLs.  ``url_features[i]`` holds the URL features of
+    ``url_list[i]``, extracted once; add a URL with :meth:`add_url`."""
+
     pages: list[CorpusPage] = field(default_factory=list)
     url_list: list[str] = field(default_factory=list)
+    url_features: list[set[Feature]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.url_features = [extract_url_features(url) for url in self.url_list]
+
+    def add_url(self, url: str) -> None:
+        """Append a bare URL; one that is not absolute raises
+        :class:`UrlError` and is not added."""
+        self.url_features.append(extract_url_features(url))
+        self.url_list.append(url)
 
 
 @dataclass
@@ -54,7 +72,8 @@ def load_corpus(manifest_path) -> Corpus:
     with a string ``url`` (and a string ``path``, when given) raises
     :class:`SchemaError`, and one whose ``url`` is not an absolute URL
     raises :class:`UrlError` naming the manifest's ``path:line``; either
-    is raised before any later page is read.
+    is raised before any later page is read.  Each record's URL features
+    are extracted once, when the record is added, and kept with it.
     """
     import os
 
@@ -70,18 +89,16 @@ def load_corpus(manifest_path) -> Corpus:
                     or not isinstance(record.get("path", ""), str):
                 raise SchemaError(f"corpus record {clip(repr(line))} needs a string "
                                   "'url' and no non-string 'path'")
-            url = record["url"]
+            url, path = record["url"], record.get("path")
             try:
-                extract_url_features(url)
+                if path:
+                    full = path if os.path.isabs(path) else os.path.join(base, path)
+                    corpus.pages.append(CorpusPage(
+                        url, load_page(full, url), record.get("label", LEGIT)))
+                else:
+                    corpus.add_url(url)
             except UrlError as exc:
                 raise UrlError(f"{manifest_path}:{lineno}: {exc}") from exc
-            path = record.get("path")
-            if path:
-                full = path if os.path.isabs(path) else os.path.join(base, path)
-                corpus.pages.append(CorpusPage(
-                    url, load_page(full, url), record.get("label", LEGIT)))
-            else:
-                corpus.url_list.append(url)
     return corpus
 
 
@@ -90,9 +107,8 @@ def harvest_candidates(corpus: Corpus) -> set[str]:
     candidates: set[str] = set()
     for page in corpus.pages:
         candidates.update(extract_page_features(page.tree).keys())
-        candidates.update(f.canonical for f in extract_url_features(page.url))
-    for url in corpus.url_list:
-        candidates.update(f.canonical for f in extract_url_features(url))
+    for features in [page.url_features for page in corpus.pages] + corpus.url_features:
+        candidates.update(f.canonical for f in features)
     return candidates
 
 

@@ -25,8 +25,9 @@ same IEEE divisions of the same integers as ``len(a & b) / len(a)`` on the
 sets, so every block, and every assignment over it, is bit-identical to
 comparing the element pairs one by one.  The assignment runs per block in
 sorted tag order, except that a one-row or one-column block takes its
-maximum.  SciPy, which does the assignment, is imported at the first
-assignment, so a visit that assigns nothing does not load it.
+maximum.  numpy is imported where a full comparison first builds a
+layer's arrays, and SciPy, which does the assignment, at the first
+assignment, so a visit that compares nothing in full loads neither.
 
 A store scan compares few entries in full.  Entries are visited in store
 order, and each first gets an upper bound on its personalized similarity,
@@ -49,22 +50,29 @@ value reaches the floor, and ``(0.0, None)`` otherwise.
 The pipeline checks whitelist and blacklist, then the similarity store, and
 only then the classifier; detected phishing pages enter the recency-bounded
 store, whose expired and over-capacity entries are evicted before each scan.
+A store file is read and written with the cyclic garbage collector paused:
+its entries hold no reference cycles, and a collection would otherwise walk
+every element signature built so far.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .classifier import SchemaError, ScoreOracle, decode_json, finite_number
 from .dom import TEXT, DomTree, bfs_layers
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WHITELISTED = "whitelisted"
 BLACKLISTED = "blacklisted"
@@ -106,6 +114,8 @@ class _Layer:
                  "text_rows")
 
     def __init__(self, elements):
+        import numpy as np   # the first full comparison loads numpy
+
         ordered = sorted(elements, key=attrgetter("tag"))   # stable
         self.size = len(ordered)
         self.spans = {}
@@ -191,6 +201,8 @@ def _counts(stored: _Layer, unknown: _Layer) -> np.ndarray:
     meets in a block of cells, built as one array, so many identical
     elements cost one array operation, not one Python step per cell.
     """
+    import numpy as np
+
     n, m = stored.size, unknown.size
     cells, blocks = [], []
     for offset, rows_of, cols_of in ((0, stored.attr_rows, unknown.attr_rows),
@@ -248,7 +260,7 @@ def _common_tags(left: _Layer, right: _Layer) -> list[str]:
 def _jaccard(shared: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``|a & b| / |a | b|``, and 1 where both sets are empty."""
     union = left[:, None] + right[None, :] - shared
-    return shared / np.maximum(union, 1.0) + (union == 0.0)
+    return shared / union.clip(min=1.0) + (union == 0.0)
 
 
 def _baseline_layer(left: _Layer, right: _Layer) -> float:
@@ -434,9 +446,14 @@ def _signature_to_json(sig: TreeSignature) -> list:
 
 
 def _hashes_from_json(value, key: str) -> frozenset[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise SchemaError(f"store element {key!r} must be a list of strings")
-    return frozenset(value)
+    if isinstance(value, list):
+        try:
+            "".join(value)   # one C-level pass; any item not a string raises
+        except TypeError:
+            pass
+        else:
+            return frozenset(value)
+    raise SchemaError(f"store element {key!r} must be a list of strings")
 
 
 def _element_from_json(e: dict) -> ElementSignature:
@@ -451,26 +468,43 @@ def _signature_from_json(layers: list) -> TreeSignature:
                                for layer in layers))
 
 
+@contextmanager
+def collector_paused():
+    """Run the block with the cyclic garbage collector disabled, then
+    restore its previous state, also when the block raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def save_store(store: PhishStore, path) -> None:
-    doc = {"entries": [{"signature": _signature_to_json(e.signature),
-                        "timestamp": e.timestamp} for e in store.entries]}
+    with collector_paused():
+        doc = {"entries": [{"signature": _signature_to_json(e.signature),
+                            "timestamp": e.timestamp} for e in store.entries]}
+        text = json.dumps(doc, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        fh.write(text)
 
 
 def load_store(path, k: int = 50, h_hours: float = 24.0) -> PhishStore:
     """Read a store file; a document of the wrong shape, or a timestamp that
     is not a finite number, raises :class:`SchemaError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = decode_json(fh.read(), "store file")
+        text = fh.read()
     store = PhishStore(k=k, h_hours=h_hours)
-    try:
-        for entry in doc.get("entries", []):
-            store.entries.append(StoreEntry(
-                _signature_from_json(entry["signature"]),
-                finite_number(entry["timestamp"], "store entry 'timestamp'")))
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed store file: {type(exc).__name__}: {exc}") from exc
+    with collector_paused():
+        doc = decode_json(text, "store file")
+        try:
+            for entry in doc.get("entries", []):
+                store.entries.append(StoreEntry(
+                    _signature_from_json(entry["signature"]),
+                    finite_number(entry["timestamp"], "store entry 'timestamp'")))
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed store file: {type(exc).__name__}: {exc}") from exc
     return store
 
 

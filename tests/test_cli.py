@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import re
@@ -495,8 +496,9 @@ def _cli_in_fresh_interpreter(argv):
 
 
 def test_only_defend_loads_numpy_and_scipy(workdir):
-    """numpy loads with ``defend``, and SciPy only once a full comparison
-    assigns."""
+    """numpy loads at ``defend``'s first full comparison, and SciPy only
+    once that comparison assigns; a ``defend`` that compares nothing in
+    full (an empty store, a scan the bound prunes) loads neither."""
     page = ["--model", workdir["model"], "--url", workdir["seed_url"]]
     assert _cli_in_fresh_interpreter(["score", workdir["seed"], *page])[1] == [0, []]
     assert _cli_in_fresh_interpreter(
@@ -506,12 +508,19 @@ def test_only_defend_loads_numpy_and_scipy(workdir):
     defend = ["defend", workdir["seed"], *page, "--store", store]
     printed, loaded = _cli_in_fresh_interpreter([*defend, "--now", "1000"])
     assert json.loads(printed)["label"] == "phishing_by_classifier"
-    assert loaded == [0, ["numpy"]]
+    assert loaded == [0, []]
     assert load_store(store).entries
-    printed, loaded = _cli_in_fresh_interpreter([*defend, "--now", "1001"])
+    # the stored seed's bound against this page is below the floor, so the
+    # scan compares nothing and the classifier decides
+    printed, loaded = _cli_in_fresh_interpreter(
+        ["defend", fixture_path("news_home.html"), "--model", workdir["model"],
+         "--url", "https://dailyledger.test/", "--store", store, "--now", "1001"])
+    assert json.loads(printed)["label"] == "phishing_by_classifier"
+    assert loaded == [0, []]
+    printed, loaded = _cli_in_fresh_interpreter([*defend, "--now", "1002"])
     assert json.loads(printed)["label"] == "evasion_detected"
     assert loaded == [0, ["numpy", "scipy"]]
-    assert _in_fresh_interpreter(_LOADED_AFTER_IMPORTING_PELICAN) == ("", ["numpy"])
+    assert _in_fresh_interpreter(_LOADED_AFTER_IMPORTING_PELICAN) == ("", [])
 
 
 # -- infer --------------------------------------------------------------------------
@@ -666,6 +675,7 @@ def test_malformed_loader_input_exits_2(workdir, capsys, loader, content):
         "report": ["report", str(inputs)],
     }[loader]
     assert run(argv) == 2
+    assert gc.isenabled()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.encode()) < 500
 
@@ -722,6 +732,7 @@ def test_loaders_return_or_raise_what_the_cli_exits_2_for(fuzz_dir, doc, lines):
             loader(path)
         except INPUT_ERRORS:
             pass
+        assert gc.isenabled()
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import pelican_oracle as oracle
 from phishevade import pelican
 from phishevade.attacks import black_box, black_knowledge, grey_box, grey_knowledge, white_box, white_knowledge
-from phishevade.classifier import ScoreOracle
+from phishevade.classifier import SchemaError, ScoreOracle
 from phishevade.dom import DomNode, parse_html
 from phishevade.pelican import (
     BENIGN,
@@ -551,6 +552,33 @@ def test_store_persistence_round_trip(tmp_path):
     again = load_store(path, k=3, h_hours=24)
     assert [(e.signature, e.timestamp) for e in again.entries] == \
         [(e.signature, e.timestamp) for e in store.entries]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_store_load_and_save_pause_the_collector_and_restore_its_state(
+        tmp_path, monkeypatch, enabled):
+    store = PhishStore()
+    store.insert(build_page(terms=["alpha"]), now=10.0)
+    good, bad = tmp_path / "store.json", tmp_path / "bad.json"
+    bad.write_text(json.dumps({"entries": [{"signature": [[
+        {"tag": "html", "attrs": ["a", 1], "texts": []}]], "timestamp": 1}]}))
+    seen = []
+    for name in ("_signature_to_json", "_element_from_json"):
+        monkeypatch.setattr(pelican, name, lambda *args, _f=getattr(pelican, name):
+                            seen.append(gc.isenabled()) or _f(*args))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        save_store(store, good)
+        assert gc.isenabled() is enabled
+        assert load_store(good).entries[0].signature == store.entries[0].signature
+        assert gc.isenabled() is enabled
+        with pytest.raises(SchemaError, match="'attrs' must be a list of strings"):
+            load_store(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen and not any(seen)
 
 
 def test_store_file_is_the_sorted_document_and_a_newline(tmp_path):
