@@ -1,5 +1,14 @@
 """DOM trees for static webpage analysis and mutation.
 
+:func:`parse_html` tokenizes a page itself, in one loop over its ``<``
+positions that builds the nodes as it reads.  It follows the rules of
+CPython 3.11's ``html.parser`` whatever Python runs it, so a page gives
+the tree that a builder on that tokenizer gives: the common start and end
+tags are read by one regular expression each, and every other construct
+(other attribute forms, comments, declarations, raw text, markup cut off
+at the end of the input) by the same rules as there.  One leading
+byte-order mark is dropped, as a browser drops it.
+
 A page is a tree of :class:`DomNode` values: elements, each with an
 insertion-ordered attribute dict and a list of content children (text,
 comment and element nodes).  Trees are treated as immutable once built;
@@ -15,8 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from html import escape
-from html.parser import HTMLParser
+from html import escape, unescape
 
 ELEMENT = "element"
 TEXT = "text"
@@ -27,6 +35,11 @@ VOID_TAGS = frozenset({
     "area", "base", "br", "col", "embed", "hr", "img", "input",
     "link", "meta", "param", "source", "track", "wbr",
 })
+
+# Content of these elements is raw text: the tokenizer never decodes
+# character references inside them, so escaping on output would not survive
+# a round trip.
+RAWTEXT_TAGS = frozenset({"script", "style"})
 
 # Tags that never contribute to the rendered appearance of the page.
 NONVISUAL_TAGS = frozenset({
@@ -139,63 +152,291 @@ class DomTree:
         return DomTree(root, self.source_url)
 
 
-class _TreeBuilder(HTMLParser):
-    """Tag-soup-tolerant tree builder on top of the stdlib tokenizer."""
+# -- parsing ------------------------------------------------------------------
+#
+# The patterns marked "html.parser" are that module's own (CPython 3.11,
+# ``HTMLParser(convert_charrefs=True)`` fed a whole document, then closed);
+# the two fast patterns agree with its rules on every tag they match.
 
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.top_level: list[DomNode] = []
-        self.stack: list[DomNode] = []
+# The common start tag: an ASCII name, then whitespace-separated attributes
+# with lower-case names, each bare or with a double-quoted value that holds
+# no <, > or &, then an optional "/".  Such a tag needs no lower-casing of
+# attribute names and no unescaping of values.
+_START_TAG = re.compile(
+    r'<([a-zA-Z][-a-zA-Z0-9_:.]*)'
+    r'((?:[ \t\n\r\f]+[a-z_:][-a-z0-9_:.]*(?:="[^"<>&]*")?)*)'
+    r'[ \t\n\r\f]*(/?)>')
+_ATTR = re.compile(r'[ \t\n\r\f]+([a-z_:][-a-z0-9_:.]*)(?:="([^"<>&]*)")?')
+# html.parser: an end tag, and the closer of each raw-text element
+_END_TAG = re.compile(r'</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>')
+_RAW_TEXT_END = {tag: re.compile(r'</\s*%s\s*>' % tag, re.I)
+                 for tag in RAWTEXT_TAGS}
+# html.parser: the tolerant start-tag grammar
+_START_TAG_OPEN = re.compile('<[a-zA-Z]')
+_TAG_NAME = re.compile(r'([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*')
+_ATTR_TOLERANT = re.compile(
+    r'((?<=[\'"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*'
+    r'(\'[^\']*\'|"[^"]*"|(?![\'"])[^>\s]*))?(?:\s|/(?!>))*')
+_START_TAG_END = re.compile(r"""
+  <[a-zA-Z][^\t\n\r\f />\x00]*       # tag name
+  (?:[\s/]*                          # optional whitespace before attribute name
+    (?:(?<=['"\s/])[^\s/>][^\s/=>]*  # attribute name
+      (?:\s*=+\s*                    # value indicator
+        (?:'[^']*'                   # LITA-enclosed value
+          |"[^"]*"                   # LIT-enclosed value
+          |(?!['"])[^>\s]*           # bare value
+         )
+        \s*                          # possibly followed by a space
+       )?(?:\s|/(?!>))*
+     )*
+   )?
+  \s*                                # trailing whitespace
+""", re.VERBOSE)
+_START_TAG_CUT = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ=/")
+# html.parser: comments and marked sections
+_COMMENT_END = re.compile(r'--\s*>')
+_DECL_NAME = re.compile(r'[a-zA-Z][-_.a-zA-Z0-9]*\s*')
+_MARKED_SECTION_END = re.compile(r']\s*]\s*>')
+_MS_MARKED_SECTION_END = re.compile(r']\s*>')
 
-    def _append(self, node: DomNode) -> None:
-        siblings = self.stack[-1].children if self.stack else self.top_level
-        # coalesce adjacent data chunks so the tree is in normal form and
-        # serialize/parse round trips are node-stable
-        if node.node_type == TEXT and siblings \
-                and siblings[-1].node_type == TEXT:
-            siblings[-1].value += node.value
-            return
-        siblings.append(node)
+# What the tokenizer reads at a "<": an element start (one that closes
+# itself with "/>" never opens), an end tag, text, a comment, or markup the
+# tree does not keep (a doctype, a processing instruction, a marked section).
+_START, _START_END, _END, _DATA, _COMMENT, _SKIP = (
+    "start", "start-end", "end", "data", "comment", "skip")
 
-    def _make_element(self, tag: str, attrs) -> DomNode:
-        node = DomNode(ELEMENT, tag=tag)
-        for name, value in attrs:
-            # first occurrence wins, names unique per element
-            node.attrs.setdefault(name, value or "")
-        return node
 
-    def handle_starttag(self, tag, attrs):
-        node = self._make_element(tag, attrs)
-        self._append(node)
-        if tag not in VOID_TAGS:
-            self.stack.append(node)
+def _start_tag_end(text: str, i: int) -> int:
+    """End of the start tag at ``i``, or -1 where html.parser waits for more
+    input (the tag is cut off)."""
+    j = _START_TAG_END.match(text, i).end()
+    following = text[j:j + 1]
+    if following == ">":
+        return j + 1
+    if following == "/":
+        return j + 2 if text.startswith("/>", j) else -1
+    if not following or following in _START_TAG_CUT:
+        return -1
+    return j    # bogus input: the tag ends before it
 
-    def handle_startendtag(self, tag, attrs):
-        self._append(self._make_element(tag, attrs))
 
-    def handle_endtag(self, tag):
-        # Close up to the innermost matching open tag; stray closers are
-        # ignored, intervening unclosed tags are auto-closed.
-        for i in range(len(self.stack) - 1, -1, -1):
-            if self.stack[i].tag == tag:
-                del self.stack[i:]
-                return
+def _start_tag(text: str, i: int, end: int):
+    """The start tag in ``text[i:end]`` by the tolerant rules: quoted,
+    unquoted and bare values, character references decoded, the first of
+    duplicate attributes kept.  Markup that does not end in ``>`` or ``/>``
+    is text."""
+    m = _TAG_NAME.match(text, i + 1)
+    tag = m.group(1).lower()
+    k = m.end()
+    attrs: dict[str, str] = {}
+    while k < end:
+        m = _ATTR_TOLERANT.match(text, k)
+        if m is None:
+            break
+        name, rest, value = m.group(1, 2, 3)
+        if not rest:
+            value = ""
+        elif value[:1] == "'" == value[-1:] or value[:1] == '"' == value[-1:]:
+            value = value[1:-1]
+        attrs.setdefault(name.lower(), unescape(value))
+        k = m.end()
+    closer = text[k:end].strip()
+    if closer == ">":
+        return end, _START, tag, attrs
+    if closer == "/>":
+        return end, _START_END, tag, attrs
+    return end, _DATA, text[i:end], None
 
-    def handle_data(self, data):
-        if not data or data.isspace():
-            return
-        self._append(DomNode.text(data))
 
-    def handle_comment(self, data):
-        self._append(DomNode.comment(data))
+def _marked_section_end(text: str, i: int) -> int:
+    """End of the marked section ``<![name ...`` at ``i``, or -1 when it is
+    cut off.  An unknown or missing name raises :class:`ParseError`, as
+    html.parser gives up on it."""
+    j = i + 3
+    m = _DECL_NAME.match(text, j)
+    if m is None:
+        if j == len(text):
+            return -1
+        raise ParseError(
+            f"document does not parse: expected name token at {text[i:i + 20]!r}")
+    if m.end() == len(text):
+        return -1
+    name = m.group().strip().lower()
+    if name in ("temp", "cdata", "ignore", "include", "rcdata"):
+        m = _MARKED_SECTION_END.search(text, j)
+    elif name in ("if", "else", "endif"):
+        m = _MS_MARKED_SECTION_END.search(text, j)
+    else:
+        raise ParseError("document does not parse: unknown status keyword "
+                         f"{text[j:m.end()]!r} in marked section")
+    return -1 if m is None else m.end()
+
+
+def _markup(text: str, i: int):
+    """``(end, kind, value, attrs)`` for the markup at the ``<`` at ``i``,
+    outside raw text, that neither ``_START_TAG`` nor ``_END_TAG`` reads.
+    ``value`` is the tag name, the text or the comment.  Markup cut off by
+    the end of the input is text up to the next ``>`` (or ``<``)."""
+    if _START_TAG_OPEN.match(text, i):
+        end = _start_tag_end(text, i)
+        if end >= 0:
+            return _start_tag(text, i, end)
+    elif text.startswith("</", i):
+        gt = text.find(">", i + 2)
+        if gt >= 0:
+            m = _TAG_NAME.match(text, i + 2)
+            if m is not None:
+                # anything between the name and the first ">" is ignored
+                return text.find(">", m.end()) + 1, _END, m.group(1).lower(), None
+            if text.startswith("</>", i):
+                return i + 3, _SKIP, "", None
+            return gt + 1, _COMMENT, text[i + 2:gt], None
+    elif text.startswith("<!--", i):
+        m = _COMMENT_END.search(text, i + 4)
+        if m is not None:
+            return m.end(), _COMMENT, text[i + 4:m.start()], None
+    elif text.startswith("<?", i):
+        gt = text.find(">", i + 2)
+        if gt >= 0:
+            return gt + 1, _SKIP, "", None
+    elif text.startswith("<![", i):
+        end = _marked_section_end(text, i)
+        if end >= 0:
+            return end, _SKIP, "", None
+    elif text.startswith("<!", i):
+        if text[i:i + 9].lower() == "<!doctype":
+            gt = text.find(">", i + 9)
+            if gt >= 0:
+                return gt + 1, _SKIP, "", None
+        else:
+            gt = text.find(">", i + 2)
+            if gt >= 0:
+                return gt + 1, _COMMENT, text[i + 2:gt], None
+    else:
+        return i + 1, _DATA, "<", None
+    end = text.find(">", i + 1) + 1
+    if not end:
+        end = text.find("<", i + 1)
+        if end < 0:
+            end = i + 1
+    return end, _DATA, unescape(text[i:end]), None
+
+
+def _build(text: str, top: DomNode) -> None:
+    """Append the nodes of ``text`` to ``top``.
+
+    Unclosed tags are auto-closed, an end tag closes up to the innermost
+    open element of its name and a stray one is dropped.  Adjacent data
+    chunks make one text node; a chunk of whitespace alone is dropped.  The
+    text of an unterminated script or style element is dropped."""
+    stack = [top]
+    children = top.children
+    open_count: dict[str, int] = {}   # tag -> elements of that tag on the stack
+    run: list[str] = []               # the data chunks of the next text node
+    find = text.find
+    start_tag = _START_TAG.match
+    end_tag = _END_TAG.match
+    attr_pairs = _ATTR.findall
+    n = len(text)
+    pos = 0
+    while pos < n:
+        lt = find("<", pos)
+        if lt != pos:
+            data = text[pos:lt] if lt >= 0 else text[pos:]
+            if "&" in data:
+                data = unescape(data)
+            if data and not data.isspace():
+                run.append(data)
+            if lt < 0:
+                break
+        m = start_tag(text, lt)
+        if m is not None:
+            tag, attrs, slash = m.groups()
+            tag = tag.lower()
+            if attrs:
+                pairs = attr_pairs(attrs)
+                attrs = dict(pairs)
+                if len(attrs) < len(pairs):     # the first duplicate wins
+                    attrs = {}
+                    for name, value in pairs:
+                        attrs.setdefault(name, value)
+            else:
+                attrs = {}
+            kind = _START_END if slash else _START
+            pos = m.end()
+        else:
+            m = end_tag(text, lt)
+            if m is not None:
+                kind = _END
+                tag = m.group(1).lower()
+                pos = m.end()
+            else:   # here ``tag`` may be the text or the comment read
+                pos, kind, tag, attrs = _markup(text, lt)
+        if kind is _DATA:
+            if tag and not tag.isspace():
+                run.append(tag)
+            continue
+        if kind is _SKIP or kind is _END and not open_count.get(tag):
+            continue    # nothing the tree keeps, or a stray end tag
+        if run:
+            children.append(DomNode(TEXT, "", "".join(run)))
+            run = []
+        if kind is _END:
+            node = stack.pop()
+            while node.tag != tag:
+                open_count[node.tag] -= 1
+                node = stack.pop()
+            open_count[tag] -= 1
+            children = stack[-1].children
+            continue
+        if kind is _COMMENT:
+            children.append(DomNode(COMMENT, "", tag))
+            continue
+        node = DomNode(ELEMENT, tag)
+        node.attrs = attrs
+        children.append(node)
+        if kind is _START_END or tag in VOID_TAGS:
+            continue
+        stack.append(node)
+        children = node.children
+        open_count[tag] = open_count.get(tag, 0) + 1
+        if tag not in RAWTEXT_TAGS:
+            continue
+        # raw text runs to the closer; "&" and "<" are plain characters
+        closer = _RAW_TEXT_END[tag].search
+        while True:
+            m = closer(text, pos)
+            if m is None:
+                pos = n
+                break
+            lt, end = m.span()
+            if lt != pos:
+                data = text[pos:lt]
+                if not data.isspace():
+                    run.append(data)
+            pos = end
+            m = end_tag(text, lt)
+            if m is not None and m.group(1).lower() == tag:
+                if run:
+                    children.append(DomNode(TEXT, "", "".join(run)))
+                    run = []
+                stack.pop()
+                open_count[tag] -= 1
+                children = stack[-1].children
+                break
+            # a closer only re.I matches, such as "</\u017fcript>"
+            run.append(text[lt:end])
+    if run:
+        children.append(DomNode(TEXT, "", "".join(run)))
 
 
 def parse_html(text: str | bytes, url: str = "") -> DomTree:
     """Parse an HTML document into a :class:`DomTree`.
 
     Unclosed tags are auto-closed, unknown tags are kept as elements and an
-    empty document yields a bare ``html`` root.  Bytes input must be UTF-8,
-    and markup the stdlib tokenizer gives up on (``<![ x``) raises
+    empty document yields a bare ``html`` root.  Bytes input must be UTF-8.
+    One leading byte-order mark is dropped, as a browser drops it.  A marked
+    section with an unknown or missing name (``<![ x``) raises
     :class:`ParseError`.
     """
     if isinstance(text, bytes):
@@ -203,19 +444,14 @@ def parse_html(text: str | bytes, url: str = "") -> DomTree:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"document is not valid UTF-8: {exc}") from exc
-    builder = _TreeBuilder()
-    try:
-        builder.feed(text)
-        builder.close()
-    except AssertionError as exc:   # how html.parser reports a bad declaration
-        raise ParseError(f"document does not parse: {exc}") from exc
-    tops = builder.top_level
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    top = DomNode(ELEMENT, "html")
+    _build(text, top)
+    tops = top.children
     if len(tops) == 1 and tops[0].node_type == ELEMENT and tops[0].tag == "html":
-        root = tops[0]
-    else:
-        root = DomNode(ELEMENT, tag="html")
-        root.children.extend(tops)
-    return DomTree(root, url)
+        top = tops[0]
+    return DomTree(top, url)
 
 
 def load_page(path, url: str = "") -> DomTree:
@@ -229,12 +465,6 @@ def _escape_attr(value: str) -> str:
     # handler strings like this.type='submit' survive verbatim
     return (value.replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;").replace('"', "&quot;"))
-
-
-# Content of these elements is raw text: the tokenizer never decodes
-# character references inside them, so escaping on output would not survive
-# a round trip.
-RAWTEXT_TAGS = frozenset({"script", "style"})
 
 
 def serialize(tree: DomTree) -> str:

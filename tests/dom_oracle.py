@@ -1,12 +1,20 @@
-"""Recursive reference definitions of the page walks.
+"""Reference definitions of parsing and of the page walks.
+
+``parse_html`` here builds the tree on top of the standard library's
+``html.parser``; ``dom.parse_html`` tokenizes the page itself by the rules
+of CPython 3.11's ``html.parser``, and ``tests/test_dom.py`` checks that
+both give the same trees and raise on the same inputs, with the same
+messages.  The comparison assumes that the running Python's
+``html.parser`` follows those 3.11 rules.
 
 The program walks a page from an explicit stack so that pages of any depth
-work; these are the recursive definitions it replaced, one Python frame
-per nesting level.  ``tests/test_dom.py`` checks that both give the same
-paths, nodes, bytes, projections and verdicts.
+work; the walks here are the recursive definitions it replaced, one Python
+frame per nesting level.  ``tests/test_dom.py`` checks that both give the
+same paths, nodes, bytes, projections and verdicts.
 """
 
 from html import escape
+from html.parser import HTMLParser
 
 from phishevade.dom import (
     APPEARANCE_ATTRS,
@@ -16,6 +24,9 @@ from phishevade.dom import (
     RAWTEXT_TAGS,
     TEXT,
     VOID_TAGS,
+    DomNode,
+    DomTree,
+    ParseError,
     _escape_attr,
     attribute_keyed_rules,
     effective_style,
@@ -23,6 +34,83 @@ from phishevade.dom import (
     strip_zero_width,
 )
 from phishevade.mutation import MODIFIABLE_ATTRS, parse_handler_assignments
+
+
+class _TreeBuilder(HTMLParser):
+    """Tag-soup-tolerant tree builder on top of the stdlib tokenizer."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.top_level = []
+        self.stack = []
+
+    def _append(self, node):
+        siblings = self.stack[-1].children if self.stack else self.top_level
+        # coalesce adjacent data chunks
+        if node.node_type == TEXT and siblings \
+                and siblings[-1].node_type == TEXT:
+            siblings[-1].value += node.value
+            return
+        siblings.append(node)
+
+    def _make_element(self, tag, attrs):
+        node = DomNode(ELEMENT, tag=tag)
+        for name, value in attrs:
+            # first occurrence wins, names unique per element
+            node.attrs.setdefault(name, value or "")
+        return node
+
+    def handle_starttag(self, tag, attrs):
+        node = self._make_element(tag, attrs)
+        self._append(node)
+        if tag not in VOID_TAGS:
+            self.stack.append(node)
+
+    def handle_startendtag(self, tag, attrs):
+        self._append(self._make_element(tag, attrs))
+
+    def handle_endtag(self, tag):
+        # Close up to the innermost matching open tag; stray closers are
+        # ignored, intervening unclosed tags are auto-closed.
+        for i in range(len(self.stack) - 1, -1, -1):
+            if self.stack[i].tag == tag:
+                del self.stack[i:]
+                return
+
+    def handle_data(self, data):
+        if not data or data.isspace():
+            return
+        self._append(DomNode.text(data))
+
+    def handle_comment(self, data):
+        self._append(DomNode.comment(data))
+
+
+def parse_html(text, url=""):
+    """The tree the stdlib tokenizer gives, by the contract of
+    ``dom.parse_html``: UTF-8 bytes, one leading byte-order mark dropped,
+    and the ``AssertionError`` html.parser gives up with raised as
+    :class:`ParseError`."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"document is not valid UTF-8: {exc}") from exc
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    builder = _TreeBuilder()
+    try:
+        builder.feed(text)
+        builder.close()
+    except AssertionError as exc:   # how html.parser reports a bad declaration
+        raise ParseError(f"document does not parse: {exc}") from exc
+    tops = builder.top_level
+    if len(tops) == 1 and tops[0].node_type == ELEMENT and tops[0].tag == "html":
+        root = tops[0]
+    else:
+        root = DomNode(ELEMENT, tag="html")
+        root.children.extend(tops)
+    return DomTree(root, url)
 
 
 def walk_elements(tree):

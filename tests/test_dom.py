@@ -1,4 +1,6 @@
+import pathlib
 import random
+import time
 from html.parser import HTMLParser
 
 import pytest
@@ -27,9 +29,11 @@ from phishevade.mutation import (
     plan_delete_feature,
     preservation_check,
 )
+from phishevade.pelican import tree_similarity_pelican
 
 import dom_oracle
-from conftest import PAYPAL_URL, fixture_path, planned
+from conftest import FIXTURES, PAYPAL_URL, fixture_path, planned
+from test_cli import _in_fresh_interpreter
 from test_features import SOUP
 
 
@@ -238,6 +242,104 @@ def test_round_trip_stable_on_random_tag_soup():
         extract_page_features(first)      # no crashes on soup
         visible_projection(first)
         bfs_layers(first)
+
+
+# -- the tokenizer against the html.parser oracle ---------------------------------
+
+# Every construct whose rules the tokenizer copies from html.parser: upper-case
+# names; single-quoted, unquoted, bare and duplicate attributes; references in
+# values and text; "/>" endings and odd closers; comments, declarations,
+# marked sections and processing instructions; stray "<" and "&"; script and
+# style text holding an end tag; and markup cut off by the end of the input.
+PARSER_PIECES = st.sampled_from([
+    "<DIV>", "</DIV>", "<A HREF='http://x.y/'>", '<P CLASS="a" Id="b">', "<Input Type=text>",
+    "<a href='u v'>", "<a href=u>", "<input disabled>", '<p id="a" id="b">',
+    '<p id="a" ID="b">', '<a b = "c" >', "<a b=c/>", '<a b="c"d=e>', "<a\x0bb>",
+    '<a id="x>y">', '<a href="u&amp;v">', "<a title='&#62;'>", '<a title="&#1;">',
+    "&amp;", "&#62;", "&nbsp;", "&#1;", "&bogus;", "&", "&#",
+    "<br/>", "<span />", "<p/ >", "<a/b>", "</ x>", "</>", "</ >", "</1>", "</a b='>'>",
+    "<!-- c -->", "<!---->", "<!-->", "--!>", "<!DOCTYPE html>", "<!x>", "<!>",
+    "<![CDATA[x]]>", "<![CDATA[", "<![if x]>", "<![endif]>", "<![ x", "<![y", "<?pi>",
+    "<", "< b", ">", '"', "'", "=", "/", " ", "\n", "\xa0", "\ufeff",
+    "<script>a</b>c</script>", "<style>p</b>{}</style>", "<script>", "<style>",
+    "</script>", "</STYLE >", "</\u017fcript>",
+    '<a href="x', "<a b='c", "<a b=", "<a b", "<a/", "<!--", "<!doctype", "<?x",
+])
+
+
+def _parsed(parse, doc):
+    """The tree ``parse`` builds from ``doc``, or its ParseError message."""
+    try:
+        return parse(doc)
+    except ParseError as exc:
+        return str(exc)
+
+
+def assert_parses_as_the_oracle(doc):
+    want = _parsed(dom_oracle.parse_html, doc)
+    got = _parsed(parse_html, doc)
+    if isinstance(want, str):
+        assert got == want, doc
+    else:
+        assert not isinstance(got, str), (doc, got)
+        assert isomorphic(got.root, want.root), (doc, serialize(got), serialize(want))
+
+
+@settings(max_examples=400, deadline=None)
+@given(soup=SOUP, pieces=st.lists(st.one_of(PARSER_PIECES, st.sampled_from(SOUP_PIECES)),
+                                  max_size=25), data=st.data())
+def test_parse_matches_the_html_parser_oracle_on_token_soup(soup, pieces, data):
+    doc = "".join(data.draw(st.permutations(soup + pieces)))
+    cut = data.draw(st.none() | st.integers(0, len(doc)))
+    assert_parses_as_the_oracle(doc if cut is None else doc[:cut])
+
+
+PAGE_FILES = sorted([*pathlib.Path(FIXTURES).rglob("*.html"),
+                     *(pathlib.Path(__file__).resolve().parent.parent / "demos").rglob("*.html")])
+
+
+def test_every_fixture_and_demo_page_parses_to_the_oracle_tree():
+    assert len(PAGE_FILES) >= 18
+    for path in PAGE_FILES:
+        assert_parses_as_the_oracle(path.read_bytes())
+
+
+def test_stray_end_tags_take_no_scan_of_the_open_elements():
+    """An end tag that matches no open element returns at once: 16,000
+    ``</p>`` under 16,000 open ``<div>`` took over 7 s when each one scanned
+    the open stack."""
+    doc = "<div>" * 16000 + "</p>" * 16000
+    started = time.perf_counter()
+    tree = parse_html(doc)
+    assert time.perf_counter() - started < 0.5
+    # the oracle drops every stray closer, so its tree is that of the open
+    # tags alone, which it builds without the scans
+    assert isomorphic(tree.root, dom_oracle.parse_html("<div>" * 16000).root)
+    assert_parses_as_the_oracle("<div>" * 2000 + "</p>" * 2000 + "<p>x</b></div>y")
+
+
+def test_a_leading_byte_order_mark_is_dropped():
+    with open(fixture_path("login_paypal.html"), "rb") as fh:
+        data = fh.read()
+    plain = parse_html(data, PAYPAL_URL)
+    for marked in (b"\xef\xbb\xbf" + data, "\ufeff" + data.decode("utf-8")):
+        tree = parse_html(marked, PAYPAL_URL)
+        assert isomorphic(tree.root, plain.root)
+        assert serialize(tree) == serialize(plain)
+        assert tree_similarity_pelican(plain, tree) == 1.0
+        assert tree_similarity_pelican(tree, plain) == 1.0
+    # only one mark is dropped
+    assert parse_html("\ufeff\ufeffx").root.children[0].value == "\ufeffx"
+
+
+def test_parsing_loads_neither_html_parser_nor_markupbase():
+    """src/ keeps one parser: the stdlib one is the tests' oracle."""
+    script = ("import json, sys\n"
+              "import phishevade\n"
+              "phishevade.parse_html('<!DOCTYPE html><p a=\"b\" c=d>x<![CDATA[y]]></p>')\n"
+              "print(json.dumps(sorted(m for m in ('html.parser', '_markupbase')"
+              " if m in sys.modules)))\n")
+    assert _in_fresh_interpreter(script) == ("", [])
 
 
 def test_layer_partition_covers_every_element(paypal_page):
