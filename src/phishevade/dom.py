@@ -2,12 +2,11 @@
 
 :func:`parse_html` tokenizes a page itself, in one loop over its ``<``
 positions that builds the nodes as it reads.  It follows the rules of
-CPython 3.11's ``html.parser`` whatever Python runs it, so a page gives
-the tree that a builder on that tokenizer gives: the common start and end
-tags are read by one regular expression each, and every other construct
-(other attribute forms, comments, declarations, raw text, markup cut off
-at the end of the input) by the same rules as there.  One leading
-byte-order mark is dropped, as a browser drops it.
+CPython 3.11's ``html.parser``, with that module's own patterns, whatever
+Python runs it, so a page gives the tree that a builder on that tokenizer
+gives: the same tags, attribute values, comments, declarations and raw
+text, and the same handling of markup cut off at the end of the input.
+One leading byte-order mark is dropped, as a browser drops it.
 
 A page is a tree of :class:`DomNode` values: elements, each with an
 insertion-ordered attribute dict and a list of content children (text,
@@ -154,29 +153,11 @@ class DomTree:
 
 # -- parsing ------------------------------------------------------------------
 #
-# The patterns marked "html.parser" are that module's own (CPython 3.11,
-# ``HTMLParser(convert_charrefs=True)`` fed a whole document, then closed);
-# the two fast patterns agree with its rules on every tag they match.
+# The patterns are html.parser's own (CPython 3.11,
+# ``HTMLParser(convert_charrefs=True)`` fed a whole document, then closed),
+# except that ``_ATTR`` gives each form of attribute value its own group.
 
-# The common start tag: an ASCII name, then whitespace-separated attributes
-# with lower-case names, each bare or with a double-quoted value that holds
-# no <, > or &, then an optional "/".  Such a tag needs no lower-casing of
-# attribute names and no unescaping of values.
-_START_TAG = re.compile(
-    r'<([a-zA-Z][-a-zA-Z0-9_:.]*)'
-    r'((?:[ \t\n\r\f]+[a-z_:][-a-z0-9_:.]*(?:="[^"<>&]*")?)*)'
-    r'[ \t\n\r\f]*(/?)>')
-_ATTR = re.compile(r'[ \t\n\r\f]+([a-z_:][-a-z0-9_:.]*)(?:="([^"<>&]*)")?')
-# html.parser: an end tag, and the closer of each raw-text element
-_END_TAG = re.compile(r'</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>')
-_RAW_TEXT_END = {tag: re.compile(r'</\s*%s\s*>' % tag, re.I)
-                 for tag in RAWTEXT_TAGS}
-# html.parser: the tolerant start-tag grammar
-_START_TAG_OPEN = re.compile('<[a-zA-Z]')
-_TAG_NAME = re.compile(r'([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*')
-_ATTR_TOLERANT = re.compile(
-    r'((?<=[\'"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*'
-    r'(\'[^\']*\'|"[^"]*"|(?![\'"])[^>\s]*))?(?:\s|/(?!>))*')
+# html.parser: where a start tag ends, its name, and one of its attributes
 _START_TAG_END = re.compile(r"""
   <[a-zA-Z][^\t\n\r\f />\x00]*       # tag name
   (?:[\s/]*                          # optional whitespace before attribute name
@@ -193,6 +174,14 @@ _START_TAG_END = re.compile(r"""
   \s*                                # trailing whitespace
 """, re.VERBOSE)
 _START_TAG_CUT = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ=/")
+_TAG_NAME = re.compile(r'([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*')
+_ATTR = re.compile(
+    r'((?<=[\'"\s/])[^\s/>][^\s/=>]*)(?:\s*=+\s*'
+    r'(?:\'([^\']*)\'|"([^"]*)"|(?![\'"])([^>\s]*)))?(?:\s|/(?!>))*')
+# html.parser: an end tag, and the closer of each raw-text element
+_END_TAG = re.compile(r'</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>')
+_RAW_TEXT_END = {tag: re.compile(r'</\s*%s\s*>' % tag, re.I)
+                 for tag in RAWTEXT_TAGS}
 # html.parser: comments and marked sections
 _COMMENT_END = re.compile(r'--\s*>')
 _DECL_NAME = re.compile(r'[a-zA-Z][-_.a-zA-Z0-9]*\s*')
@@ -206,38 +195,41 @@ _START, _START_END, _END, _DATA, _COMMENT, _SKIP = (
     "start", "start-end", "end", "data", "comment", "skip")
 
 
-def _start_tag_end(text: str, i: int) -> int:
-    """End of the start tag at ``i``, or -1 where html.parser waits for more
-    input (the tag is cut off)."""
-    j = _START_TAG_END.match(text, i).end()
+def _cut_off(text: str, i: int):
+    """Markup at ``i`` that the end of the input cuts off: text up to the
+    next ``>`` (or ``<``)."""
+    end = text.find(">", i + 1) + 1
+    if not end:
+        end = text.find("<", i + 1)
+        if end < 0:
+            end = i + 1
+    return end, _DATA, unescape(text[i:end]), None
+
+
+def _start_tag(text: str, i: int, j: int):
+    """The start tag at ``i`` whose ``_START_TAG_END`` match ends at ``j``:
+    quoted, unquoted and bare values, character references decoded, the
+    first of duplicate attributes kept.  A tag that does not end in ``>``
+    or ``/>`` is text."""
     following = text[j:j + 1]
     if following == ">":
-        return j + 1
-    if following == "/":
-        return j + 2 if text.startswith("/>", j) else -1
-    if not following or following in _START_TAG_CUT:
-        return -1
-    return j    # bogus input: the tag ends before it
-
-
-def _start_tag(text: str, i: int, end: int):
-    """The start tag in ``text[i:end]`` by the tolerant rules: quoted,
-    unquoted and bare values, character references decoded, the first of
-    duplicate attributes kept.  Markup that does not end in ``>`` or ``/>``
-    is text."""
+        end = j + 1
+    elif following == "/" and text.startswith("/>", j):
+        end = j + 2
+    elif not following or following in _START_TAG_CUT:
+        return _cut_off(text, i)    # html.parser waits for more input
+    else:
+        end = j     # bogus input: the tag ends before it
     m = _TAG_NAME.match(text, i + 1)
     tag = m.group(1).lower()
     k = m.end()
     attrs: dict[str, str] = {}
     while k < end:
-        m = _ATTR_TOLERANT.match(text, k)
+        m = _ATTR.match(text, k)
         if m is None:
             break
-        name, rest, value = m.group(1, 2, 3)
-        if not rest:
-            value = ""
-        elif value[:1] == "'" == value[-1:] or value[:1] == '"' == value[-1:]:
-            value = value[1:-1]
+        name, single, double, bare = m.groups("")
+        value = single or double or bare
         attrs.setdefault(name.lower(), unescape(value))
         k = m.end()
     closer = text[k:end].strip()
@@ -274,14 +266,9 @@ def _marked_section_end(text: str, i: int) -> int:
 
 def _markup(text: str, i: int):
     """``(end, kind, value, attrs)`` for the markup at the ``<`` at ``i``,
-    outside raw text, that neither ``_START_TAG`` nor ``_END_TAG`` reads.
-    ``value`` is the tag name, the text or the comment.  Markup cut off by
-    the end of the input is text up to the next ``>`` (or ``<``)."""
-    if _START_TAG_OPEN.match(text, i):
-        end = _start_tag_end(text, i)
-        if end >= 0:
-            return _start_tag(text, i, end)
-    elif text.startswith("</", i):
+    outside raw text, that is neither a start tag nor read by ``_END_TAG``.
+    ``value`` is the tag name, the text or the comment."""
+    if text.startswith("</", i):
         gt = text.find(">", i + 2)
         if gt >= 0:
             m = _TAG_NAME.match(text, i + 2)
@@ -314,12 +301,7 @@ def _markup(text: str, i: int):
                 return gt + 1, _COMMENT, text[i + 2:gt], None
     else:
         return i + 1, _DATA, "<", None
-    end = text.find(">", i + 1) + 1
-    if not end:
-        end = text.find("<", i + 1)
-        if end < 0:
-            end = i + 1
-    return end, _DATA, unescape(text[i:end]), None
+    return _cut_off(text, i)
 
 
 def _build(text: str, top: DomNode) -> None:
@@ -334,9 +316,8 @@ def _build(text: str, top: DomNode) -> None:
     open_count: dict[str, int] = {}   # tag -> elements of that tag on the stack
     run: list[str] = []               # the data chunks of the next text node
     find = text.find
-    start_tag = _START_TAG.match
+    start_tag_end = _START_TAG_END.match
     end_tag = _END_TAG.match
-    attr_pairs = _ATTR.findall
     n = len(text)
     pos = 0
     while pos < n:
@@ -349,29 +330,18 @@ def _build(text: str, top: DomNode) -> None:
                 run.append(data)
             if lt < 0:
                 break
-        m = start_tag(text, lt)
+        m = start_tag_end(text, lt)
         if m is not None:
-            tag, attrs, slash = m.groups()
-            tag = tag.lower()
-            if attrs:
-                pairs = attr_pairs(attrs)
-                attrs = dict(pairs)
-                if len(attrs) < len(pairs):     # the first duplicate wins
-                    attrs = {}
-                    for name, value in pairs:
-                        attrs.setdefault(name, value)
-            else:
-                attrs = {}
-            kind = _START_END if slash else _START
-            pos = m.end()
+            pos, kind, tag, attrs = _start_tag(text, lt, m.end())
         else:
             m = end_tag(text, lt)
             if m is not None:
                 kind = _END
                 tag = m.group(1).lower()
                 pos = m.end()
-            else:   # here ``tag`` may be the text or the comment read
+            else:
                 pos, kind, tag, attrs = _markup(text, lt)
+        # for data and a comment, ``tag`` is the text or the comment read
         if kind is _DATA:
             if tag and not tag.isspace():
                 run.append(tag)

@@ -1,11 +1,11 @@
 """Reference definitions of parsing and of the page walks.
 
-``parse_html`` here builds the tree on top of the standard library's
-``html.parser``; ``dom.parse_html`` tokenizes the page itself by the rules
-of CPython 3.11's ``html.parser``, and ``tests/test_dom.py`` checks that
+``parse_html`` here builds the tree on top of ``html_parser_311``, a copy
+of CPython 3.11.7's ``html.parser``; ``dom.parse_html`` tokenizes the page
+itself by the rules of that module, and ``tests/test_dom.py`` checks that
 both give the same trees and raise on the same inputs, with the same
-messages.  The comparison assumes that the running Python's
-``html.parser`` follows those 3.11 rules.
+messages.  The copy keeps the comparison to those rules on any Python,
+whatever its own ``html.parser`` does.
 
 The program walks a page from an explicit stack so that pages of any depth
 work; the walks here are the recursive definitions it replaced, one Python
@@ -14,7 +14,6 @@ same paths, nodes, bytes, projections and verdicts.
 """
 
 from html import escape
-from html.parser import HTMLParser
 
 from phishevade.dom import (
     APPEARANCE_ATTRS,
@@ -35,9 +34,11 @@ from phishevade.dom import (
 )
 from phishevade.mutation import MODIFIABLE_ATTRS, parse_handler_assignments
 
+from html_parser_311 import HTMLParser
+
 
 class _TreeBuilder(HTMLParser):
-    """Tag-soup-tolerant tree builder on top of the stdlib tokenizer."""
+    """Tag-soup-tolerant tree builder on top of the 3.11 tokenizer."""
 
     def __init__(self):
         super().__init__(convert_charrefs=True)
@@ -87,7 +88,7 @@ class _TreeBuilder(HTMLParser):
 
 
 def parse_html(text, url=""):
-    """The tree the stdlib tokenizer gives, by the contract of
+    """The tree the 3.11 tokenizer gives, by the contract of
     ``dom.parse_html``: UTF-8 bytes, one leading byte-order mark dropped,
     and the ``AssertionError`` html.parser gives up with raised as
     :class:`ParseError`."""
