@@ -18,8 +18,10 @@ import gc
 import json
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 from . import attacks, collision
 from .classifier import (
@@ -106,19 +108,13 @@ class Config:
             raise ValueError("batch must be >= 1 and budget >= 0")
 
 
+# Config file key -> (Config field, the type its value is read as): a key is
+# its field's name with "pelican_" read as "pelican.", and the value of an
+# optional field is read as its type that is not None.
 _CONFIG_KEYS = {
-    "pool": ("pool", str),
-    "tau": ("tau", float),
-    "freq_detect_threshold": ("freq_detect_threshold", float),
-    "rng_seed": ("rng_seed", int),
-    "budget": ("budget", int),
-    "batch": ("batch", int),
-    "pelican.k": ("pelican_k", int),
-    "pelican.h_hours": ("pelican_h_hours", float),
-    "pelican.detect_threshold": ("pelican_detect_threshold", float),
-    "pelican.layer_accept": ("pelican_layer_accept", float),
-    "pelican.lookahead": ("pelican_lookahead", int),
-}
+    re.sub(r"^pelican_", "pelican.", name):
+        (name, next((t for t in typing.get_args(hint) if t is not type(None)), hint))
+    for name, hint in typing.get_type_hints(Config).items()}
 
 
 def load_config(path) -> Config:
@@ -146,29 +142,28 @@ def load_config(path) -> Config:
     return config
 
 
-def _config_from_args(args) -> Config:
-    config = load_config(args.config) if getattr(args, "config", None) else Config()
-    for flag, attr in (("tau", "tau"), ("seed", "rng_seed"), ("budget", "budget"),
-                       ("batch", "batch"), ("pool", "pool"),
-                       ("freq_threshold", "freq_detect_threshold")):
-        value = getattr(args, flag, None)
+def _config_and_model(args) -> tuple[Config, Classifier]:
+    """The command's config (its ``--config`` file, then every setting its
+    flags give) and its ``--model``, with the ``tau`` and
+    ``freq_detect_threshold`` overrides applied."""
+    config = load_config(args.config) if args.config else Config()
+    for field in fields(Config):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(config, attr, value)
+            setattr(config, field.name, value)
     config.validate()
-    return config
-
-
-def _default_url(page_path: str) -> str:
-    return f"{DEFAULT_URL_HOST}/{os.path.basename(page_path)}"
-
-
-def _load_model_with_overrides(path, config: Config) -> Classifier:
-    model = load_model(path)
+    model = load_model(args.model)
     if config.tau is not None:
         model = replace(model, threshold=config.tau)
     if config.freq_detect_threshold is not None:
         model = replace(model, freq_detect_threshold=config.freq_detect_threshold)
-    return model
+    return config, model
+
+
+def _page(args) -> DomTree:
+    """The command's page, at ``--url`` or a fixtures.test URL named after
+    its file."""
+    return load_page(args.page, args.url or f"{DEFAULT_URL_HOST}/{os.path.basename(args.page)}")
 
 
 def _dump_json(doc, path=None) -> None:
@@ -183,10 +178,8 @@ def _dump_json(doc, path=None) -> None:
 # -- commands --------------------------------------------------------------
 
 def cmd_score(args) -> int:
-    config = _config_from_args(args)
-    model = _load_model_with_overrides(args.model, config)
-    page = load_page(args.page, args.url or _default_url(args.page))
-    value = score(model, extract_all_features(page))
+    _, model = _config_and_model(args)
+    value = score(model, extract_all_features(_page(args)))
     label = "PHISH" if value >= model.threshold else "BENIGN"
     print(f"{value:.6f} {label}")
     return EXIT_OK
@@ -202,12 +195,11 @@ def _require_feature_names(model: Classifier, what: str, instead: str = "") -> N
 
 
 def cmd_attack(args) -> int:
-    config = _config_from_args(args)
-    model = _load_model_with_overrides(args.model, config)
+    config, model = _config_and_model(args)
     if args.level != attacks.BLACK:
         _require_feature_names(model, f"{args.level}-box knowledge",
                                ", or attack with --level black")
-    page = load_page(args.page, args.url or _default_url(args.page))
+    page = _page(args)
     oracle = ScoreOracle(model)
     initial = score(model, extract_all_features(page))
     if initial < model.threshold:
@@ -256,9 +248,8 @@ def _load_url_set(path) -> set[str]:
 def cmd_defend(args) -> int:
     from . import pelican   # numpy loads at the first full comparison, SciPy at the first assignment
 
-    config = _config_from_args(args)
-    model = _load_model_with_overrides(args.model, config)
-    page = load_page(args.page, args.url or _default_url(args.page))
+    config, model = _config_and_model(args)
+    page = _page(args)
     whitelist = _load_url_set(args.whitelist)
     blacklist = _load_url_set(args.blacklist)
     if args.store and os.path.exists(args.store):
@@ -382,8 +373,7 @@ def cmd_gen_fixtures(args) -> int:
                          f"not {clip(args.range)}") from None
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, not {args.count}")
-    config = _config_from_args(args)
-    model = _load_model_with_overrides(args.model, config)
+    _, model = _config_and_model(args)
     _require_feature_names(model, "gen-fixtures knowledge")
     corpus = load_corpus(args.corpus)
     pages = generate_fixture_pages(corpus, model, lo, hi, args.count,
@@ -512,12 +502,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "the similarity defense.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
+    # a settings flag stores under its Config field, where
+    # _config_and_model reads it
+    def common(p):
         p.add_argument("--config", help="key=value config file")
-        if model:
-            p.add_argument("--model", required=True, help="model JSON file")
+        p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--tau", type=float, help="decision threshold override")
-        p.add_argument("--freq-threshold", dest="freq_threshold", type=float,
+        p.add_argument("--freq-threshold", dest="freq_detect_threshold",
+                       metavar="FREQ_THRESHOLD", type=float,
                        help="frequency detection threshold override")
 
     p = sub.add_parser("score", help="score one page")
@@ -532,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--level", choices=[attacks.WHITE, attacks.GREY, attacks.BLACK],
                    required=True)
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    p.add_argument("--seed", dest="rng_seed", metavar="SEED", type=int,
+                   help="RNG seed (default 0)")
     p.add_argument("--budget", type=int, help="addition budget (default 2000)")
     p.add_argument("--batch", type=int, help="rollback batch size (default 3)")
     p.add_argument("--pool", help="JSONL addition pool for black-box attacks")

@@ -195,10 +195,39 @@ _START, _START_END, _END, _DATA, _COMMENT, _SKIP = (
     "start", "start-end", "end", "data", "comment", "skip")
 
 
-def _cut_off(text: str, i: int):
+class _Scan:
+    """The page's searches for the end of markup.  A search that finds
+    nothing from one position finds nothing from any later one, so each
+    pattern remembers where its search failed, and a ``>`` is looked for
+    only before the page's last one: unterminated comments and marked
+    sections cost one scan of the page, not one per opener."""
+
+    __slots__ = ("text", "_last_gt", "_failed")
+
+    def __init__(self, text: str):
+        self.text = text
+        self._last_gt = text.rfind(">")
+        self._failed: dict[re.Pattern, int] = {}    # pattern -> where its search failed
+
+    def gt(self, i: int) -> int:
+        """``text.find(">", i)``."""
+        return self.text.find(">", i) if i <= self._last_gt else -1
+
+    def search(self, pattern: re.Pattern, i: int):
+        """``pattern.search(text, i)``."""
+        if i >= self._failed.get(pattern, len(self.text) + 1):
+            return None
+        m = pattern.search(self.text, i)
+        if m is None:
+            self._failed[pattern] = i
+        return m
+
+
+def _cut_off(scan: _Scan, i: int):
     """Markup at ``i`` that the end of the input cuts off: text up to the
     next ``>`` (or ``<``)."""
-    end = text.find(">", i + 1) + 1
+    text = scan.text
+    end = scan.gt(i + 1) + 1
     if not end:
         end = text.find("<", i + 1)
         if end < 0:
@@ -206,18 +235,19 @@ def _cut_off(text: str, i: int):
     return end, _DATA, unescape(text[i:end]), None
 
 
-def _start_tag(text: str, i: int, j: int):
+def _start_tag(scan: _Scan, i: int, j: int):
     """The start tag at ``i`` whose ``_START_TAG_END`` match ends at ``j``:
     quoted, unquoted and bare values, character references decoded, the
     first of duplicate attributes kept.  A tag that does not end in ``>``
     or ``/>`` is text."""
+    text = scan.text
     following = text[j:j + 1]
     if following == ">":
         end = j + 1
     elif following == "/" and text.startswith("/>", j):
         end = j + 2
     elif not following or following in _START_TAG_CUT:
-        return _cut_off(text, i)    # html.parser waits for more input
+        return _cut_off(scan, i)    # html.parser waits for more input
     else:
         end = j     # bogus input: the tag ends before it
     m = _TAG_NAME.match(text, i + 1)
@@ -240,10 +270,11 @@ def _start_tag(text: str, i: int, j: int):
     return end, _DATA, text[i:end], None
 
 
-def _marked_section_end(text: str, i: int) -> int:
+def _marked_section_end(scan: _Scan, i: int) -> int:
     """End of the marked section ``<![name ...`` at ``i``, or -1 when it is
     cut off.  An unknown or missing name raises :class:`ParseError`, as
     html.parser gives up on it."""
+    text = scan.text
     j = i + 3
     m = _DECL_NAME.match(text, j)
     if m is None:
@@ -255,21 +286,22 @@ def _marked_section_end(text: str, i: int) -> int:
         return -1
     name = m.group().strip().lower()
     if name in ("temp", "cdata", "ignore", "include", "rcdata"):
-        m = _MARKED_SECTION_END.search(text, j)
+        m = scan.search(_MARKED_SECTION_END, j)
     elif name in ("if", "else", "endif"):
-        m = _MS_MARKED_SECTION_END.search(text, j)
+        m = scan.search(_MS_MARKED_SECTION_END, j)
     else:
         raise ParseError("document does not parse: unknown status keyword "
                          f"{text[j:m.end()]!r} in marked section")
     return -1 if m is None else m.end()
 
 
-def _markup(text: str, i: int):
+def _markup(scan: _Scan, i: int):
     """``(end, kind, value, attrs)`` for the markup at the ``<`` at ``i``,
     outside raw text, that is neither a start tag nor read by ``_END_TAG``.
     ``value`` is the tag name, the text or the comment."""
+    text = scan.text
     if text.startswith("</", i):
-        gt = text.find(">", i + 2)
+        gt = scan.gt(i + 2)
         if gt >= 0:
             m = _TAG_NAME.match(text, i + 2)
             if m is not None:
@@ -279,29 +311,29 @@ def _markup(text: str, i: int):
                 return i + 3, _SKIP, "", None
             return gt + 1, _COMMENT, text[i + 2:gt], None
     elif text.startswith("<!--", i):
-        m = _COMMENT_END.search(text, i + 4)
+        m = scan.search(_COMMENT_END, i + 4)
         if m is not None:
             return m.end(), _COMMENT, text[i + 4:m.start()], None
     elif text.startswith("<?", i):
-        gt = text.find(">", i + 2)
+        gt = scan.gt(i + 2)
         if gt >= 0:
             return gt + 1, _SKIP, "", None
     elif text.startswith("<![", i):
-        end = _marked_section_end(text, i)
+        end = _marked_section_end(scan, i)
         if end >= 0:
             return end, _SKIP, "", None
     elif text.startswith("<!", i):
         if text[i:i + 9].lower() == "<!doctype":
-            gt = text.find(">", i + 9)
+            gt = scan.gt(i + 9)
             if gt >= 0:
                 return gt + 1, _SKIP, "", None
         else:
-            gt = text.find(">", i + 2)
+            gt = scan.gt(i + 2)
             if gt >= 0:
                 return gt + 1, _COMMENT, text[i + 2:gt], None
     else:
         return i + 1, _DATA, "<", None
-    return _cut_off(text, i)
+    return _cut_off(scan, i)
 
 
 def _build(text: str, top: DomNode) -> None:
@@ -315,6 +347,7 @@ def _build(text: str, top: DomNode) -> None:
     children = top.children
     open_count: dict[str, int] = {}   # tag -> elements of that tag on the stack
     run: list[str] = []               # the data chunks of the next text node
+    scan = _Scan(text)
     find = text.find
     start_tag_end = _START_TAG_END.match
     end_tag = _END_TAG.match
@@ -332,7 +365,7 @@ def _build(text: str, top: DomNode) -> None:
                 break
         m = start_tag_end(text, lt)
         if m is not None:
-            pos, kind, tag, attrs = _start_tag(text, lt, m.end())
+            pos, kind, tag, attrs = _start_tag(scan, lt, m.end())
         else:
             m = end_tag(text, lt)
             if m is not None:
@@ -340,7 +373,7 @@ def _build(text: str, top: DomNode) -> None:
                 tag = m.group(1).lower()
                 pos = m.end()
             else:
-                pos, kind, tag, attrs = _markup(text, lt)
+                pos, kind, tag, attrs = _markup(scan, lt)
         # for data and a comment, ``tag`` is the text or the comment read
         if kind is _DATA:
             if tag and not tag.isspace():

@@ -152,15 +152,18 @@ class TreeSignature:
                           for h in e.text_hashes))
 
     @cached_property
-    def _weights(self) -> tuple[float, dict[str, float], dict[str, float]]:
-        """``(base, attr_weights, text_weights)``, which :func:`_bound`
-        sums.  In a tree of L layers, an n-element layer adds
+    def _weights(self) -> tuple[float, dict[str, float], dict[str, float],
+                                frozenset[str], frozenset[str]]:
+        """``(base, attr_weights, text_weights, attrs, texts)``, which
+        :func:`_bound` sums.  In a tree of L layers, an n-element layer adds
         ``e/(2n)/L`` to ``base`` for its e empty sets (an empty layer adds
         ``1/L``, and a tree without layers has base 1), and each hash of a
-        non-empty set adds ``1/(2Ln|set|)`` to its weight."""
+        non-empty set adds ``1/(2Ln|set|)`` to its weight.  ``attrs`` and
+        ``texts`` are the keys of the two tables: every hash of the tree,
+        as ``_hashes`` holds them, but read off the tables in one step."""
         depth = len(self.layers)
         if not depth:
-            return 1.0, {}, {}
+            return 1.0, {}, {}, frozenset(), frozenset()
         base = []
         attr_weights, text_weights = {}, {}
         for layer in self.layers:
@@ -175,7 +178,8 @@ class TreeSignature:
                     for h in hashes:
                         weights[h] = weights.get(h, 0.0) + weight
             base.append(empty / (2 * len(layer)) if layer else 1.0)
-        return math.fsum(base) / depth, attr_weights, text_weights
+        return (math.fsum(base) / depth, attr_weights, text_weights,
+                frozenset(attr_weights), frozenset(text_weights))
 
 
 def signature_of(tree: DomTree) -> TreeSignature:
@@ -357,11 +361,12 @@ def _bound(stored: TreeSignature, unknown: TreeSignature) -> float:
     stored layers.  A tree without layers has similarity 1.
 
     That sum is the stored tree's ``base`` plus the weight of every stored
-    hash the unknown tree holds (:attr:`TreeSignature._weights`); ``fsum``
-    rounds it exactly, so the order of the sets cannot change it.
+    hash the unknown tree holds (:attr:`TreeSignature._weights`, which also
+    holds the stored hashes, so a stored tree never builds ``_hashes``);
+    ``fsum`` rounds it exactly, so the order of the sets cannot change it.
     """
-    base, attr_weights, text_weights = stored._weights
-    (attrs, texts), (attr_held, text_held) = stored._hashes, unknown._hashes
+    base, attr_weights, text_weights, attrs, texts = stored._weights
+    attr_held, text_held = unknown._hashes
     return math.fsum([base] + [attr_weights[h] for h in attrs & attr_held]
                      + [text_weights[h] for h in texts & text_held])
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from phishevade.attacks import white_box, white_knowledge
 from phishevade.classifier import ScoreOracle, load_model, save_model
-from phishevade.cli import INPUT_ERRORS, Config, load_config, main
+from phishevade.cli import (INPUT_ERRORS, _CONFIG_KEYS, Config, _config_and_model,
+                            build_parser, load_config, main)
 from phishevade.collision import load_corpus
 from phishevade.dom import parse_html, serialize
 from phishevade.features import extract_all_features, hash_feature
@@ -63,10 +64,11 @@ def test_config_file_round_trip(tmp_path):
     assert config.pelican_detect_threshold == 0.8
 
 
-@pytest.mark.parametrize("line", ["mystery=1", "model=x", "corpus=x",
+@pytest.mark.parametrize("line", ["mystery=1", "model=x", "corpus=x", "pelican_k=3",
                                   "budget=lots", "pelican.k=1.5", "tau=high"],
-                         ids=["mystery", "model", "corpus", "budget-not-an-integer",
-                              "pelican-k-not-an-integer", "tau-not-a-number"])
+                         ids=["mystery", "model", "corpus", "pelican-field-name",
+                              "budget-not-an-integer", "pelican-k-not-an-integer",
+                              "tau-not-a-number"])
 def test_config_rejects_unknown_key(workdir, capsys, line):
     # the model and the corpus are only given as --model and --corpus; an
     # unknown key, or a value its key's type rejects, is named with its
@@ -79,6 +81,45 @@ def test_config_rejects_unknown_key(workdir, capsys, line):
     assert run(["score", workdir["seed"], "--model", workdir["model"],
                 "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+
+
+def test_config_keys_are_the_config_fields():
+    # each key names its Config field and the type its value is read as
+    assert _CONFIG_KEYS == {
+        "pool": ("pool", str),
+        "tau": ("tau", float),
+        "freq_detect_threshold": ("freq_detect_threshold", float),
+        "rng_seed": ("rng_seed", int),
+        "budget": ("budget", int),
+        "batch": ("batch", int),
+        "pelican.k": ("pelican_k", int),
+        "pelican.h_hours": ("pelican_h_hours", float),
+        "pelican.detect_threshold": ("pelican_detect_threshold", float),
+        "pelican.layer_accept": ("pelican_layer_accept", float),
+        "pelican.lookahead": ("pelican_lookahead", int),
+    }
+
+
+@pytest.mark.parametrize("key, flag, in_file, in_flag", [
+    ("tau", "--tau", 0.6, 0.7),
+    ("freq_detect_threshold", "--freq-threshold", 0.2, 0.3),
+    ("rng_seed", "--seed", 5, 7),
+    ("budget", "--budget", 10, 20),
+    ("batch", "--batch", 2, 4),
+    ("pool", "--pool", "file.jsonl", "flag.jsonl"),
+])
+def test_a_flag_overrides_the_config_file(workdir, key, flag, in_file, in_flag):
+    path = workdir["dir"] / "wb.conf"
+    path.write_text(f"{key}={in_file}\n")
+    argv = ["attack", workdir["seed"], "--model", workdir["model"], "--level", "black",
+            "--out", str(workdir["dir"] / "out"), "--config", str(path)]
+    for extra, want in (([], in_file), ([flag, str(in_flag)], in_flag)):
+        config, model = _config_and_model(build_parser().parse_args(argv + extra))
+        assert getattr(config, key) == want
+        if key == "tau":
+            assert model.threshold == want
+        if key == "freq_detect_threshold":
+            assert model.freq_detect_threshold == want
 
 
 def test_config_validates_ranges():

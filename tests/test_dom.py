@@ -334,6 +334,18 @@ def test_stray_end_tags_take_no_scan_of_the_open_elements():
     assert_parses_as_the_oracle(_stray_closer_page(2000) + "<p>x</b></div>y")
 
 
+@pytest.mark.parametrize("opener", ["<!-- ", "<![CDATA[ ", "<?x ", "</ ", "<!x "])
+def test_unterminated_markup_takes_no_scan_per_opener(opener):
+    """An opener with no closer fell back to text only after searching the
+    rest of the page: 100 KB of ``<!-- `` took over 5 s."""
+    def page(size):
+        return opener * (size // len(opener))
+
+    assert _parse_seconds(page(100_000)) < 8 * _parse_seconds(page(25_000))
+    assert_parses_as_the_oracle(page(2_000))
+    assert_parses_as_the_oracle(page(2_000) + "-->]]>")
+
+
 def test_a_leading_byte_order_mark_is_dropped():
     with open(fixture_path("login_paypal.html"), "rb") as fh:
         data = fh.read()

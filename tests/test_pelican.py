@@ -372,6 +372,18 @@ def test_pruned_scan_builds_no_layers(built_layers):
     assert "_layers" not in vars(unknown)
 
 
+def test_pruned_scan_of_a_loaded_store_builds_no_stored_hash_sets(tmp_path):
+    """A stored entry's bound reads its weight tables and their key sets,
+    so it never builds ``_hashes`` over its own tree."""
+    path = tmp_path / "store.json"
+    save_store(PhishStore(k=20, entries=[StoreEntry(_site(f"site{i}", 1 + i % 5), 0.0)
+                                         for i in range(6)]), path)
+    store = load_store(path, k=20)
+    assert store.max_similarity(_site("probe", 3), floor=0.9) == (0.0, None)
+    assert all("_weights" in vars(e.signature) and "_hashes" not in vars(e.signature)
+               for e in store.entries)
+
+
 # -- tree similarity ---------------------------------------------------------------
 
 def test_tree_baseline_reflexive(paypal_page):
