@@ -31,9 +31,14 @@ class CorpusPage:
     url_features: set[Feature] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.label not in (PHISH, LEGIT):
-            raise ValueError(f"bad corpus label {self.label!r}")
+        _check_label(self.label)
         self.url_features = extract_url_features(self.url)
+
+
+def _check_label(label) -> None:
+    """Raise :class:`SchemaError` unless ``label`` is a corpus label."""
+    if label not in (PHISH, LEGIT):
+        raise SchemaError(f"bad corpus label {clip(repr(label))}")
 
 
 @dataclass
@@ -67,13 +72,16 @@ def load_corpus(manifest_path) -> Corpus:
     """Read a JSON-lines corpus manifest.
 
     Each record is ``{"url": ..., "path": ..., "label": "phish"|"legit"}``;
-    records without a ``path`` contribute a bare URL only.  Paths are
-    resolved relative to the manifest file.  A record that is not an object
-    with a string ``url`` (and a string ``path``, when given) raises
-    :class:`SchemaError`, and one whose ``url`` is not an absolute URL
-    raises :class:`UrlError` naming the manifest's ``path:line``; either
-    is raised before any later page is read.  Each record's URL features
-    are extracted once, when the record is added, and kept with it.
+    records without a ``path`` contribute a bare URL only, and a record
+    without a ``label`` is legit.  Paths are resolved relative to the
+    manifest file.  A record that is not an object with a string ``url``
+    (and a string ``path``, when given) raises :class:`SchemaError`, as does
+    one whose ``label`` is not a corpus label, with or without a ``path``;
+    one whose ``url`` is not an absolute URL raises :class:`UrlError`.  The
+    last two name the manifest's ``path:line``.  A record's label is checked
+    before its page is read, and every error is raised before any later
+    page is read.  Each record's URL features are extracted once, when the
+    record is added, and kept with it.
     """
     import os
 
@@ -89,16 +97,16 @@ def load_corpus(manifest_path) -> Corpus:
                     or not isinstance(record.get("path", ""), str):
                 raise SchemaError(f"corpus record {clip(repr(line))} needs a string "
                                   "'url' and no non-string 'path'")
-            url, path = record["url"], record.get("path")
+            url, path, label = record["url"], record.get("path"), record.get("label", LEGIT)
             try:
+                _check_label(label)
                 if path:
                     full = path if os.path.isabs(path) else os.path.join(base, path)
-                    corpus.pages.append(CorpusPage(
-                        url, load_page(full, url), record.get("label", LEGIT)))
+                    corpus.pages.append(CorpusPage(url, load_page(full, url), label))
                 else:
                     corpus.add_url(url)
-            except UrlError as exc:
-                raise UrlError(f"{manifest_path}:{lineno}: {exc}") from exc
+            except (SchemaError, UrlError) as exc:
+                raise type(exc)(f"{manifest_path}:{lineno}: {exc}") from exc
     return corpus
 
 

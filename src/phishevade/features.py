@@ -8,36 +8,40 @@ A page's feature map holds canonical string -> value; absent features are 0.
 Page features are a fold of per-node contributions.  An element contributes
 a multiset of features (``PageHasForms``, the input kinds,
 ``PageActionURL=...``, ``PageLinkDomain=...``) and a :class:`PageCounts`
-increment; a text node that ``walk_text_nodes`` yields (so not one inside
-script or style) contributes its terms as a multiset of ``PageTerm=...``.
-Which element carries a feature is said here once: ``FREQUENCIES`` gives
-each frequency kind its counts and its element (tag, attribute),
-``INPUT_TYPES`` each input kind its input type, and ``SCRIPT_FLAGS`` each
-script flag the script count it must exceed.  A :class:`PageTally` is
-that fold plus the URL features, which are fixed because URLs are never
-mutated.  ``PageTally.value`` defines the value of every page feature: 1
-for a feature counted at least once, the script flags and the frequency
-ratios from the folded counts.  ``extract_page_features`` and
-``extract_all_features`` fold a whole page; because each contribution is
-local, an edit to one node updates a tally by removing the node's old
-contribution and adding its new one, which is how ``mutation.MutationPlan``
-carries a page's tally along with its tree and undoes an edit in both.  A
-zero-width split of a text node is more local still: ``split_text`` trades
-one count of the term that spans the split for one count of each fragment,
-without tokenizing the node again.  Every edit appends to the tally's
-``journal`` the features whose value it may have changed: those whose
-presence it flipped and the count features of the elements it added or
-removed.  Nothing clears the journal: each reader that tracks the tally
-(``classifier.TallyHits``) keeps its own position in it and, on a read,
-re-reads the value of only the features past that position, so any number
-of readers can follow one working page.
+increment; a text node that is not inside a script or style element (one
+that ``dom.walk_text_nodes`` yields) contributes its terms as a multiset of
+``PageTerm=...``.  Which element carries a feature is said here once:
+``FREQUENCIES`` gives each frequency kind its counts and its element (tag,
+attribute), ``INPUT_TYPES`` each input kind its input type, and
+``SCRIPT_FLAGS`` each script flag the script count it must exceed.  A
+:class:`PageTally` is that fold plus the URL features, which are fixed
+because URLs are never mutated.  ``PageTally.value`` defines the value of
+every page feature: 1 for a feature counted at least once, the script flags
+and the frequency ratios from the folded counts.  ``extract_page_features``
+and ``extract_all_features`` fold a whole page in one walk; because each
+contribution is local, an edit to one node updates a tally by removing the
+node's old contribution and adding its new one, which is how
+``mutation.MutationPlan`` carries a page's tally along with its tree and
+undoes an edit in both.  A zero-width split of a text node is more local
+still: ``split_text`` trades one count of the term that spans the split for
+one count of each fragment, without tokenizing the node again.  Every edit
+appends to the tally's ``journal`` the features whose value it may have
+changed: those whose presence it flipped and the count features of the
+elements it added or removed.  Nothing clears the journal: each reader that
+tracks the tally (``classifier.TallyHits``) keeps its own position in it
+and, on a read, re-reads the value of only the features past that position,
+so any number of readers can follow one working page.
 
 Where an href, action or src points is :meth:`PageTally.resolve`: the tally
 splits the page URL once, splits each reference once against that split,
 and memoizes host -> registrable domain for as long as it lives, so each
-distinct host is split once per page.  No reference is joined into a URL;
-joining with the standard library's URL join and splitting the result is
-the definition the tests hold ``resolve`` to.  A host is usable when
+distinct host is split once per page.  No reference is joined into a URL,
+and :func:`split_reference` splits it by ``urlsplit``'s rules with one
+compiled match; it hands ``urlsplit`` only a netloc that holds a bracket or
+a non-ASCII character, so urllib alone says which netlocs are malformed.
+Joining with the standard library's URL join and splitting the result is
+the definition the tests hold ``resolve`` to, and ``urlsplit`` the one
+they hold ``split_reference`` to.  A host is usable when
 ``split_usable_host`` says so, for URL features and references alike: a
 host that normalizes to nothing or holds an empty label gives no URL
 features, and a reference to it is internal and not secure.
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
-from .dom import DomNode, DomTree, walk_elements, walk_text_nodes
+from .dom import ELEMENT, RAWTEXT_TAGS, TEXT, DomNode, DomTree
 from .suffixes import split_host
 
 # Boolean page features.
@@ -99,6 +103,11 @@ FeatureValueMap = dict[str, float]
 # characters: a zero-width split inside a term therefore yields two fragment
 # terms rather than one token containing the invisible character.
 _TERM_SPLIT = re.compile(r"[^\s\u200b\u200c\u200d\ufeff]+")
+
+# What ``urlsplit`` strips off the front of a reference, and the scheme
+# (without its colon) and netloc it reads off what is left.
+_C0_OR_SPACE = "".join(map(chr, range(0x21)))
+_REF_HEAD = re.compile(r"(?:([a-zA-Z][a-zA-Z0-9+.-]*):)?(?://([^/?#]*))?")
 
 
 class UrlError(ValueError):
@@ -248,6 +257,39 @@ def split_usable_host(host: str | None) -> tuple[str, str, list[str]] | None:
     return split if all(registrable.split(".") + other_labels) else None
 
 
+def split_reference(ref: str, scheme: str = "") -> tuple[str, str, str | None]:
+    """``(scheme, netloc, hostname)`` of ``urlsplit(ref, scheme)``, read
+    with one match; ``scheme`` is the default, a scheme as urlsplit returns
+    it.
+
+    The reference loses its leading C0 controls and spaces and every tab,
+    CR and LF; its scheme is ``[a-zA-Z][a-zA-Z0-9+.-]*`` before the first
+    colon, lower-cased, and its netloc runs from a leading "//" to the first
+    "/", "?" or "#".  The host is read as urllib's ``hostname`` reads it:
+    after the last "@", inside the brackets or else before the port, and
+    lower-cased up to a "%" zone; None when it is empty.  A netloc that
+    holds a bracket or a non-ASCII character is split by ``urlsplit`` too,
+    which raises :class:`ValueError` where it rejects the netloc.
+    """
+    ref = ref.lstrip(_C0_OR_SPACE)
+    if "\t" in ref or "\r" in ref or "\n" in ref:
+        ref = ref.replace("\t", "").replace("\r", "").replace("\n", "")
+    own_scheme, netloc = _REF_HEAD.match(ref).groups("")
+    if own_scheme:
+        scheme = own_scheme.lower()
+    if not netloc:
+        return scheme, netloc, None
+    if "[" in netloc or "]" in netloc or not netloc.isascii():
+        urlsplit(ref)
+    hostinfo = netloc.rpartition("@")[2]
+    _, bracket, bracketed = hostinfo.partition("[")
+    host = bracketed.partition("]")[0] if bracket else hostinfo.partition(":")[0]
+    if "%" in host:
+        name, percent, zone = host.partition("%")
+        return scheme, netloc, name.lower() + percent + zone
+    return scheme, netloc, host.lower() or None
+
+
 class _Domains(dict):
     """Host -> its registrable domain, None for a host that is not usable;
     each host is split once."""
@@ -310,8 +352,9 @@ class PageTally:
         URL does not parse every reference is one.
 
         Only the scheme and the host of the joined URL count, so the
-        reference is split once, with the page's scheme as its default, and
-        never joined.  A reference that names a host keeps it.  One that
+        reference is split once by :func:`split_reference`, with the page's
+        scheme as its default, and never joined; it does not parse when
+        that split raises.  A reference that names a host keeps it.  One that
         names no netloc and keeps the page's scheme joins onto the page's
         host: internal, and not secure when that host is not usable.  Any
         other one names no host and is internal.  (The join also needs a
@@ -324,13 +367,12 @@ class PageTally:
         if base is None:
             return None, False
         try:
-            parts = urlsplit(ref, base.scheme)
+            scheme, netloc, host = split_reference(ref, base.scheme)
         except ValueError:
             return None, False
-        if not parts.netloc and parts.scheme == base.scheme:
+        if not netloc and scheme == base.scheme:
             return None, self._joined_secure    # joined onto the page's host
-        secure = parts.scheme == "https"
-        host = parts.hostname
+        secure = scheme == "https"
         domain = self._domains[host]
         if domain is None:      # no host, or one that is not usable
             return None, secure and not host
@@ -453,6 +495,11 @@ def extract_page_features(tree: DomTree,
                           tally: PageTally | None = None) -> FeatureValueMap:
     """Extract the page-level feature map by folding every node of ``tree``.
 
+    One walk from an explicit stack, so a page of any depth folds, adds each
+    contributing element as it meets it, in document order, and collects
+    the counted texts, which one tokenizer call folds at the end.  Inside a
+    script or style element the walk meets the elements but skips the text.
+
     Boolean features appear with value 1 only when true; frequency features
     appear only when their numerator is non-zero; wildcard features appear
     with value 1 per distinct payload.  ``tally``, when given, is an empty
@@ -462,13 +509,31 @@ def extract_page_features(tree: DomTree,
     if tally is None:
         tally = PageTally(tree.source_url)
     add_element = tally.add_element
-    for _, el in walk_elements(tree):
-        if el.tag in _CONTRIBUTING_TAGS:
-            add_element(el)
+    texts: list[str] = []
+    root = tree.root
+    stack = [root] if root.node_type == ELEMENT else []
+    while stack:
+        node = stack.pop()
+        if node.node_type == TEXT:
+            texts.append(node.value)
+        elif node.node_type == ELEMENT:
+            tag = node.tag
+            if tag in _CONTRIBUTING_TAGS:
+                add_element(node)
+            if tag not in RAWTEXT_TAGS:
+                stack.extend(reversed(node.children))
+                continue
+            # the raw text element's subtree: its elements only
+            raw = node.children[::-1]
+            while raw:
+                el = raw.pop()
+                if el.node_type == ELEMENT:
+                    if el.tag in _CONTRIBUTING_TAGS:
+                        add_element(el)
+                    raw.extend(reversed(el.children))
     # whitespace delimits terms, so the joined text holds exactly the
     # terms of all counted text nodes, and one tokenizer call folds them
-    text = " ".join([node.value for _, node in walk_text_nodes(tree)])
-    tally.features.update(map(_TERM_PREFIX.__add__, terms_of(text)))
+    tally.features.update(map(_TERM_PREFIX.__add__, terms_of(" ".join(texts))))
     return tally.page_fmap()
 
 

@@ -1,19 +1,24 @@
 """Reference definition of page feature extraction.
 
-One direct walk over the elements and one over the text nodes count the
-features each node gives (one per element feature and per term occurrence)
-and fill the element tally; the feature map keeps the counted features.
-The program folds per-node contributions into a ``PageTally`` instead, and
-keeps it up to date as a plan edits the page and undoes edits;
-``tests/test_features.py`` and ``tests/test_mutation.py`` check that both
-give the same maps and counts.
+One direct walk over the elements (``walk_elements``, which enters script
+and style elements) and one over the text nodes (``walk_text_nodes``, which
+skips the text inside them) count the features each node gives (one per
+element feature and per term occurrence) and fill the element tally; the
+feature map keeps the counted features, in the order the walks meet them.
+The program folds per-node contributions into a ``PageTally`` in one walk
+that builds no paths instead, and keeps the tally up to date as a plan
+edits the page and undoes edits; ``tests/test_features.py`` and
+``tests/test_mutation.py`` check that both give the same maps, key order
+included, and counts.
 
 A reference points where ``urljoin`` puts it: the oracle joins it with the
-page URL and splits the result, where ``PageTally.resolve`` splits the
-reference once and reads the scheme and host off it and the page's split.
-A host that normalizes to nothing or holds an empty label is no host: a
-page URL with one has no domain, and a reference to one is internal and
-not secure, as is one that does not join or split.
+page URL and splits the result with ``urlsplit``, where
+``PageTally.resolve`` splits the reference once with
+``features.split_reference``, its own reading of urlsplit's rules, and
+reads the scheme and host off that and the page's split.  A host that
+normalizes to nothing or holds an empty label is no host: a page URL with
+one has no domain, and a reference to one is internal and not secure, as
+is one that does not join or split.
 """
 
 from collections import Counter

@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from phishevade.classifier import HashFormatError
+from phishevade.classifier import HashFormatError, SchemaError
 from phishevade.collision import (
     Corpus,
     CorpusPage,
@@ -162,4 +162,20 @@ def test_a_record_whose_url_is_not_absolute_fails_before_any_page_is_read(tmp_pa
             pytest.raises(UrlError) as raised:
         load_corpus(manifest)
     assert str(raised.value) == f"{manifest}:1: not an absolute URL: 'http://./x'"
+    load.assert_not_called()
+
+
+@pytest.mark.parametrize("record", [
+    {"url": "http://a.test/", "path": "missing.html", "label": "bogus"},
+    {"url": "http://a.test/", "label": "bogus"},
+    {"url": "http://a.test/", "path": fixture_path("login_paypal.html"), "label": "bogus"},
+], ids=["missing-page", "url-only", "page"])
+def test_a_bad_label_fails_at_its_line_before_its_page_is_read(tmp_path, record):
+    manifest = tmp_path / "corpus.jsonl"
+    records = [{"url": PAYPAL_URL, "label": "phish"}, record]
+    manifest.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    with mock.patch("phishevade.collision.load_page") as load, \
+            pytest.raises(SchemaError) as raised:
+        load_corpus(manifest)
+    assert str(raised.value) == f"{manifest}:2: bad corpus label 'bogus'"
     load.assert_not_called()

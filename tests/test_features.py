@@ -1,12 +1,14 @@
+import os
 import random
 import struct
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phishevade import features
-from phishevade.dom import parse_html, walk_elements, walk_text_nodes
+from phishevade.dom import DomNode, DomTree, parse_html, walk_elements, walk_text_nodes
 from phishevade.features import (
     Feature,
     PageTally,
@@ -15,12 +17,14 @@ from phishevade.features import (
     extract_url_features,
     find_term,
     hash_feature,
+    split_reference,
     terms_of,
 )
 
 from phishevade.suffixes import split_host
 
-from conftest import build_page
+import features_oracle
+from conftest import FIXTURES, build_page
 from features_oracle import find_term as oracle_find_term
 from features_oracle import registrable_domain, resolve_reference
 
@@ -388,6 +392,64 @@ def test_one_walk_matches_the_four_walk_reference(pieces, url):
             counts.other_imgs, counts.scripts) == expected_counts
 
 
+# -- the one-walk fold against the oracle on hand-built trees ----------------------
+
+def _el(tag, *children, **attrs):
+    return DomNode.element(tag, attrs, [DomNode.text(c) if isinstance(c, str) else c
+                                        for c in children])
+
+
+def test_elements_inside_a_script_count_but_its_text_does_not():
+    script = _el("script", "var code;", _el("a", "hidden", href="https://other.test/x"),
+                 _el("input", type="password"))
+    tree = DomTree(_el("html", _el("body", script, _el("p", "shown"))),
+                   "https://seed.test/")
+    fmap = extract_page_features(tree)
+    assert list(fmap.items()) == list(features_oracle.extract_page_features(tree).items())
+    assert "PageLinkDomain=other.test" in fmap and "PageHasPswdInputs" in fmap
+    assert [name for name in fmap if name.startswith("PageTerm=")] == ["PageTerm=shown"]
+
+
+def test_a_script_root_counts_no_terms():
+    tree = DomTree(_el("script", "var code;", _el("p", "hidden"),
+                       _el("a", "x", href="https://other.test/")), "https://seed.test/")
+    fmap = extract_page_features(tree)
+    assert fmap == features_oracle.extract_page_features(tree)
+    assert fmap and not [name for name in fmap if name.startswith("PageTerm=")]
+    assert page_counts(tree).scripts == 1
+
+
+def test_a_very_deep_page_extracts():
+    """20,000 nested elements fold without recursion; the features are the
+    oracle's on the same leaves without the nesting (the oracle's walks
+    carry a path per level, which this depth makes too large)."""
+    def leaves():
+        return [_el("a", "deep link", href="https://other.test/"),
+                _el("script", "x"), "leaf text"]
+
+    node = _el("div", *leaves())
+    for _ in range(20_000):
+        node = _el("div", node)
+    deep = DomTree(_el("html", node), "https://seed.test/")
+    flat = DomTree(_el("html", _el("div", *leaves())), "https://seed.test/")
+    expected = features_oracle.extract_page_features(flat)
+    assert "PageTerm=leaf" in expected
+    assert list(extract_page_features(deep).items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(FIXTURES)
+                                        if n.endswith(".html")))
+def test_fixture_pages_give_the_oracle_map_in_its_key_order(name):
+    """Feature map key order reaches the CLI's bytes."""
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        tree = parse_html(fh.read(), "https://fixture.test/page")
+    fmap = extract_page_features(tree)
+    expected = features_oracle.extract_page_features(tree)
+    assert list(fmap.items()) == list(expected.items())
+    assert list(features.extract_all_features(tree)) \
+        == list(features_oracle.extract_all_features(tree))
+
+
 # -- reference resolution against the urljoin oracle ----------------------------
 
 # Pieces of adversarial references and page URLs: schemes in any case,
@@ -451,6 +513,70 @@ def test_tally_resolve_keeps_the_page_scheme_where_urljoin_rereads_the_path(
     a malformed netloc.  No reference on such a page is external."""
     assert resolve_reference(ref, base, registrable_domain(base)) == oracle
     assert PageTally(base).resolve(ref) == (None, base.startswith("https:"))
+
+
+# -- the reference split against urlsplit ------------------------------------------
+
+# A wider alphabet than URL_PIECES: CR and "%" zone ids, upper-case hosts,
+# userinfo and ports, bracketed IPv4 and IPvFuture hosts (urlsplit rejects
+# the first and an IPvFuture without a hex version), non-ASCII netloc
+# characters, among them "\u2100" and "\uff0f", which NFKC expands to "a/c"
+# and "/", and "+", "-" and digits inside schemes.
+SPLIT_PIECES = st.sampled_from([
+    "http:", "HTTPS:", "a+b-c.1:", "x1-:", "1x:", "-x:", "+:", "//", "/", "?",
+    "#", "\\", "\t", "\r", "\n", " ", "\x00", "\x1f", "@", "u:p@", "User@", ":",
+    ":80", ":x", "[", "]", "[::1]", "[1.2.3.4]", "[v1.x]", "[vz.x]",
+    "[fe80::1%eTh0]", "%Zone", "%", "A.Example.COM", "seed.test", "WWW.Seed.Test",
+    "\u2100", "\uff0f", "\u00e9", "\u00dc", "\u0130", "x", ".",
+])
+
+
+@settings(max_examples=2000, deadline=None)
+@given(ref=st.lists(SPLIT_PIECES, max_size=10).map("".join),
+       scheme=st.sampled_from(["", "http", "https", "ftp"]))
+@example(ref="ht\rtp://A.Example.COM/", scheme="")
+@example(ref="\x00 //u:p@User@WWW.Seed.Test:80/x", scheme="https")
+@example(ref="a+b-c.1://[fe80::1%eTh0]:80/", scheme="http")
+@example(ref="//[v1.x]/", scheme="http")
+@example(ref="//[1.2.3.4]/", scheme="http")
+@example(ref="//a\u2100b/", scheme="http")
+@example(ref="//a\uff0fb/", scheme="http")
+@example(ref="//\u00c9.test/", scheme="http")
+@example(ref="1x://seed.test/", scheme="https")
+def test_split_reference_matches_urlsplit(ref, scheme):
+    try:
+        parts = urlsplit(ref, scheme)
+    except ValueError:
+        with pytest.raises(ValueError):
+            split_reference(ref, scheme)
+        return
+    assert split_reference(ref, scheme) == (parts.scheme, parts.netloc, parts.hostname)
+
+
+def test_resolve_calls_urlsplit_only_for_the_page_url(monkeypatch):
+    """References whose netlocs are ASCII and hold no bracket are split by
+    ``split_reference`` alone; a non-ASCII netloc is also split by urlsplit,
+    which is what says whether it is malformed."""
+    calls = []
+
+    def counted(url, *args):
+        calls.append(url)
+        return urlsplit(url, *args)
+
+    monkeypatch.setattr(features, "urlsplit", counted)
+    refs = ["https://A.example.com:443/x", "//u:p@b.example.org/", "/local", "",
+            "mailto:x@y.test", "http://./", "HTTP://seed.test/in?q#f",
+            "\thttps://c.exa\nmple.net/", "javascript:void(0)", "?q", "#f"]
+    markup = "".join(f'<a href="{ref}">x</a><img src="{ref}">'
+                     f'<form action="{ref}"></form>' for ref in refs)
+    page = parse_html(f"<html><body>{markup}</body></html>", "https://www.seed.test/login")
+    fmap = extract_page_features(page)
+    assert calls == [page.source_url]
+    assert "PageLinkDomain=example.com" in fmap
+    tally = PageTally(page.source_url)
+    assert tally.resolve("//\u00e9.example.net/") == ("example.net", True)
+    assert tally.resolve("//a\u2100b/") == (None, False)
+    assert calls == [page.source_url] * 2 + ["//\u00e9.example.net/", "//a\u2100b/"]
 
 
 def test_split_host_runs_once_per_distinct_host(monkeypatch):
