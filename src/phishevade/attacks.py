@@ -65,7 +65,7 @@ from .classifier import (
     hit_contribution,
     unsatisfied,
 )
-from .dom import DomTree, walk_elements, walk_text_nodes
+from .dom import TEXT, DomTree, path_of, walk
 # extract_all_features is bound here too: perfbench/layers.py times the
 # extraction entry points on every module that binds them
 from .features import FeatureValueMap, extract_all_features, terms_of  # noqa: F401
@@ -401,17 +401,19 @@ def _modification_candidates(tree: DomTree):
     """Every node modification of ``tree`` as ``(label, planner, path,
     arg)``: each modifiable attribute, then each distinct term of two or
     more characters per text node, in document order."""
-    for path, el in walk_elements(tree):
+    for at, el, _ in walk(tree):
         entry = MODIFIABLE_ATTRS.get(el.tag)
         if not entry:
             continue
         for name in el.attrs:
             if name in entry[0]:
+                path = path_of(at)
                 yield f"modify {name} at {list(path)}", modify_attribute, path, name
-    for path, node in walk_text_nodes(tree):
-        for term in dict.fromkeys(terms_of(node.value)):
-            if len(term) >= 2:
-                yield f"split term {term!r}", modify_text, path, term
+    for at, node, raw in walk(tree):
+        if node.node_type == TEXT and not raw:
+            for term in dict.fromkeys(terms_of(node.value)):
+                if len(term) >= 2:
+                    yield f"split term {term!r}", modify_text, path_of(at), term
 
 
 def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],

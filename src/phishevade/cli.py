@@ -42,7 +42,7 @@ from .classifier import (
     score,
 )
 from .collision import LEGIT, Corpus, harvest_candidates, invert_hashes, load_corpus, load_manifest
-from .dom import DomTree, ParseError, load_page, serialize, walk_elements
+from .dom import DomTree, ParseError, load_page, serialize, walk
 from . import features as F
 from .features import Feature, UrlError, extract_all_features
 from .mutation import (
@@ -310,7 +310,7 @@ def generate_fixture_pages(corpus: Corpus, model: Classifier, lo: float,
     from itertools import chain, combinations
 
     usable = [p for p in corpus.pages if p.label == LEGIT
-              and any(el.tag == "form" for _, el in walk_elements(p.tree))]
+              and any(el.tag == "form" for _, el, _ in walk(p.tree))]
     if not usable:
         raise Unreachable("corpus has no form-bearing legitimate pages")
 
@@ -323,7 +323,7 @@ def generate_fixture_pages(corpus: Corpus, model: Classifier, lo: float,
         base = usable[index % len(usable)]
         index += 1
         tree = base.tree.copy()
-        for _, el in walk_elements(tree):
+        for _, el, _ in walk(tree):
             if el.tag == "form":
                 el.set_attr("action", action_url)
         plan = MutationPlan.on(tree)

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .classifier import HEX64, Classifier, HashFormatError, SchemaError, clip, decode_json
-from .dom import DomTree, load_page
+from .dom import DomTree, ParseError, load_page
 from .features import Feature, UrlError, extract_page_features, extract_url_features, hash_feature
 
 PHISH = "phish"
@@ -77,8 +77,9 @@ def load_corpus(manifest_path) -> Corpus:
     manifest file.  A record that is not an object with a string ``url``
     (and a string ``path``, when given) raises :class:`SchemaError`, as does
     one whose ``label`` is not a corpus label, with or without a ``path``;
-    one whose ``url`` is not an absolute URL raises :class:`UrlError`.  The
-    last two name the manifest's ``path:line``.  A record's label is checked
+    one whose ``url`` is not an absolute URL raises :class:`UrlError`, and
+    one whose page does not decode or parse raises ``dom.ParseError``.  The
+    last three name the manifest's ``path:line``.  A record's label is checked
     before its page is read, and every error is raised before any later
     page is read.  Each record's URL features are extracted once, when the
     record is added, and kept with it.
@@ -105,7 +106,7 @@ def load_corpus(manifest_path) -> Corpus:
                     corpus.pages.append(CorpusPage(url, load_page(full, url), label))
                 else:
                     corpus.add_url(url)
-            except (SchemaError, UrlError) as exc:
+            except (ParseError, SchemaError, UrlError) as exc:
                 raise type(exc)(f"{manifest_path}:{lineno}: {exc}") from exc
     return corpus
 

@@ -13,10 +13,15 @@ insertion-ordered attribute dict and a list of content children (text,
 comment and element nodes).  Trees are treated as immutable once built;
 mutation code works on the copy each ``mutation.MutationPlan`` owns.
 :meth:`DomTree.copy` is the one way to copy a page, and a copy shares
-nothing mutable with its source (only the immutable strings).  The copy,
-``serialize``, the element and text walks, ``visible_projection`` and
-``isomorphic`` all work from an explicit stack instead of recursing, so
-pages of any depth work.
+nothing mutable with its source (only the immutable strings).
+
+:func:`walk` is the one walk over a page's nodes: it yields each node with
+its place, a link to its parent's place and its own child index, and
+whether it lies inside a script or style element; :func:`path_of` turns a
+place into the node's path only for a node that a caller edits.  It and
+the copy, ``serialize``, ``visible_projection`` and ``isomorphic`` all work
+from an explicit stack instead of recursing, so a page of any depth takes
+time and memory linear in its size.
 """
 
 from __future__ import annotations
@@ -130,8 +135,10 @@ class DomTree:
     def copy(self) -> DomTree:
         """A structural clone: every node is new and has its own ``attrs``
         dict and ``children`` list; only the strings (tag, value, attribute
-        names and values) are shared.  Uses an explicit stack, not
-        recursion, so it copies a page of any depth."""
+        names and values) are shared.  Uses an explicit stack of (source,
+        copy) pairs, not recursion, so it copies a page of any depth; it
+        keeps its own loop rather than :func:`walk`'s because it builds a
+        second tree alongside the first."""
         new = DomNode.__new__
         root = new(DomNode)
         stack = [(self.root, root)]
@@ -473,7 +480,8 @@ def _escape_attr(value: str) -> str:
 def serialize(tree: DomTree) -> str:
     """Deterministic HTML text for a tree; attribute order is preserved.
     Uses a stack of child iterators, not recursion, so a page of any depth
-    serializes."""
+    serializes; it keeps its own loop rather than :func:`walk`'s because
+    each frame also emits its element's closing tag when it is done."""
     out: list[str] = []
     append = out.append
     # frames: (children left to write, inside raw text, closing tag)
@@ -507,7 +515,8 @@ def serialize(tree: DomTree) -> str:
 
 def bfs_layers(tree: DomTree) -> list[list[DomNode]]:
     """Element nodes grouped by depth: layer 1 is ``[root]``, layer i+1 the
-    concatenated element children of layer i in document order."""
+    concatenated element children of layer i in document order.  Goes
+    breadth first, layer by layer, so it is not a :func:`walk`."""
     layers = []
     current = [tree.root]
     while current:
@@ -578,7 +587,7 @@ def attribute_keyed_rules(tree: DomTree) -> list[tuple[str | None, str, str, dic
     """``(tag_or_None, attr, value, declarations)`` for every attribute-keyed
     selector in the document's ``<style>`` blocks, in document order."""
     chunks = []
-    for _, el in walk_elements(tree):
+    for _, el, _ in walk(tree):
         if el.tag == "style":
             chunks.append(el.direct_text())
     css = _CSS_COMMENT.sub("", "\n".join(chunks))
@@ -629,6 +638,8 @@ def visible_projection(tree: DomTree) -> list[ProjectionEntry]:
     non-visual tags (head, script, style, ...) are excluded; effective text
     is zero-width-stripped and whitespace-collapsed; the ``style`` entry is
     the effective style after resolving attribute-keyed stylesheet rules.
+    It keeps its own stack rather than :func:`walk`'s so that it never
+    enters a hidden or non-visual subtree.
     """
     entries: list[ProjectionEntry] = []
     sheet = attribute_keyed_rules(tree)
@@ -648,52 +659,60 @@ def visible_projection(tree: DomTree) -> list[ProjectionEntry]:
     return entries
 
 
-def walk_elements(tree: DomTree):
-    """Yield ``(path, element)`` for every element in document order.
+def walk(tree: DomTree):
+    """Yield ``(at, node, raw)`` for every node of ``tree`` in document
+    order, root first.  ``at`` is the node's place: ``None`` for the root,
+    else ``(parent's place, child index)``, which :func:`path_of` turns
+    into the node's path; ``raw`` says whether the node lies inside a
+    script or style element (``RAWTEXT_TAGS``), whose text is code and is
+    not counted as the page's text.
 
-    Iterative: a stack of child iterators stands in for recursion, so a
-    page of any depth walks, and a child list is read as the walk reaches
-    it, as a recursive walk would."""
+    A stack of child iterators stands in for recursion and the places link
+    to their parents, so a page of any depth walks in time and memory
+    linear in its size; a child list is read as the walk reaches it, as a
+    recursive walk would."""
     root = tree.root
-    if root.node_type != ELEMENT:
-        return
-    yield (), root
-    stack = [((), enumerate(root.children))]
+    yield None, root, False
+    stack = [(None, root.tag in RAWTEXT_TAGS, enumerate(root.children))]
     while stack:
-        path, children = stack[-1]
+        at, raw, children = stack[-1]
         for i, child in children:
+            child_at = (at, i)
+            yield child_at, child, raw
             if child.node_type == ELEMENT:
-                child_path = path + (i,)
-                yield child_path, child
-                stack.append((child_path, enumerate(child.children)))
+                stack.append((child_at, raw or child.tag in RAWTEXT_TAGS,
+                              enumerate(child.children)))
                 break
         else:
             stack.pop()
+
+
+def path_of(at) -> tuple[int, ...]:
+    """The child indices down from the root to the node at place ``at``."""
+    path = []
+    while at is not None:
+        at, i = at
+        path.append(i)
+    return tuple(reversed(path))
+
+
+def walk_elements(tree: DomTree):
+    """``(path, element)`` for every element of :func:`walk`."""
+    return ((path_of(at), node) for at, node, _ in walk(tree)
+            if node.node_type == ELEMENT)
 
 
 def walk_text_nodes(tree: DomTree):
-    """Yield ``(path, text_node)`` in document order, skipping the code
-    inside script and style (``RAWTEXT_TAGS``) elements.  Iterative, like
-    :func:`walk_elements`."""
-    root = tree.root
-    if root.tag in RAWTEXT_TAGS:
-        return
-    stack = [((), enumerate(root.children))]
-    while stack:
-        path, children = stack[-1]
-        for i, child in children:
-            if child.node_type == TEXT:
-                yield path + (i,), child
-            elif child.node_type == ELEMENT and child.tag not in RAWTEXT_TAGS:
-                stack.append((path + (i,), enumerate(child.children)))
-                break
-        else:
-            stack.pop()
+    """``(path, text_node)`` for every text node of :func:`walk` outside
+    script and style elements."""
+    return ((path_of(at), node) for at, node, raw in walk(tree)
+            if node.node_type == TEXT and not raw)
 
 
 def isomorphic(a: DomNode, b: DomNode) -> bool:
     """Structural equality: same type, tag, attributes in the same order,
-    value, and children.  Compares node pairs from an explicit stack."""
+    value, and children.  Compares node pairs from an explicit stack, so
+    it walks two trees at once, which :func:`walk` does not."""
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()

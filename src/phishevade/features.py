@@ -9,7 +9,7 @@ Page features are a fold of per-node contributions.  An element contributes
 a multiset of features (``PageHasForms``, the input kinds,
 ``PageActionURL=...``, ``PageLinkDomain=...``) and a :class:`PageCounts`
 increment; a text node that is not inside a script or style element (one
-that ``dom.walk_text_nodes`` yields) contributes its terms as a multiset of
+whose ``raw`` is false in ``dom.walk``) contributes its terms as a multiset of
 ``PageTerm=...``.  Which element carries a feature is said here once:
 ``FREQUENCIES`` gives each frequency kind its counts and its element (tag,
 attribute), ``INPUT_TYPES`` each input kind its input type, and
@@ -499,6 +499,11 @@ def extract_page_features(tree: DomTree,
     contributing element as it meets it, in document order, and collects
     the counted texts, which one tokenizer call folds at the end.  Inside a
     script or style element the walk meets the elements but skips the text.
+    It keeps its own loop rather than ``dom.walk``'s: it needs no places,
+    and the infer-corpus workload spends much of its time here, where the
+    same fold over ``dom.walk`` took about 10% longer (the 30 corpus pages
+    of perfbench seeds 1-3, best of 10, three rounds on a 2-CPU host:
+    52.0-55.7 ms against 57.4-60.9 ms).
 
     Boolean features appear with value 1 only when true; frequency features
     appear only when their numerator is non-zero; wildcard features appear

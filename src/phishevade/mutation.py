@@ -58,10 +58,10 @@ from .dom import (
     attribute_keyed_rules,
     isomorphic,
     parse_html,
+    path_of,
     serialize,
     visible_projection,
-    walk_elements,
-    walk_text_nodes,
+    walk,
 )
 # extract_all_features is bound here too: perfbench/layers.py times the
 # extraction entry points on every module that binds them
@@ -237,9 +237,10 @@ def _resolve(tree: DomTree, path: tuple[int, ...],
              node_type: str) -> tuple[DomNode, bool]:
     """The node of ``node_type`` at ``path``, the child indices down from
     the root, and whether that node is, or lies inside, a script or style
-    element: text there is what ``walk_text_nodes`` skips, so the tally does
-    not count it.  One walk down the path finds both; a path that does not
-    resolve, or ends at a node of another type, raises :class:`PathError`."""
+    element: for a text node that is ``dom.walk``'s ``raw``, and the tally
+    does not count text there.  One walk down the path finds both; a path
+    that does not resolve, or ends at a node of another type, raises
+    :class:`PathError`."""
     node = tree.root
     raw = node.tag in RAWTEXT_TAGS
     for index in path:
@@ -314,9 +315,9 @@ def modify_text(tree: DomTree, path: tuple[int, ...], term: str,
 
 
 def _addition_parent_path(tree: DomTree) -> tuple[int, ...]:
-    for path, el in walk_elements(tree):
+    for at, el, _ in walk(tree):
         if el.tag == "body":
-            return path
+            return path_of(at)
     return ()
 
 
@@ -496,26 +497,26 @@ def plan_delete_feature(plan: MutationPlan, canonical: str,
             # A token is a substring of its node: most nodes are skipped
             # without a search, and a node is done when modify_text no
             # longer finds the term in it
-            for path, node in walk_text_nodes(work):
-                with suppress(TermNotFound):
-                    while payload in node.value:
-                        push(modify_text(work, path, payload, avoid_terms))
-        elif kind in F.INPUT_TYPES:
-            wanted = F.INPUT_TYPES[kind]
-            for path, el in list(walk_elements(work)):
-                if el.tag == "input" and (el.get_attr("type") or "").lower() == wanted:
-                    push(modify_attribute(work, path, "type"))
-        elif kind == F.PAGE_ACTION_URL:
-            for path, el in list(walk_elements(work)):
-                if el.tag == "form" and el.get_attr("action") == payload:
-                    push(modify_attribute(work, path, "action"))
-        elif kind == F.PAGE_LINK_DOMAIN:
-            resolve = plan.tally.resolve
-            for path, el in list(walk_elements(work)):
-                href = el.get_attr("href") if el.tag == "a" else None
-                if href is not None and resolve(href)[0] == payload:
-                    push(modify_attribute(work, path, "href"))
-        elif kind in F.FREQUENCY_KINDS:
+            for at, node, raw in walk(work):
+                if node.node_type == TEXT and not raw:
+                    with suppress(TermNotFound):
+                        while payload in node.value:
+                            push(modify_text(work, path_of(at), payload, avoid_terms))
+        elif kind not in F.FREQUENCY_KINDS:
+            # the carriers: inputs of the type, forms with the action or
+            # links to the domain; an edit rewrites only attributes
+            if kind == F.PAGE_ACTION_URL:
+                tag, attr, hit = "form", "action", payload.__eq__
+            elif kind == F.PAGE_LINK_DOMAIN:
+                resolve = plan.tally.resolve
+                tag, attr, hit = "a", "href", lambda href: resolve(href)[0] == payload
+            else:
+                tag, attr, hit = "input", "type", lambda t: t.lower() == F.INPUT_TYPES[kind]
+            for at, el, _ in walk(work):
+                value = el.attrs.get(attr) if el.tag == tag else None
+                if value is not None and hit(value):
+                    push(modify_attribute(work, path_of(at), attr))
+        else:
             # dilute with internal, insecure references
             carrier = F.FREQUENCIES[kind]
             num, den = plan.tally.counts.fraction(kind)
@@ -616,21 +617,28 @@ class PreservationReport:
         return self.projection_equal and self.functional_equal
 
 
+def _path_text(at) -> str:
+    """The path of place ``at`` as a problem names it: ``/0/3``."""
+    return "".join(f"/{i}" for i in path_of(at))
+
+
 def _check_functional(before: DomNode, after: DomNode,
                       problems: list[str]) -> None:
     """Append a problem for every node pair, in document order, whose type or
     tag changed, that lost an attribute no event handler restores, or lost
-    content children.  Works from an explicit stack."""
-    stack = [(before, after, "")]
+    content children.  Works from an explicit stack of pairs, each with its
+    place as ``dom.walk`` links them; a problem names the pair's path as
+    ``/0/3``, built only when the problem is appended."""
+    stack = [(before, after, None)]
     while stack:
-        before, after, path = stack.pop()
+        before, after, at = stack.pop()
         if before.node_type != after.node_type:
-            problems.append(f"{path}: node type changed")
+            problems.append(f"{_path_text(at)}: node type changed")
             continue
         if before.node_type != ELEMENT:
             continue
         if before.tag != after.tag:
-            problems.append(f"{path}: tag {before.tag} became {after.tag}")
+            problems.append(f"{_path_text(at)}: tag {before.tag} became {after.tag}")
             continue
         before_attrs, after_attrs = before.attrs, after.attrs
         entry = MODIFIABLE_ATTRS.get(before.tag)
@@ -638,17 +646,19 @@ def _check_functional(before: DomNode, after: DomNode,
             if name in after_attrs:
                 continue
             if entry is None or name not in entry[0]:
-                problems.append(f"{path}: attribute {name!r} removed from <{before.tag}>")
+                problems.append(
+                    f"{_path_text(at)}: attribute {name!r} removed from <{before.tag}>")
                 continue
             handler = after_attrs.get(entry[1], "")
             restored = parse_handler_assignments(handler)
             if restored.get(name) != value:
                 problems.append(
-                    f"{path}: removed {name!r} has no event handler restoring "
+                    f"{_path_text(at)}: removed {name!r} has no event handler restoring "
                     f"{name}={value!r}")
         if len(after.children) < len(before.children):
-            problems.append(f"{path}: content children removed under <{before.tag}>")
-        stack.extend(reversed([(b, a, f"{path}/{i}") for i, (b, a)
+            problems.append(
+                f"{_path_text(at)}: content children removed under <{before.tag}>")
+        stack.extend(reversed([(b, a, (at, i)) for i, (b, a)
                                in enumerate(zip(before.children, after.children))]))
 
 
@@ -678,7 +688,7 @@ def harvest_addition_pool(trees) -> list[ElementSpec]:
     seen = set()
     pool: list[ElementSpec] = []
     for tree in trees:
-        for _, el in walk_elements(tree):
+        for _, el, _ in walk(tree):
             if el.tag not in HARVEST_TAGS:
                 continue
             attrs = tuple(sorted((name, value) for name, value in el.attrs.items()

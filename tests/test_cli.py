@@ -3,6 +3,10 @@ import gc
 import json
 import os
 import re
+import runpy
+import shutil
+import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -281,6 +285,67 @@ def test_score_and_attack_on_a_page_2000_levels_deep_exit_0(workdir, capsys):
                 "--level", "white", "--url", workdir["seed_url"],
                 "--out", str(out)]) == 0
     assert json.loads((out / "deep.white.report.json").read_text())["success"]
+
+
+@pytest.fixture(scope="module")
+def workbench(tmp_path_factory):
+    """The README walkthrough's files, written by the first demo into a
+    temporary ``workbench/``, with the seed's body content nested 4,000 and
+    16,000 ``<div>`` deep in ``deep4000.html`` and ``deep16000.html``."""
+    demos = tmp_path_factory.mktemp("demos")
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "demos", "00_make_workbench_files.py")
+    shutil.copy(script, demos)
+    runpy.run_path(str(demos / os.path.basename(script)), run_name="__main__")
+    bench = demos / "workbench"
+    html = (bench / "seed.html").read_text()
+    for depth in (4000, 16000):
+        (bench / f"deep{depth}.html").write_text(
+            html.replace("<body>", "<body>" + "<div>" * depth, 1)
+            .replace("</body>", "</div>" * depth + "</body>", 1))
+    return bench
+
+
+@pytest.mark.parametrize("command", ["score", "white", "grey", "black", "defend"])
+def test_commands_take_linear_time_and_memory_in_the_depth_of_a_page(workbench, command):
+    """Four times the depth takes under eight times the time and the
+    tracemalloc peak.  The walks kept a path tuple per node and the
+    planners kept them all: a white attack peaked at 125.6 MB 4,000 levels
+    deep and at 1,990 MB of RSS 16,000 deep."""
+    store = workbench / f"{command}.store.json"
+
+    def argv(depth):
+        args = [str(workbench / f"deep{depth}.html"), "--model", str(workbench / "model.json"),
+                "--url", "http://account-services.badhost.test/login"]
+        if command == "score":
+            return ["score", *args]
+        if command == "defend":
+            return ["defend", *args, "--store", str(store), "--now", "100"]
+        if command == "black":
+            args += ["--pool", str(workbench / "pool.jsonl")]
+        return ["attack", *args, "--level", command, "--out", str(workbench / "out")]
+
+    def seconds(args):
+        best = float("inf")
+        for _ in range(3):
+            store.unlink(missing_ok=True)   # defend writes the page to a new store
+            started = time.perf_counter()
+            assert run(args) == 0
+            best = min(best, time.perf_counter() - started)
+        return best
+
+    def peak(args):
+        store.unlink(missing_ok=True)
+        tracemalloc.start()
+        try:
+            assert run(args) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = argv(4000), argv(16000)
+    assert seconds(large) < 8 * seconds(small)
+    assert peak(large) < 8 * peak(small)
 
 
 @pytest.mark.parametrize("level", ["white", "grey"])
@@ -623,6 +688,19 @@ def test_infer_corpus_url_with_an_empty_host_exits_2_naming_it(tmp_path, capsys)
                 "--manifest", str(manifest_path)]) == 2
     assert capsys.readouterr().err == \
         f"error: {corpus_path}:1: not an absolute URL: 'http://./x'\n"
+
+
+def test_infer_corpus_page_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "bad.html").write_bytes(b"<html>\xff</html>")
+    corpus_path = tmp_path / "bad.jsonl"
+    corpus_path.write_text(json.dumps({"url": "http://a.test/", "path": "bad.html",
+                                       "label": "phish"}) + "\n")
+    manifest_path = tmp_path / "digests.txt"
+    manifest_path.write_text(hash_feature("PageHasForms") + "\n")
+    assert run(["infer", "--corpus", str(corpus_path),
+                "--manifest", str(manifest_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {corpus_path}:1: document is not valid UTF-8: ")
 
 
 @pytest.mark.parametrize("url", ["http://./", "http:// /", "http://a..b.com/"])

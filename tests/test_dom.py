@@ -15,14 +15,17 @@ from phishevade.dom import (
     bfs_layers,
     isomorphic,
     parse_html,
+    path_of,
     serialize,
     visible_projection,
+    walk,
     walk_elements,
     walk_text_nodes,
 )
 from phishevade.mutation import (
     ElementSpec,
     MutationPlan,
+    _resolve,
     add_invisible_element,
     plan_add_rule,
     plan_delete_feature,
@@ -539,6 +542,10 @@ def _assert_walks_match_reference(tree):
         == [(p, id(n)) for p, n in dom_oracle.walk_elements(tree)]
     assert [(p, id(n)) for p, n in walk_text_nodes(tree)] \
         == [(p, id(n)) for p, n in dom_oracle.walk_text_nodes(tree)]
+    # raw is what the one walk down a text node's path finds
+    for at, node, raw in walk(tree):
+        if node.node_type == TEXT:
+            assert (node, raw) == _resolve(tree, path_of(at), TEXT)
     assert serialize(tree) == dom_oracle.serialize(tree)
     assert visible_projection(tree) == dom_oracle.visible_projection(tree)
 
