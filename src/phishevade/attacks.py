@@ -2,22 +2,24 @@
 modify-then-add with rollback.
 
 All three mutate a detected page until the oracle's decision score falls
-below the threshold, differing in what they know about the classifier:
+below the threshold of the oracle's own classifier, the point where it
+stops flagging the page, differing in what they know about the classifier:
 
 * white: full model (rules and weights); each step ranks the feature
   deletions and rule additions in one list by exact score influence and
   keeps the first that plans.
 * grey: rule feature sets but no weights, held as a model of the known
-  rules (each of weight 1, in id order, bias 0); tentatively deletes
-  features of the rules the page hits, then tentatively adds the rules it
-  does not.
+  rules (each of weight 1, in id order, bias 0, the oracle's thresholds);
+  tentatively deletes features of the rules the page hits, then
+  tentatively adds the rules it does not.
 * black: nothing but the score oracle; modifies every modifiable node one at
   a time, then randomly adds harvested invisible elements in batches.
 
 The three share one skeleton, ``_Run``: it holds one ``MutationPlan``, the
 attack's only copy of the page with its feature tally, plus the queried
 score of the kept ops, and each attack only pushes candidate ops onto that
-plan (directly or through the planners) and offers them.  The candidate is
+plan (directly or through the planners) and offers them; ``_Run.result``
+is the one place an ``AttackResult`` is built.  The candidate is
 every op pushed since the last offer.  It is scored once, by
 ``ScoreOracle.score_tally`` on the plan's tally, which re-evaluates only the
 rules filed under the features the candidate's ops changed: the page is
@@ -102,34 +104,36 @@ class Knowledge:
 
     ``model`` is what white and grey plan from: the classifier itself for
     white, a model of the known rules (unit weights, in id order, bias 0)
-    for grey, and None for black."""
+    for grey, and None for black.  Every level stops where the oracle's
+    classifier stops flagging the page, below its threshold, whatever
+    ``model`` holds."""
 
     level: str
     oracle: ScoreOracle
     model: Classifier | None = None
-    threshold: float = 0.5
 
 
 def white_knowledge(model: Classifier, oracle: ScoreOracle) -> Knowledge:
-    return Knowledge(WHITE, oracle, model=model, threshold=model.threshold)
+    return Knowledge(WHITE, oracle, model)
 
 
-def grey_knowledge(rules, oracle: ScoreOracle, threshold: float = 0.5,
-                   freq_detect_threshold: float = 0.05) -> Knowledge:
+def grey_knowledge(rules, oracle: ScoreOracle) -> Knowledge:
     """Grey knowledge of ``(id, features)`` pairs: a model of those rules,
     sorted by id, each with weight 1 (grey knows no weights, and a rule of
-    weight 1 still counts in ``mutated_rules``) and a bias of 0.  A rule with
-    no features, a repeated id or a threshold outside (0, 1) raises
-    ``ValueError``, as it does in a model."""
+    weight 1 still counts in ``mutated_rules``), a bias of 0 and the
+    oracle classifier's threshold and frequency threshold.  A rule with no
+    features or a repeated id raises ``ValueError``, as it does in a
+    model."""
     known = sorted((ClassificationRule(rule_id, frozenset(feats), 1.0)
                     for rule_id, feats in rules), key=lambda r: r.id)
-    model = Classifier(0.0, tuple(known), threshold,
-                       freq_detect_threshold=freq_detect_threshold)
-    return Knowledge(GREY, oracle, model=model, threshold=threshold)
+    target = oracle.classifier
+    model = Classifier(0.0, tuple(known), target.threshold,
+                       freq_detect_threshold=target.freq_detect_threshold)
+    return Knowledge(GREY, oracle, model)
 
 
-def black_knowledge(oracle: ScoreOracle, threshold: float = 0.5) -> Knowledge:
-    return Knowledge(BLACK, oracle, threshold=threshold)
+def black_knowledge(oracle: ScoreOracle) -> Knowledge:
+    return Knowledge(BLACK, oracle)
 
 
 class TrajectoryStep(NamedTuple):
@@ -150,24 +154,6 @@ class AttackResult:
     elapsed: float
     additions: int = 0
     score_after_modification: float | None = None
-    rng_seed: int | None = None
-
-    def to_dict(self, seed_path: str = "", final_path: str = "",
-                include_timing: bool = False) -> dict:
-        return {
-            "success": self.success,
-            "status": self.status,
-            "seed_path": seed_path,
-            "final_path": final_path,
-            "steps": [{"op": s.op, "score": s.score} for s in self.trajectory],
-            "mutated_features": self.mutated_features,
-            "mutated_rules": self.mutated_rules,
-            "queries": self.queries,
-            "additions": self.additions,
-            "score_after_modification": self.score_after_modification,
-            "elapsed_ms": round(self.elapsed * 1000.0, 3) if include_timing else None,
-            "rng_seed": self.rng_seed,
-        }
 
 
 # -- influence ---------------------------------------------------------------
@@ -223,13 +209,14 @@ class _Run:
     classifier when the attacker has no model (black).  ``fmap`` and
     ``hits`` are the tracker's ``values`` and ``hits`` on the kept page.
     With ``keep_all`` every offered candidate is kept; otherwise only one
-    whose score drops.
+    whose score drops.  The run is done once the kept score is below the
+    threshold of the oracle's classifier.
     """
 
     def __init__(self, knowledge: Knowledge, page: DomTree,
                  keep_all: bool = False):
         self._oracle = knowledge.oracle
-        self._tau = knowledge.threshold
+        self._tau = self._oracle.classifier.threshold
         self._keep_all = keep_all
         self._started = time.perf_counter()
         self._queries_before = self._oracle.query_count
@@ -265,7 +252,8 @@ class _Run:
         return True
 
     def result(self, failure: str, **extra) -> AttackResult:
-        """Success when the score ended below the threshold, else ``failure``."""
+        """The attack's one result: success when the score ended below the
+        oracle's threshold, else ``failure``."""
         status = SUCCESS if self.done else failure
         return AttackResult(
             success=status == SUCCESS,
@@ -457,8 +445,7 @@ def black_box(knowledge: Knowledge, page: DomTree, pool: list[ElementSpec],
         run.offer(f"add batch of {pushed}", feature_step=False)
 
     return run.result(BUDGET_EXHAUSTED, additions=additions,
-                      score_after_modification=score_after_modification,
-                      rng_seed=rng_seed)
+                      score_after_modification=score_after_modification)
 
 
 def run_attack(knowledge: Knowledge, page: DomTree,
@@ -466,13 +453,9 @@ def run_attack(knowledge: Knowledge, page: DomTree,
                budget: int = 2000, rng_seed: int = 0) -> AttackResult:
     """Dispatch on the knowledge level."""
     if knowledge.level == WHITE:
-        result = white_box(knowledge, page)
-    elif knowledge.level == GREY:
-        result = grey_box(knowledge, page)
-    elif knowledge.level == BLACK:
-        result = black_box(knowledge, page, pool or [], batch, budget, rng_seed)
-    else:
-        raise ValueError(f"unknown knowledge level {knowledge.level!r}")
-    if result.rng_seed is None:
-        result.rng_seed = rng_seed
-    return result
+        return white_box(knowledge, page)
+    if knowledge.level == GREY:
+        return grey_box(knowledge, page)
+    if knowledge.level == BLACK:
+        return black_box(knowledge, page, pool or [], batch, budget, rng_seed)
+    raise ValueError(f"unknown knowledge level {knowledge.level!r}")

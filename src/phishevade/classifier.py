@@ -29,9 +29,11 @@ through another over the same tally.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -58,6 +60,19 @@ def decode_json(text: str, what: str):
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
+
+
+@contextmanager
+def collector_paused():
+    """Run the block with the cyclic garbage collector disabled, then
+    restore its previous state, also when the block raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def clip(text: str, limit: int = 80) -> str:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import json
 import math
 import os
@@ -32,6 +31,7 @@ from .classifier import (
     UnknownRuleError,
     check_freq_detect_threshold,
     clip,
+    collector_paused,
     decode_json,
     finite_number,
     find_single_rules,
@@ -211,10 +211,9 @@ def cmd_attack(args) -> int:
         knowledge = attacks.white_knowledge(model, oracle)
     elif args.level == attacks.GREY:
         knowledge = attacks.grey_knowledge(
-            [(r.id, r.features) for r in model.rules], oracle,
-            model.threshold, model.freq_detect_threshold)
+            [(r.id, r.features) for r in model.rules], oracle)
     else:
-        knowledge = attacks.black_knowledge(oracle, model.threshold)
+        knowledge = attacks.black_knowledge(oracle)
 
     pool = load_pool(config.pool) if config.pool else []
     result = attacks.run_attack(knowledge, page, pool, config.batch,
@@ -227,10 +226,21 @@ def cmd_attack(args) -> int:
     with open(final_path, "w", encoding="utf-8") as fh:
         fh.write(serialize(result.final_page))
     # final_path is stored relative to the report so reruns into any
-    # directory stay byte-identical
-    _dump_json(result.to_dict(args.page, os.path.basename(final_path),
-                              include_timing=args.timing),
-               report_path)
+    # directory stay byte-identical; _collect_rows reads these reports
+    _dump_json({
+        "success": result.success,
+        "status": result.status,
+        "seed_path": args.page,
+        "final_path": os.path.basename(final_path),
+        "steps": [{"op": s.op, "score": s.score} for s in result.trajectory],
+        "mutated_features": result.mutated_features,
+        "mutated_rules": result.mutated_rules,
+        "queries": result.queries,
+        "additions": result.additions,
+        "score_after_modification": result.score_after_modification,
+        "elapsed_ms": round(result.elapsed * 1000.0, 3) if args.timing else None,
+        "rng_seed": config.rng_seed,
+    }, report_path)
     print(f"{result.status}: score "
           f"{result.trajectory[0].score:.6f} -> {result.trajectory[-1].score:.6f} "
           f"({result.mutated_features} features, {result.mutated_rules} rules, "
@@ -253,14 +263,8 @@ def cmd_defend(args) -> int:
     whitelist = _load_url_set(args.whitelist)
     blacklist = _load_url_set(args.blacklist)
     if args.store and os.path.exists(args.store):
-        # The store lives until the process exits.  Frozen before the
-        # collector runs again, it is walked by no later collection (the
-        # SciPy import, the comparison), not even by the young one that the
-        # objects allocated while loading would start.
-        with pelican.collector_paused():
-            store = pelican.load_store(args.store, config.pelican_k,
-                                       config.pelican_h_hours)
-            gc.freeze()
+        store = pelican.load_store(args.store, config.pelican_k,
+                                   config.pelican_h_hours)
     else:
         store = pelican.PhishStore(config.pelican_k, config.pelican_h_hours)
     oracle = ScoreOracle(model)
@@ -585,8 +589,12 @@ INPUT_ERRORS = (OSError, SchemaError, HashFormatError, UnknownRuleError, UrlErro
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command is one short pass that keeps its page, tree copies and store
+    # to the end and leaves little cyclic garbage; the collector's full
+    # passes over a deep page cost an attack about half its time.
     try:
-        return args.func(args)
+        with collector_paused():
+            return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

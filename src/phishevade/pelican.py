@@ -57,18 +57,16 @@ every element signature built so far.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .classifier import SchemaError, ScoreOracle, decode_json, finite_number
+from .classifier import SchemaError, ScoreOracle, collector_paused, decode_json, finite_number
 from .dom import TEXT, DomTree, bfs_layers
 
 if TYPE_CHECKING:
@@ -471,19 +469,6 @@ def _element_from_json(e: dict) -> ElementSignature:
 def _signature_from_json(layers: list) -> TreeSignature:
     return TreeSignature(tuple(tuple(_element_from_json(e) for e in layer)
                                for layer in layers))
-
-
-@contextmanager
-def collector_paused():
-    """Run the block with the cyclic garbage collector disabled, then
-    restore its previous state, also when the block raises."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def save_store(store: PhishStore, path) -> None:

@@ -64,10 +64,9 @@ def _three_levels(clf, page, pool, rng_seed, budget=2000):
     rules = [(r.id, r.features) for r in clf.rules]
     return {
         "white": white_box(white_knowledge(clf, ScoreOracle(clf)), page),
-        "grey": grey_box(grey_knowledge(rules, ScoreOracle(clf), clf.threshold,
-                                        clf.freq_detect_threshold), page),
-        "black": black_box(black_knowledge(ScoreOracle(clf), clf.threshold),
-                           page, pool, budget=budget, rng_seed=rng_seed),
+        "grey": grey_box(grey_knowledge(rules, ScoreOracle(clf)), page),
+        "black": black_box(black_knowledge(ScoreOracle(clf)), page, pool,
+                           budget=budget, rng_seed=rng_seed),
     }
 
 

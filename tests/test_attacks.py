@@ -1,6 +1,7 @@
 import copy
 import random
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -29,6 +30,7 @@ from phishevade.classifier import (
     ScoreOracle,
     raw_score,
     rule_hit,
+    score,
     unsatisfied,
 )
 from phishevade.dom import serialize
@@ -379,22 +381,16 @@ def test_grey_knowledge_rejects_a_rule_with_no_features():
         grey_knowledge(rules, ScoreOracle(clf))
 
 
-def test_grey_knowledge_rejects_a_repeated_id_and_a_threshold_outside_0_1():
+def test_grey_knowledge_rejects_a_repeated_id():
     clf = suite_model()
-    oracle = ScoreOracle(clf)
     with pytest.raises(ValueError, match="unique"):
-        grey_knowledge(_grey(clf) + _grey(clf)[:1], oracle)
-    for bad in (0.0, 1.0, -0.5, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="threshold must be in"):
-            grey_knowledge(_grey(clf), oracle, threshold=bad)
-        with pytest.raises(ValueError, match="freq_detect_threshold must be in"):
-            grey_knowledge(_grey(clf), oracle, freq_detect_threshold=bad)
+        grey_knowledge(_grey(clf) + _grey(clf)[:1], ScoreOracle(clf))
 
 
 def test_grey_knowledge_is_a_unit_weight_model_of_the_known_rules():
-    clf = suite_model()
+    clf = replace(suite_model(), threshold=0.6, freq_detect_threshold=0.1)
     known = random.Random(18).sample(_grey(clf), len(clf.rules))
-    model = grey_knowledge(known, ScoreOracle(clf), 0.6, 0.1).model
+    model = grey_knowledge(known, ScoreOracle(clf)).model
     assert [r.id for r in model.rules] == sorted(r.id for r in clf.rules)
     assert {(r.id, r.features) for r in model.rules} == set(known)
     assert {r.weight for r in model.rules} == {1.0}
@@ -609,6 +605,32 @@ def test_black_suite_success():
     for bucket, page in suite_seed_pages(per_bucket=2):
         result = black_box(black_knowledge(ScoreOracle(clf)), page, pool,
                            rng_seed=11)
+        assert result.success, bucket
+
+
+@pytest.mark.parametrize("level", ["white", "grey", "black", "white-at-0.9"])
+def test_an_attack_stops_at_its_oracles_threshold(level):
+    """An attack succeeds exactly when its oracle's classifier no longer
+    flags the final page, whatever threshold the attacker's model holds:
+    each level against an oracle at 0.4 with knowledge built from the
+    suite model at 0.5, and white planning from the suite model at 0.9
+    against the suite oracle at 0.5."""
+    suite = suite_model()
+    if level == "white-at-0.9":
+        oracle_model, attacker = suite, replace(suite, threshold=0.9)
+    else:
+        oracle_model, attacker = replace(suite, threshold=0.4), suite
+    oracle = ScoreOracle(oracle_model)
+    if level == "grey":
+        knowledge = grey_knowledge(_grey(attacker), oracle)
+    elif level == "black":
+        knowledge = black_knowledge(oracle)
+    else:
+        knowledge = white_knowledge(attacker, oracle)
+    for bucket, page in suite_seed_pages():
+        result = attacks.run_attack(knowledge, page, suite_pool(), rng_seed=11)
+        final = score(oracle_model, extract_all_features(result.final_page))
+        assert result.success == (final < oracle_model.threshold), (bucket, final)
         assert result.success, bucket
 
 
@@ -832,10 +854,10 @@ def test_grey_reads_its_candidates_from_the_hit_table(rules, unknown, bias, t,
     known += [(f"u{i:02d}", feats) for i, (feats, _) in enumerate(unknown)]
     known = data.draw(st.permutations(known), label="known")
     with planner_calls() as calls:
-        result = grey_box(grey_knowledge(known, ScoreOracle(clf), 0.5, t), page)
+        result = grey_box(grey_knowledge(known, ScoreOracle(clf)), page)
     with planner_calls() as reference_calls:
         reference = reference_grey_box(
-            grey_knowledge(known, ScoreOracle(clf), 0.5, t), page)
+            grey_knowledge(known, ScoreOracle(clf)), page)
     assert calls == reference_calls
     assert _outcome(result) == _outcome(reference)
 

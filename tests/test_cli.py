@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from phishevade.attacks import white_box, white_knowledge
 from phishevade.classifier import ScoreOracle, load_model, save_model
 from phishevade.cli import (INPUT_ERRORS, _CONFIG_KEYS, Config, _config_and_model,
-                            build_parser, load_config, main)
+                            _dump_json, build_parser, load_config, main)
 from phishevade.collision import load_corpus
 from phishevade.dom import parse_html, serialize
 from phishevade.features import extract_all_features, hash_feature
@@ -563,6 +563,33 @@ def test_defend_with_a_non_finite_clock_exits_2(workdir, capsys, now):
     assert run([*defend, f"--now={now}"]) == 2
     assert "finite" in capsys.readouterr().err
     assert store_path.read_bytes() == stored
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_command_runs_with_the_collector_paused_and_leaves_its_state(
+        workdir, capsys, monkeypatch, enabled):
+    """``main`` pauses the cyclic collector for the whole command and then
+    restores its state: a defend against an existing store freezes nothing,
+    and a command that exits 2 restores the state too."""
+    store_path = workdir["dir"] / "store.json"
+    defend = ["defend", workdir["seed"], "--model", workdir["model"],
+              "--url", workdir["seed_url"], "--store", str(store_path)]
+    assert run([*defend, "--now", "1000"]) == 0
+    seen = []
+    monkeypatch.setattr("phishevade.cli._dump_json",
+                        lambda *args, _f=_dump_json: seen.append(gc.isenabled()) or _f(*args))
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run([*defend, "--now", "1000"]) == 0
+        assert gc.isenabled() is enabled
+        assert run([*defend, "--now=nan"]) == 2
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False]
+    assert "finite" in capsys.readouterr().err
 
 
 # -- start-up cost -------------------------------------------------------------------
